@@ -42,7 +42,6 @@ from .kernel import (
     KernelStats,
     coefficient_space_size,
     enumerate_coefficients,
-    restricted_sumset_cardinality,
     sumset_layered,
     sumset_naive,
 )

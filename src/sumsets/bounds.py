@@ -41,6 +41,10 @@ class BoundFormula:
             return False
         return self.validity(k, h)
 
+    def folds(self, k: int) -> tuple[int, ...]:
+        """Every fold h at which the formula is valid for k-sets."""
+        return tuple(h for h in range(1, k + 1) if self.validity(k, h))
+
 
 FORMULAS: dict[str, BoundFormula] = {
     f.id: f

@@ -21,6 +21,7 @@ from .core import (
 from .errors import (
     EngineMismatch,
     InvalidSetLiteral,
+    NotApplicable,
     SumsetError,
     TheoremViolation,
 )
@@ -93,16 +94,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_h_range(text: str | None) -> tuple[int, ...] | None:
+def _parse_h_range(text: str | None, k: int) -> tuple[int, ...] | None:
+    """A fold or inclusive fold range, checked against 1..k before the
+    range is built."""
     if text is None:
         return None
     lo, sep, hi = text.partition("-")
     try:
-        if sep:
-            return tuple(range(int(lo), int(hi) + 1))
-        return (int(text),)
+        lo, hi = (int(lo), int(hi)) if sep else (int(text), int(text))
     except ValueError:
         raise InvalidSetLiteral(f"malformed fold range: {text!r}") from None
+    if not 1 <= lo <= hi <= k:
+        raise NotApplicable(f"fold range {text!r} is not within 1..{k}")
+    return tuple(range(lo, hi + 1))
 
 
 def _cmd_compute(args) -> int:
@@ -212,9 +216,8 @@ def _cmd_scan(args) -> int:
         max_element=args.max_element,
         family=SetFamily(args.family),
         mode=parse_mode(args.mode),
-        h_values=_parse_h_range(args.h),
+        h_values=_parse_h_range(args.h, args.k),
         jobs=args.jobs,
-        output=args.out,
     )
     try:
         report = scan(config)

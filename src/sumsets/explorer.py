@@ -26,12 +26,11 @@ from itertools import combinations
 from math import comb, gcd
 from typing import Iterator, Sequence
 
-from .core import FiniteIntSet, SetFamily, canonical_json
+from .core import FiniteIntSet, SetFamily, SumsetKind, canonical_json
 from .errors import EmptySpace, EngineMismatch, NotApplicable, TheoremViolation
-from .inverse import classify_extremal, inverse_coverage
+from .inverse import THEOREMS, InverseTheorem, classify_extremal, match_family
 from .kernel import sumset_layered, sumset_naive
-from .bounds import FORMULAS
-from .witness import FamilyName
+from .bounds import FORMULAS, BoundFormula
 
 
 @dataclass(frozen=True)
@@ -45,44 +44,23 @@ class ScanMode:
 
 
 def parse_mode(text: str) -> ScanMode:
+    """``verify:<id>`` takes a proven inverse theorem or a theorem-backed
+    bound; ``conj:<id>`` takes a conjectured row of the theorem table."""
     action, _, target = text.partition(":")
-    if action == "verify" and target in _VERIFY_TARGETS:
-        return ScanMode("verify", target)
-    if action in ("conj", "conjecture") and target in _CONJECTURE_TARGETS:
-        return ScanMode("conjecture", target)
+    _, formula = _target(target)
+    if formula is not None:
+        if action == "verify" and formula.theorem_backed:
+            return ScanMode("verify", target)
+        if action in ("conj", "conjecture") and not formula.theorem_backed:
+            return ScanMode("conjecture", target)
     raise NotApplicable(f"unknown scan mode {text!r}")
 
 
-# direct-bound verify targets share the bound formula table
-_DIRECT_VERIFY = {
-    "T2_1": SetFamily.POSITIVE,
-    "T3_1": SetFamily.CONTAINS_ZERO,
-    "TA_Nathanson": SetFamily.ANY,
-}
-
-# inverse verify targets: family, forced fold ("k" meaning h = k), k range
-_INVERSE_VERIFY: dict[str, tuple[SetFamily, object, int, int | None]] = {
-    "T2_2": (SetFamily.POSITIVE, 2, 2, None),
-    "T2_3": (SetFamily.POSITIVE, "k", 3, None),
-    "T2_4": (SetFamily.POSITIVE, 3, 4, None),
-    "T3_2": (SetFamily.CONTAINS_ZERO, 2, 2, None),
-    "T3_3": (SetFamily.CONTAINS_ZERO, "k", 3, None),
-    "T3_4": (SetFamily.CONTAINS_ZERO, 3, 5, None),
-    "T3_5": (SetFamily.CONTAINS_ZERO, 3, 4, 4),
-}
-
-# conjecture targets: direct-bound id, family, conjectured extremal family.
-# The inverse ids imply the direct bound check and vice versa: equality is
-# only meaningful against the conjectured minimum, so both run per pass.
-_CONJECTURES = {
-    "C2_1": ("C2_1", SetFamily.POSITIVE, FamilyName.ODD_AP),
-    "C2_2": ("C2_1", SetFamily.POSITIVE, FamilyName.ODD_AP),
-    "C3_1": ("C3_1", SetFamily.CONTAINS_ZERO, FamilyName.INTERVAL_0K),
-    "C3_2": ("C3_1", SetFamily.CONTAINS_ZERO, FamilyName.INTERVAL_0K),
-}
-
-_VERIFY_TARGETS = set(_DIRECT_VERIFY) | set(_INVERSE_VERIFY)
-_CONJECTURE_TARGETS = set(_CONJECTURES)
+def _target(target: str) -> tuple[InverseTheorem | None, BoundFormula | None]:
+    """A scan target's theorem-table row (None for a direct bound such as
+    T2_1) and its bound formula (None for an unknown id)."""
+    row = THEOREMS.get(target)
+    return row, FORMULAS.get(row.bound if row else target)
 
 
 @dataclass(frozen=True)
@@ -93,7 +71,6 @@ class ScanConfig:
     mode: ScanMode
     h_values: tuple[int, ...] | None = None   # None: derived from the mode
     jobs: int = 1
-    output: str | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -103,7 +80,6 @@ class ScanConfig:
             "family": self.family.value,
             "max_element": self.max_element,
             "jobs": self.jobs,
-            "output": self.output,
         }
 
 
@@ -134,12 +110,11 @@ class ScanReport:
         return canonical_json(self.to_json_dict())
 
     def fingerprint(self) -> str:
-        """Report content excluding wall time and execution-only settings
-        (job count, output path); equal across parallelism levels."""
+        """Report content excluding wall time and the job count; equal
+        across parallelism levels."""
         d = self.to_json_dict()
         del d["wall_time"]
         del d["config"]["jobs"]
-        del d["config"]["output"]
         return canonical_json(d)
 
     def csv_rows(self) -> list[list[object]]:
@@ -238,68 +213,35 @@ def count_normalized_sets(k: int, max_element: int, family: SetFamily) -> int:
 
 def resolve_h_values(config: ScanConfig) -> tuple[int, ...]:
     """The folds a scan will run, either explicit or the mode's default."""
-    k = config.k
-    mode = config.mode
-    if mode.action == "verify" and mode.target in _INVERSE_VERIFY:
-        forced = _INVERSE_VERIFY[mode.target][1]
-        forced_h = k if forced == "k" else int(forced)  # type: ignore[arg-type]
-        if config.h_values is not None and tuple(config.h_values) != (forced_h,):
+    row, formula = _target(config.mode.target)
+    if row is not None and row.fold != "interior":
+        forced = row.folds(config.k)
+        if config.h_values is not None and tuple(config.h_values) != forced:
             raise NotApplicable(
-                f"{mode.target} fixes h = {forced_h}, got {config.h_values}"
+                f"{row.id} fixes h = {forced[0]}, got {config.h_values}"
             )
-        return (forced_h,)
+        return forced
     if config.h_values is not None:
         return tuple(config.h_values)
-    if mode.action == "conjecture":
-        return tuple(range(3, k))
-    return tuple(range(1, k + 1))
+    return formula.folds(config.k)
 
 
 def _validate(config: ScanConfig) -> tuple[int, ...]:
     mode = config.mode
     k = config.k
     _space_shape(k, config.max_element, config.family)
-    if mode.action == "verify":
-        if mode.target in _DIRECT_VERIFY:
-            wanted = _DIRECT_VERIFY[mode.target]
-            if wanted is not SetFamily.ANY and wanted is not config.family:
-                raise NotApplicable(
-                    f"{mode.target} applies to {wanted.value} sets"
-                )
-            h_values = resolve_h_values(config)
-            formula = FORMULAS[mode.target]
-            bad = [h for h in h_values if not formula.validity(k, h)]
-        else:
-            wanted, _, k_min, k_max = _INVERSE_VERIFY[mode.target]
-            if wanted is not config.family:
-                raise NotApplicable(
-                    f"{mode.target} applies to {wanted.value} sets"
-                )
-            if k < k_min or (k_max is not None and k > k_max):
-                raise NotApplicable(f"{mode.target} needs k >= {k_min}")
-            h_values = resolve_h_values(config)
-            bad = [h for h in h_values if not 1 <= h <= k]
-    else:
-        direct_id, wanted, _ = _CONJECTURES[mode.target]
-        if wanted is not config.family:
-            raise NotApplicable(f"{mode.target} applies to {wanted.value} sets")
-        h_values = resolve_h_values(config)
-        formula = FORMULAS[direct_id]
-        bad = [h for h in h_values if not formula.validity(k, h)]
+    row, formula = _target(mode.target)
+    if formula.family is not SetFamily.ANY and formula.family is not config.family:
+        raise NotApplicable(f"{mode.target} applies to {formula.family.value} sets")
+    if row is not None and not row.covers_k(k):
+        raise NotApplicable(f"{mode.target} needs {row.k_range()}")
+    h_values = resolve_h_values(config)
+    bad = [h for h in h_values if not formula.validity(k, h)]
     if bad or not h_values:
         raise NotApplicable(
             f"fold(s) {bad or h_values} invalid for {mode} at k={k}"
         )
     return h_values
-
-
-def _family_matches(a: FiniteIntSet, name: FamilyName) -> bool:
-    e = a.elements
-    if name is FamilyName.ODD_AP:
-        return all(x == e[0] * (2 * i + 1) for i, x in enumerate(e))
-    if name is FamilyName.INTERVAL_0K:
-        return e[0] == 0 and a.k >= 2 and all(x == e[1] * i for i, x in enumerate(e))
-    raise NotApplicable(f"no structural matcher for {name}")
 
 
 def _partitions(config: ScanConfig) -> list[tuple[int, ...]]:
@@ -341,15 +283,23 @@ def _scan_partition(args: tuple[ScanConfig, tuple[int, ...], tuple[int, ...]]) -
         "counterexamples": [],
     }
     try:
-        if mode.action == "verify" and mode.target in _INVERSE_VERIFY:
-            _verify_inverse_partition(config, h_values, prefix, out)
-        elif mode.action == "verify":
-            _verify_direct_partition(config, h_values, prefix, out)
-        else:
+        if mode.action == "conjecture":
             _conjecture_partition(config, h_values, prefix, out)
+        elif mode.target in THEOREMS:
+            _verify_inverse_partition(config, h_values, prefix, out)
+        else:
+            _verify_direct_partition(config, h_values, prefix, out)
     except (TheoremViolation, EngineMismatch) as exc:
         raise type(exc)(f"[partition {prefix}] {exc}") from None
     return out
+
+
+def _confirm(a: FiniteIntSet, h: int, kind: SumsetKind, card: int) -> int:
+    """The oracle's cardinality, which must equal the layered ``card``."""
+    naive = sumset_naive(a, h, kind).cardinality
+    if naive != card:
+        raise EngineMismatch(f"engines disagree on {a}, h={h}: {card} vs {naive}")
+    return naive
 
 
 def _verify_direct_partition(config, h_values, prefix, out):
@@ -360,11 +310,7 @@ def _verify_direct_partition(config, h_values, prefix, out):
             card = sumset_layered(a, h, formula.kind).cardinality
             bound = formula.value(a.k, h)
             if card < bound:
-                naive = sumset_naive(a, h, formula.kind).cardinality
-                if naive != card:
-                    raise EngineMismatch(
-                        f"engines disagree on {a}, h={h}: {card} vs {naive}"
-                    )
+                _confirm(a, h, formula.kind, card)
                 raise TheoremViolation(
                     f"{formula.id} violated on {a}, h={h}: {card} < {bound}"
                 )
@@ -380,25 +326,13 @@ def _verify_inverse_partition(config, h_values, prefix, out):
     for a in _complete_prefix(config, prefix):
         out["scanned"] += 1
         cls = classify_extremal(a, h)
-        if cls.theorem != target:
-            raise NotApplicable(
-                f"scan target {target} but ({a.k}, {h}) is covered by {cls.theorem}"
-            )
         if cls.cardinality < cls.bound:
-            naive = sumset_naive(a, h).cardinality
-            if naive != cls.cardinality:
-                raise EngineMismatch(
-                    f"engines disagree on {a}, h={h}: {cls.cardinality} vs {naive}"
-                )
+            _confirm(a, h, SumsetKind.RESTRICTED_SIGNED, cls.cardinality)
             raise TheoremViolation(
                 f"{target} bound violated on {a}: {cls.cardinality} < {cls.bound}"
             )
         if cls.equality != cls.matched:
-            naive = sumset_naive(a, h).cardinality
-            if naive != cls.cardinality:
-                raise EngineMismatch(
-                    f"engines disagree on {a}, h={h}: {cls.cardinality} vs {naive}"
-                )
+            _confirm(a, h, SumsetKind.RESTRICTED_SIGNED, cls.cardinality)
             raise TheoremViolation(
                 f"{target} classification failed on {a}: equality={cls.equality} "
                 f"but family match={cls.family!r} (cardinality {cls.cardinality}, "
@@ -417,19 +351,16 @@ def _verify_inverse_partition(config, h_values, prefix, out):
 
 
 def _conjecture_partition(config, h_values, prefix, out):
-    direct_id, _, inverse_family = _CONJECTURES[config.mode.target]
-    formula = FORMULAS[direct_id]
+    row = THEOREMS[config.mode.target]
+    formula = FORMULAS[row.bound]
+    expected = row.extremal_at(config.k)
     for a in _complete_prefix(config, prefix):
         out["scanned"] += 1
         for h in h_values:
             card = sumset_layered(a, h).cardinality
             bound = formula.value(a.k, h)
             if card < bound:
-                naive = sumset_naive(a, h).cardinality
-                if naive != card:
-                    raise EngineMismatch(
-                        f"engines disagree on {a}, h={h}: {card} vs {naive}"
-                    )
+                naive = _confirm(a, h, SumsetKind.RESTRICTED_SIGNED, card)
                 out["counterexamples"].append(
                     {
                         "set": a.canonical(),
@@ -437,24 +368,20 @@ def _conjecture_partition(config, h_values, prefix, out):
                         "cardinality": card,
                         "bound": bound,
                         "naive_cardinality": naive,
-                        "conjecture": direct_id,
+                        "conjecture": formula.id,
                     }
                 )
                 continue
             if card == bound:
-                matched = _family_matches(a, inverse_family)
-                naive = sumset_naive(a, h).cardinality
-                if naive != card:
-                    raise EngineMismatch(
-                        f"engines disagree on {a}, h={h}: {card} vs {naive}"
-                    )
+                matched = match_family(a, expected) is not None
+                naive = _confirm(a, h, SumsetKind.RESTRICTED_SIGNED, card)
                 out["equalities"].append(
                     {
                         "set": a.canonical(),
                         "h": h,
                         "cardinality": card,
                         "bound": bound,
-                        "family": inverse_family.value if matched else None,
+                        "family": expected.value if matched else None,
                     }
                 )
                 if not matched:
@@ -465,7 +392,7 @@ def _conjecture_partition(config, h_values, prefix, out):
                             "cardinality": card,
                             "bound": bound,
                             "naive_cardinality": naive,
-                            "expected_family": inverse_family.value,
+                            "expected_family": expected.value,
                         }
                     )
 

@@ -1,22 +1,24 @@
 """Structure detection and classification of bound-equality sets.
 
-The proven inverse results cover h = 2, h = 3 and h = k.  For each covered
-(h, k, family) combination the classifier knows which extremal family is
-predicted, tests structural membership, recomputes the sumset cardinality
-(never trusting a caller-supplied number), and reports whether observation
-and prediction agree.  Outside the proven coverage it returns a first-class
-"not covered" result so scan pipelines can route those folds to the
-conjecture machinery instead of crashing.
+The proven inverse results cover h = 2, h = 3 and h = k.  They and the
+conjectured ones are rows of one table, ``THEOREMS``: each row names its
+fold, k range, bound formula and extremal family.  For each covered
+(h, k, family) combination the classifier looks up the predicted family,
+tests membership by regenerating the set from it, recomputes the sumset
+cardinality (never trusting a caller-supplied number), and reports whether
+observation and prediction agree.  Outside the proven coverage it returns
+a first-class "not covered" result so scan pipelines can route those folds
+to the conjecture machinery instead of crashing.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .core import FiniteIntSet, SetFamily, SumsetKind, family_of
+from .core import FiniteIntSet, SetFamily, SumsetKind, family_of, normalize_dilation
 from .errors import DegenerateSet, InvalidFold
 from .kernel import sumset_layered
 from .witness import FamilyName, gen_family
-from .bounds import bound_value
+from .bounds import FORMULAS, bound_value
 
 
 def is_arithmetic_progression(a: FiniteIntSet) -> int | None:
@@ -79,102 +81,102 @@ def regenerate(classification: ExtremalClassification) -> FiniteIntSet:
     )
 
 
-def _match_positive(a: FiniteIntSet, h: int) -> tuple[str, str | None, dict | None]:
-    """Return (theorem, family, params) for a positive set; family None if
-    A does not lie in the predicted extremal family."""
-    k = a.k
-    e = a.elements
-    if h == 2:
-        if k == 2:
-            return "T2_2", FamilyName.PAIR.value, {"k": 2, "params": list(e)}
-        d = e[0]
-        if all(x == d * (2 * i + 1) for i, x in enumerate(e)):
-            return "T2_2", FamilyName.ODD_AP.value, {"k": k, "d": d}
-        return "T2_2", None, None
-    if h == k:
-        if k == 3:
-            if e[2] == e[0] + e[1]:
-                return (
-                    "T2_3",
-                    FamilyName.SUM_CLOSED_3.value,
-                    {"k": 3, "params": [e[0], e[1]]},
-                )
-            return "T2_3", None, None
-        d = e[0]
-        if all(x == d * (i + 1) for i, x in enumerate(e)):
-            return "T2_3", FamilyName.INTERVAL_1K.value, {"k": k, "d": d}
-        return "T2_3", None, None
-    # h == 3, k >= 4 (k == 3 is the h == k case above)
-    d = e[0]
-    if all(x == d * (2 * i + 1) for i, x in enumerate(e)):
-        return "T2_4", FamilyName.ODD_AP.value, {"k": k, "d": d}
-    return "T2_4", None, None
+@dataclass(frozen=True)
+class InverseTheorem:
+    """One inverse result: on its folds and k range, equality in the bound
+    forces the extremal family.  The row's set family, and whether it is
+    proven, are those of its bound formula."""
+
+    id: str
+    fold: int | str         # 2, 3, "k" (h = k), or "interior": the bound's valid folds
+    k_min: int
+    k_max: int | None
+    bound: str              # id in bounds.FORMULAS
+    extremal: FamilyName    # the extremal family at every k not in ``at_k``
+    at_k: dict = field(default_factory=dict)
+
+    def k_range(self) -> str:
+        if self.k_max is None:
+            return f"k >= {self.k_min}"
+        return f"{self.k_min} <= k <= {self.k_max}"
+
+    def covers_k(self, k: int) -> bool:
+        return self.k_min <= k and (self.k_max is None or k <= self.k_max)
+
+    def folds(self, k: int) -> tuple[int, ...]:
+        if self.fold == "interior":
+            return FORMULAS[self.bound].folds(k)
+        return (k if self.fold == "k" else self.fold,)
+
+    def extremal_at(self, k: int) -> FamilyName:
+        return self.at_k.get(k, self.extremal)
 
 
-def _match_zero(a: FiniteIntSet, h: int) -> tuple[str, str | None, dict | None]:
-    k = a.k
-    e = a.elements
-    if h == 2:
-        if k == 2:
-            return "T3_2", FamilyName.ZERO_PAIR.value, {"k": 2, "params": [e[1]]}
-        d = e[1]
-        if all(x == d * i for i, x in enumerate(e)):
-            return "T3_2", FamilyName.INTERVAL_0K.value, {"k": k, "d": d}
-        return "T3_2", None, None
-    if h == k:
-        if k == 3:
-            return (
-                "T3_3",
-                FamilyName.ZERO_TRIPLE.value,
-                {"k": 3, "params": [e[1], e[2]]},
-            )
-        if k == 4:
-            if e[3] == e[1] + e[2]:
-                return (
-                    "T3_3",
-                    FamilyName.SUM_CLOSED_4.value,
-                    {"k": 4, "params": [e[1], e[2]]},
-                )
-            return "T3_3", None, None
-        d = e[1]
-        if all(x == d * i for i, x in enumerate(e)):
-            return "T3_3", FamilyName.INTERVAL_0K.value, {"k": k, "d": d}
-        return "T3_3", None, None
-    if k == 4:
-        d = e[1]
-        if e[2] == 2 * d and e[3] == 4 * d:
-            return "T3_5", FamilyName.SPECIAL_0124.value, {"k": 4, "d": d}
-        return "T3_5", None, None
-    d = e[1]
-    if all(x == d * i for i, x in enumerate(e)):
-        return "T3_4", FamilyName.INTERVAL_0K.value, {"k": k, "d": d}
-    return "T3_4", None, None
+_F = FamilyName
 
-
-_THEOREM_BOUND = {
-    "T2_2": lambda k: bound_value("T2_1", k, 2),
-    "T2_3": lambda k: bound_value("T2_1", k, k),
-    "T2_4": lambda k: bound_value("T2_4", k, 3),
-    "T3_2": lambda k: bound_value("T3_1", k, 2),
-    "T3_3": lambda k: bound_value("T3_1", k, k),
-    "T3_4": lambda k: bound_value("T3_4", k, 3),
-    "T3_5": lambda k: bound_value("T3_5", k, 3),
+# The proven inverse theorems, then the conjectured ones.  C2_2 and C3_2 are
+# the inverse halves of C2_1 and C3_1 and share their bound: equality only
+# means something against the conjectured minimum, so a conjecture scan
+# checks the bound and the family on every pass.
+THEOREMS: dict[str, InverseTheorem] = {
+    row.id: row
+    for row in (
+        InverseTheorem("T2_2", 2, 2, None, "T2_1", _F.ODD_AP, {2: _F.PAIR}),
+        InverseTheorem(
+            "T2_3", "k", 3, None, "T2_1", _F.INTERVAL_1K, {3: _F.SUM_CLOSED_3}
+        ),
+        InverseTheorem("T2_4", 3, 4, None, "T2_4", _F.ODD_AP),
+        InverseTheorem("T3_2", 2, 2, None, "T3_1", _F.INTERVAL_0K, {2: _F.ZERO_PAIR}),
+        InverseTheorem(
+            "T3_3", "k", 3, None, "T3_1", _F.INTERVAL_0K,
+            {3: _F.ZERO_TRIPLE, 4: _F.SUM_CLOSED_4},
+        ),
+        InverseTheorem("T3_5", 3, 4, 4, "T3_5", _F.SPECIAL_0124),
+        InverseTheorem("T3_4", 3, 5, None, "T3_4", _F.INTERVAL_0K),
+        InverseTheorem("C2_1", "interior", 4, None, "C2_1", _F.ODD_AP),
+        InverseTheorem("C2_2", "interior", 4, None, "C2_1", _F.ODD_AP),
+        InverseTheorem("C3_1", "interior", 5, None, "C3_1", _F.INTERVAL_0K),
+        InverseTheorem("C3_2", "interior", 5, None, "C3_1", _F.INTERVAL_0K),
+    )
 }
+
+# the elements a fixed-k family's gen_family params are read from; every
+# other family is a dilation of its d = 1 member
+_FREE_ELEMENTS = {
+    _F.PAIR: slice(0, 2),
+    _F.SUM_CLOSED_3: slice(0, 2),
+    _F.ZERO_PAIR: slice(1, 2),
+    _F.ZERO_TRIPLE: slice(1, 3),
+    _F.SUM_CLOSED_4: slice(1, 3),
+}
+
+
+def match_family(a: FiniteIntSet, name: FamilyName) -> dict | None:
+    """The gen_family parameters that regenerate A byte for byte from the
+    named family, or None when A is not a member."""
+    free = _FREE_ELEMENTS.get(name)
+    if free is not None:
+        params = list(a.elements[free])
+        if gen_family(name, a.k, params=params).elements == a.elements:
+            return {"k": a.k, "params": params}
+        return None
+    d, base = normalize_dilation(a)
+    if gen_family(name, a.k).elements == base.elements:
+        return {"k": a.k, "d": d}
+    return None
 
 
 def inverse_coverage(family: SetFamily, k: int, h: int) -> str | None:
     """Which proven inverse theorem covers (family, k, h), if any."""
-    if h == 2 and k >= 2:
-        return "T2_2" if family is SetFamily.POSITIVE else "T3_2"
-    if h == k and k >= 3:
-        return "T2_3" if family is SetFamily.POSITIVE else "T3_3"
-    if h == 3:
-        if family is SetFamily.POSITIVE and k >= 4:
-            return "T2_4"
-        if family is SetFamily.CONTAINS_ZERO and k == 4:
-            return "T3_5"
-        if family is SetFamily.CONTAINS_ZERO and k >= 5:
-            return "T3_4"
+    for row in THEOREMS.values():
+        formula = FORMULAS[row.bound]
+        if (
+            formula.theorem_backed
+            and formula.family is family
+            and row.covers_k(k)
+            and h in row.folds(k)
+        ):
+            return row.id
     return None
 
 
@@ -189,34 +191,22 @@ def classify_extremal(a: FiniteIntSet, h: int) -> ExtremalClassification:
         raise InvalidFold(f"need 1 <= h <= k={a.k}, got h={h}")
     cardinality = sumset_layered(a, h, SumsetKind.RESTRICTED_SIGNED).cardinality
     theorem = inverse_coverage(family, a.k, h)
-    if theorem is None:
-        return ExtremalClassification(
-            set=a,
-            h=h,
-            covered=False,
-            theorem=None,
-            bound=None,
-            cardinality=cardinality,
-            equality=False,
-            family=None,
-            params=None,
-            consistent=False,
-        )
-    if family is SetFamily.POSITIVE:
-        theorem, matched, params = _match_positive(a, h)
-    else:
-        theorem, matched, params = _match_zero(a, h)
-    bound = _THEOREM_BOUND[theorem](a.k)
+    bound = name = params = None
+    if theorem is not None:
+        row = THEOREMS[theorem]
+        bound = bound_value(row.bound, a.k, h)
+        name = row.extremal_at(a.k)
+        params = match_family(a, name)
     equality = cardinality == bound
     return ExtremalClassification(
         set=a,
         h=h,
-        covered=True,
+        covered=theorem is not None,
         theorem=theorem,
         bound=bound,
         cardinality=cardinality,
         equality=equality,
-        family=matched,
-        params=params if matched is not None else None,
-        consistent=equality and matched is not None,
+        family=name.value if params is not None else None,
+        params=params,
+        consistent=equality and params is not None,
     )

@@ -38,7 +38,7 @@ from .core import (
     SumsetKind,
     SumsetResult,
 )
-from .errors import InvalidFold, KernelOverflow, TheoremViolation
+from .errors import InvalidFold, KernelOverflow
 
 
 @dataclass(frozen=True)
@@ -239,15 +239,3 @@ def sumset_layered(
     _require_safe_magnitude(a, h)
     values = tuple(_layered_values(a.elements, h, kind))
     return _build_result(a, h, kind, values, "layered", collect_stats)
-
-
-def restricted_sumset_cardinality(a: FiniteIntSet, h: int) -> int:
-    """|h^A|, the number of sums of h distinct elements of A."""
-    card = sumset_layered(a, h, SumsetKind.RESTRICTED).cardinality
-    floor = h * a.k - h * h + 1
-    if card < floor:
-        raise TheoremViolation(
-            f"|{h}^A| = {card} < {floor} for A = {a}; restricted sumset "
-            "lower bound is theorem-backed, this is a kernel bug"
-        )
-    return card

@@ -116,6 +116,13 @@ def test_domain_errors_exit_65(capsys):
                "--family", "positive", "--max", "20")[0] == 65
 
 
+def test_scan_fold_range_checked_before_it_is_built(capsys):
+    # a range past k must fail as a domain error, never reach range()
+    code, _, err = run(capsys, "scan", "--mode", "verify:T2_1", "--k", "4",
+                       "--max", "20", "--h", "1-99999999999999999999")
+    assert code == 65 and "within 1..4" in err
+
+
 def test_scan_clean_exit_0(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     csv_path = tmp_path / "report.csv"

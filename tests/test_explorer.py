@@ -66,6 +66,8 @@ def test_scan_rejects_mismatched_family():
         scan(ScanConfig(4, 10, POS, parse_mode("conj:C3_1")))
     with pytest.raises(NotApplicable):
         scan(ScanConfig(3, 10, POS, parse_mode("conj:C2_1")))  # k too small
+    with pytest.raises(NotApplicable, match="T3_5 needs 4 <= k <= 4"):
+        scan(ScanConfig(5, 10, ZERO, parse_mode("verify:T3_5")))
 
 
 def test_verify_direct_bound_small_space():

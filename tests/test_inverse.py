@@ -1,6 +1,8 @@
+import hashlib
+
 import pytest
 
-from sumsets.core import dilate, make_set
+from sumsets.core import canonical_json, dilate, make_set
 from sumsets.errors import DegenerateSet
 from sumsets.inverse import (
     classify_extremal,
@@ -9,7 +11,12 @@ from sumsets.inverse import (
     regenerate,
 )
 from sumsets.core import SetFamily
+from sumsets.explorer import enumerate_normalized_sets
 from conftest import random_elements
+
+# sha256 of the classify_extremal JSON stream in test_classification_golden,
+# recorded before the inverse theory moved into the THEOREMS table
+CLASSIFICATION_GOLDEN = "3a7bc5a4067a224127a6b3235fa1e76e2214d8004d9beac9289ceec49fa59f58"
 
 
 def test_ap_detection():
@@ -127,3 +134,19 @@ def test_matched_family_regenerates_byte_for_byte(rng):
         cls = classify_extremal(a, h)
         assert cls.consistent, (a.canonical(), h, cls)
         assert regenerate(cls).canonical() == a.canonical()
+
+
+def test_classification_golden():
+    digest = hashlib.sha256()
+    count = 0
+    for family in (SetFamily.POSITIVE, SetFamily.CONTAINS_ZERO):
+        for k in range(2, 6):
+            for base in enumerate_normalized_sets(k, 10, family):
+                for d in (1, 2, 3):
+                    a = base if d == 1 else dilate(base, d)
+                    for h in range(1, k + 1):
+                        cls = classify_extremal(a, h)
+                        digest.update(canonical_json(cls.to_json_dict()).encode())
+                        count += 1
+    assert count == 12060
+    assert digest.hexdigest() == CLASSIFICATION_GOLDEN

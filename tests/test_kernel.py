@@ -7,7 +7,6 @@ from sumsets.errors import InvalidFold, KernelOverflow
 from sumsets.kernel import (
     coefficient_space_size,
     enumerate_coefficients,
-    restricted_sumset_cardinality,
     sumset_layered,
     sumset_naive,
 )
@@ -88,9 +87,10 @@ def test_rs_full_fold_interval_cardinality():
 
 
 def test_restricted_cardinality_examples():
-    assert restricted_sumset_cardinality(make_set([1, 2, 3, 4, 5]), 2) == 7
-    assert restricted_sumset_cardinality(make_set([1, 2, 4, 8]), 2) == 6
-    assert restricted_sumset_cardinality(make_set([7]), 1) == 1
+    R = SumsetKind.RESTRICTED
+    assert sumset_layered(make_set([1, 2, 3, 4, 5]), 2, R).cardinality == 7
+    assert sumset_layered(make_set([1, 2, 4, 8]), 2, R).cardinality == 6
+    assert sumset_layered(make_set([7]), 1, R).cardinality == 1
 
 
 # --- engine equivalence and the literal definition ---------------------------
