@@ -7,6 +7,7 @@ nonnegative (unrestricted), zero-one (restricted), arbitrary integer
 """
 from sumsets import (
     SumsetKind,
+    coefficient_space_size,
     dilate,
     enumerate_coefficients,
     make_set,
@@ -19,12 +20,12 @@ h = 2
 print(f"A = {{{a}}}, h = {h}\n")
 
 for kind in SumsetKind:
-    naive = sumset_naive(a, h, kind, collect_stats=True)
+    naive = sumset_naive(a, h, kind)
     layered = sumset_layered(a, h, kind)
     assert naive.values == layered.values
     print(f"{kind.value:>17}: {','.join(map(str, naive.values))}")
     print(f"{'':>17}  cardinality {naive.cardinality}, "
-          f"{naive.stats.vectors_enumerated} coefficient vectors")
+          f"{coefficient_space_size(a.k, h, kind)} coefficient vectors")
 
 print("\nThe coefficient vectors behind the restricted-signed case:")
 for cv in enumerate_coefficients(a.k, h, SumsetKind.RESTRICTED_SIGNED):

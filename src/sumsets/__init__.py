@@ -39,7 +39,6 @@ from .errors import (
     TheoremViolation,
 )
 from .kernel import (
-    KernelStats,
     coefficient_space_size,
     enumerate_coefficients,
     sumset_layered,
@@ -73,7 +72,6 @@ from .inverse import (
     ExtremalClassification,
     classify_extremal,
     inverse_coverage,
-    is_arithmetic_progression,
     regenerate,
 )
 from .explorer import (

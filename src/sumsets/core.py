@@ -7,7 +7,7 @@ every operation is a pure function.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 from typing import Iterable, Iterator
@@ -20,8 +20,9 @@ from .errors import (
     NotNormalizable,
 )
 
-# Kernel inputs are rejected when h * max|a_i| exceeds this, so every value a
-# coefficient vector can reach stays well inside a signed 64-bit word.
+# The naive engine rejects inputs whose h * max|a_i| exceeds this, so every
+# value a coefficient vector can reach stays well inside a signed 64-bit word.
+# The layered engine has its own budget on the size of its bitmasks.
 MAX_SAFE_MAGNITUDE = 2**62
 
 
@@ -58,7 +59,6 @@ class FiniteIntSet:
     """A = {a_0 < a_1 < ... < a_{k-1}}, a nonempty set of integers."""
 
     elements: tuple[int, ...]
-    had_duplicates: bool = field(default=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.elements:
@@ -81,9 +81,6 @@ class FiniteIntSet:
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.elements)
-
-    def __contains__(self, value: object) -> bool:
-        return value in self.elements
 
     def canonical(self) -> str:
         """Canonical serialization: ascending comma-separated decimals."""
@@ -115,7 +112,6 @@ class SumsetResult:
     kind: SumsetKind
     h: int
     source_k: int
-    stats: "object | None" = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
@@ -131,23 +127,17 @@ class SumsetResult:
     def cardinality(self) -> int:
         return len(self.values)
 
-    def __contains__(self, value: object) -> bool:
-        return value in set(self.values)
-
 
 def make_set(raw: Iterable[int]) -> FiniteIntSet:
-    """Sort and deduplicate ``raw`` into a FiniteIntSet.
-
-    The result records whether the input contained duplicates; an empty
-    input raises InvalidSet.
-    """
+    """Sort and deduplicate ``raw`` into a FiniteIntSet; an empty input
+    raises InvalidSet."""
     items = list(raw)
     if not items:
         raise InvalidSet("cannot build a set from an empty sequence")
     if any(not isinstance(x, int) or isinstance(x, bool) for x in items):
         raise InvalidSet(f"set elements must be integers, got {items!r}")
     distinct = sorted(set(items))
-    return FiniteIntSet(tuple(distinct), had_duplicates=len(distinct) < len(items))
+    return FiniteIntSet(tuple(distinct))
 
 
 def parse_set_literal(text: str) -> FiniteIntSet:

@@ -19,12 +19,13 @@ parallelism level.
 """
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb, gcd
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .core import FiniteIntSet, SetFamily, SumsetKind, canonical_json
 from .errors import EmptySpace, EngineMismatch, NotApplicable, TheoremViolation
@@ -137,27 +138,21 @@ class ScanReport:
 CSV_HEADER = ["type", "set", "h", "cardinality", "bound", "family"]
 
 
-def _gcd_is_one(values: Sequence[int]) -> bool:
-    g = 0
-    for v in values:
-        g = gcd(g, v)
-        if g == 1:
-            return True
-    return g == 1
-
-
 def enumerate_normalized_sets(
-    k: int, max_element: int, family: SetFamily
+    k: int, max_element: int, family: SetFamily, prefix: tuple[int, ...] = ()
 ) -> Iterator[FiniteIntSet]:
-    """All normalized k-sets in lexicographic order.
+    """All normalized k-sets in lexicographic order, or those whose nonzero
+    part starts with ``prefix``.
 
     Positive family: k-subsets of [1, max_element] with gcd 1.  Zero
     family: {0} plus a (k-1)-subset of [1, max_element] whose gcd is 1.
     """
     nonzero_size, base = _space_shape(k, max_element, family)
-    for tail in combinations(range(1, max_element + 1), nonzero_size):
-        if nonzero_size == 0 or _gcd_is_one(tail):
-            yield FiniteIntSet(base + tail)
+    start = prefix[-1] + 1 if prefix else 1
+    for tail in combinations(range(start, max_element + 1), nonzero_size - len(prefix)):
+        nonzero = prefix + tail
+        if gcd(*nonzero) == 1 or not nonzero:
+            yield FiniteIntSet(base + nonzero)
 
 
 def _space_shape(
@@ -258,37 +253,24 @@ def _partitions(config: ScanConfig) -> list[tuple[int, ...]]:
     ]
 
 
-def _complete_prefix(
-    config: ScanConfig, prefix: tuple[int, ...]
-) -> Iterator[FiniteIntSet]:
-    nonzero_size, base = _space_shape(config.k, config.max_element, config.family)
-    if nonzero_size == 0:
-        yield FiniteIntSet(base)
-        return
-    rest = nonzero_size - len(prefix)
-    for tail in combinations(range(prefix[-1] + 1, config.max_element + 1), rest):
-        full = prefix + tail
-        if _gcd_is_one(full):
-            yield FiniteIntSet(base + full)
-
-
 def _scan_partition(args: tuple[ScanConfig, tuple[int, ...], tuple[int, ...]]) -> dict:
     """Worker: scan one prefix block. Returns plain lists for cheap merging."""
     config, h_values, prefix = args
-    mode = config.mode
-    out = {
-        "scanned": 0,
-        "equalities": [],
-        "failures": [],
-        "counterexamples": [],
-    }
+    target = config.mode.target
+    if config.mode.action == "conjecture":
+        check = _check_conjecture
+    elif target in THEOREMS:
+        check = _check_inverse
+    else:
+        check = _check_direct
+    out = {"scanned": 0, "equalities": [], "failures": [], "counterexamples": []}
     try:
-        if mode.action == "conjecture":
-            _conjecture_partition(config, h_values, prefix, out)
-        elif mode.target in THEOREMS:
-            _verify_inverse_partition(config, h_values, prefix, out)
-        else:
-            _verify_direct_partition(config, h_values, prefix, out)
+        for a in enumerate_normalized_sets(
+            config.k, config.max_element, config.family, prefix
+        ):
+            out["scanned"] += 1
+            for h in h_values:
+                check(target, a, h, out)
     except (TheoremViolation, EngineMismatch) as exc:
         raise type(exc)(f"[partition {prefix}] {exc}") from None
     return out
@@ -302,99 +284,67 @@ def _confirm(a: FiniteIntSet, h: int, kind: SumsetKind, card: int) -> int:
     return naive
 
 
-def _verify_direct_partition(config, h_values, prefix, out):
-    formula = FORMULAS[config.mode.target]
-    for a in _complete_prefix(config, prefix):
-        out["scanned"] += 1
-        for h in h_values:
-            card = sumset_layered(a, h, formula.kind).cardinality
-            bound = formula.value(a.k, h)
-            if card < bound:
-                _confirm(a, h, formula.kind, card)
-                raise TheoremViolation(
-                    f"{formula.id} violated on {a}, h={h}: {card} < {bound}"
-                )
-            if card == bound:
-                out["equalities"].append(
-                    {"set": a.canonical(), "h": h, "cardinality": card, "bound": bound}
-                )
+def _record(a: FiniteIntSet, h: int, card: int, bound: int, **extra) -> dict:
+    return {"set": a.canonical(), "h": h, "cardinality": card, "bound": bound, **extra}
 
 
-def _verify_inverse_partition(config, h_values, prefix, out):
-    (h,) = h_values
-    target = config.mode.target
-    for a in _complete_prefix(config, prefix):
-        out["scanned"] += 1
-        cls = classify_extremal(a, h)
-        if cls.cardinality < cls.bound:
-            _confirm(a, h, SumsetKind.RESTRICTED_SIGNED, cls.cardinality)
-            raise TheoremViolation(
-                f"{target} bound violated on {a}: {cls.cardinality} < {cls.bound}"
-            )
-        if cls.equality != cls.matched:
-            _confirm(a, h, SumsetKind.RESTRICTED_SIGNED, cls.cardinality)
-            raise TheoremViolation(
-                f"{target} classification failed on {a}: equality={cls.equality} "
-                f"but family match={cls.family!r} (cardinality {cls.cardinality}, "
-                f"bound {cls.bound}, both engines agree)"
-            )
-        if cls.equality:
-            out["equalities"].append(
-                {
-                    "set": a.canonical(),
-                    "h": h,
-                    "cardinality": cls.cardinality,
-                    "bound": cls.bound,
-                    "family": cls.family,
-                }
-            )
+def _check_direct(target: str, a: FiniteIntSet, h: int, out: dict) -> None:
+    formula = FORMULAS[target]
+    card = sumset_layered(a, h, formula.kind).cardinality
+    bound = formula.value(a.k, h)
+    if card < bound:
+        _confirm(a, h, formula.kind, card)
+        raise TheoremViolation(
+            f"{formula.id} violated on {a}, h={h}: {card} < {bound}"
+        )
+    if card == bound:
+        out["equalities"].append(_record(a, h, card, bound))
 
 
-def _conjecture_partition(config, h_values, prefix, out):
-    row = THEOREMS[config.mode.target]
+def _check_inverse(target: str, a: FiniteIntSet, h: int, out: dict) -> None:
+    cls = classify_extremal(a, h)
+    if cls.cardinality < cls.bound:
+        _confirm(a, h, SumsetKind.RESTRICTED_SIGNED, cls.cardinality)
+        raise TheoremViolation(
+            f"{target} bound violated on {a}: {cls.cardinality} < {cls.bound}"
+        )
+    if cls.equality != cls.matched:
+        _confirm(a, h, SumsetKind.RESTRICTED_SIGNED, cls.cardinality)
+        raise TheoremViolation(
+            f"{target} classification failed on {a}: equality={cls.equality} "
+            f"but family match={cls.family!r} (cardinality {cls.cardinality}, "
+            f"bound {cls.bound}, both engines agree)"
+        )
+    if cls.equality:
+        out["equalities"].append(
+            _record(a, h, cls.cardinality, cls.bound, family=cls.family)
+        )
+
+
+def _check_conjecture(target: str, a: FiniteIntSet, h: int, out: dict) -> None:
+    row = THEOREMS[target]
     formula = FORMULAS[row.bound]
-    expected = row.extremal_at(config.k)
-    for a in _complete_prefix(config, prefix):
-        out["scanned"] += 1
-        for h in h_values:
-            card = sumset_layered(a, h).cardinality
-            bound = formula.value(a.k, h)
-            if card < bound:
-                naive = _confirm(a, h, SumsetKind.RESTRICTED_SIGNED, card)
-                out["counterexamples"].append(
-                    {
-                        "set": a.canonical(),
-                        "h": h,
-                        "cardinality": card,
-                        "bound": bound,
-                        "naive_cardinality": naive,
-                        "conjecture": formula.id,
-                    }
+    card = sumset_layered(a, h).cardinality
+    bound = formula.value(a.k, h)
+    if card < bound:
+        naive = _confirm(a, h, SumsetKind.RESTRICTED_SIGNED, card)
+        out["counterexamples"].append(
+            _record(a, h, card, bound, naive_cardinality=naive, conjecture=formula.id)
+        )
+    elif card == bound:
+        expected = row.extremal_at(a.k)
+        matched = match_family(a, expected) is not None
+        naive = _confirm(a, h, SumsetKind.RESTRICTED_SIGNED, card)
+        out["equalities"].append(
+            _record(a, h, card, bound, family=expected.value if matched else None)
+        )
+        if not matched:
+            out["failures"].append(
+                _record(
+                    a, h, card, bound,
+                    naive_cardinality=naive, expected_family=expected.value,
                 )
-                continue
-            if card == bound:
-                matched = match_family(a, expected) is not None
-                naive = _confirm(a, h, SumsetKind.RESTRICTED_SIGNED, card)
-                out["equalities"].append(
-                    {
-                        "set": a.canonical(),
-                        "h": h,
-                        "cardinality": card,
-                        "bound": bound,
-                        "family": expected.value if matched else None,
-                    }
-                )
-                if not matched:
-                    out["failures"].append(
-                        {
-                            "set": a.canonical(),
-                            "h": h,
-                            "cardinality": card,
-                            "bound": bound,
-                            "naive_cardinality": naive,
-                            "expected_family": expected.value,
-                        }
-                    )
+            )
 
 
 def scan(config: ScanConfig) -> ScanReport:
@@ -403,11 +353,11 @@ def scan(config: ScanConfig) -> ScanReport:
     h_values = _validate(config)
     parts = _partitions(config)
     args = [(config, h_values, p) for p in parts]
-    jobs = max(1, config.jobs)
-    if jobs == 1 or len(parts) <= 1:
+    workers = min(max(1, config.jobs), len(parts), os.cpu_count() or 1)
+    if workers == 1:
         partials = [_scan_partition(a) for a in args]
     else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(parts))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(_scan_partition, args, chunksize=1))
 
     scanned = sum(p["scanned"] for p in partials)

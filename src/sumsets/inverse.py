@@ -21,21 +21,6 @@ from .witness import FamilyName, gen_family
 from .bounds import FORMULAS, bound_value
 
 
-def is_arithmetic_progression(a: FiniteIntSet) -> int | None:
-    """The common difference d > 0 if A is an AP, else None.
-
-    Size-1 sets are vacuously progressions with no defined difference and
-    raise DegenerateSet so callers cannot silently treat them as matched.
-    """
-    if a.k < 2:
-        raise DegenerateSet("a singleton has no common difference")
-    d = a.elements[1] - a.elements[0]
-    for x, y in zip(a.elements, a.elements[1:]):
-        if y - x != d:
-            return None
-    return d
-
-
 @dataclass(frozen=True)
 class ExtremalClassification:
     """Verdict of one set against the inverse theory for its (h, k)."""

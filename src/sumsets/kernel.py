@@ -14,10 +14,11 @@ The two engines are deliberately unrelated in structure:
   and sign pattern so itertools drives the inner loops) and accumulates the
   distinct values in a hash set.  It is the oracle.
 * ``sumset_layered`` runs a dynamic program over elements with layers
-  indexed by consumed weight j = 0..h; each layer is a dense bitmask over
-  the reachable offset range [-h*max|a|, h*max|a|], and per-element
-  transitions either skip the element or add c*a_i for each admissible
-  coefficient c.  It is the fast path.
+  indexed by consumed weight j = 0..h.  With m = max|a|, layer j is a dense
+  bitmask that stores value v at bit v + j*m, so adding +-c*a_i to a value
+  of layer j - c is a left shift by c*(m +- a_i) >= 0.  Each element is
+  folded in by updating j from h down to 1 in place, which reads layers
+  j - c before they take that element.  It is the fast path.
 
 Agreement of the two engines on a value set is the package's primary
 correctness evidence; the explorer module re-checks every would-be
@@ -25,7 +26,6 @@ counterexample with both.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
 from math import comb
 from operator import mul
@@ -41,21 +41,6 @@ from .core import (
 from .errors import InvalidFold, KernelOverflow
 
 
-@dataclass(frozen=True)
-class KernelStats:
-    """Optional per-computation statistics.
-
-    ``vectors_enumerated`` is the size of the coefficient space the
-    computation covers; the naive engine visits each vector exactly once,
-    the layered engine covers the same space without materializing it.
-    """
-
-    vectors_enumerated: int
-    distinct_values: int
-    value_range: tuple[int, int]
-    engine: str
-
-
 def _require_valid_fold(k: int, h: int, kind: SumsetKind) -> None:
     if kind.bounded_fold:
         if not 1 <= h <= k:
@@ -68,6 +53,19 @@ def _require_safe_magnitude(a: FiniteIntSet, h: int) -> None:
     if h * a.max_magnitude > MAX_SAFE_MAGNITUDE:
         raise KernelOverflow(
             f"h * max|a_i| = {h} * {a.max_magnitude} exceeds 2^62"
+        )
+
+
+# The layered DP holds h + 1 masks of at most 2h*max|a| + 1 bits each; inputs
+# whose masks would total more than this are refused before any allocation.
+MAX_LAYERED_BITS = 2**32
+
+
+def _require_layered_budget(a: FiniteIntSet, h: int) -> None:
+    bits = (h + 1) * (2 * h * a.max_magnitude + 1)
+    if bits > MAX_LAYERED_BITS:
+        raise KernelOverflow(
+            f"layered DP needs (h+1)*(2h*max|a_i|+1) = {bits} bits, over 2^32"
         )
 
 
@@ -160,34 +158,30 @@ def _naive_values(elements: tuple[int, ...], h: int, kind: SumsetKind) -> set[in
     return values
 
 
-def _shift(mask: int, delta: int) -> int:
-    return mask << delta if delta >= 0 else mask >> -delta
-
-
 def _layered_values(elements: tuple[int, ...], h: int, kind: SumsetKind) -> list[int]:
-    offset = h * max(abs(elements[0]), abs(elements[-1]))
+    m = max(abs(elements[0]), abs(elements[-1]))
     layers = [0] * (h + 1)
-    layers[0] = 1 << offset
+    layers[0] = 1
     signed_fold = kind.symmetric
     unit_fold = kind.bounded_fold
     for x in elements:
-        updated = layers.copy()
-        for j in range(1, h + 1):
-            acc = updated[j]
+        up, down = m + x, m - x
+        for j in range(h, 0, -1):  # downward: layers[j - c] is still pre-x
+            acc = layers[j]
             if unit_fold:
                 prev = layers[j - 1]
-                acc |= _shift(prev, x)
+                acc |= prev << up
                 if signed_fold:
-                    acc |= _shift(prev, -x)
+                    acc |= prev << down
             else:
                 for c in range(1, j + 1):
                     prev = layers[j - c]
-                    acc |= _shift(prev, c * x)
+                    acc |= prev << c * up
                     if signed_fold:
-                        acc |= _shift(prev, -c * x)
-            updated[j] = acc
-        layers = updated
+                        acc |= prev << c * down
+            layers[j] = acc
     mask = layers[h]
+    offset = h * m
     values = []
     while mask:
         low = mask & -mask
@@ -196,46 +190,25 @@ def _layered_values(elements: tuple[int, ...], h: int, kind: SumsetKind) -> list
     return values
 
 
-def _build_result(
-    a: FiniteIntSet,
-    h: int,
-    kind: SumsetKind,
-    values: tuple[int, ...],
-    engine: str,
-    collect_stats: bool,
-) -> SumsetResult:
-    stats = None
-    if collect_stats:
-        stats = KernelStats(
-            vectors_enumerated=coefficient_space_size(a.k, h, kind),
-            distinct_values=len(values),
-            value_range=(values[0], values[-1]),
-            engine=engine,
-        )
-    return SumsetResult(values=values, kind=kind, h=h, source_k=a.k, stats=stats)
-
-
 def sumset_naive(
     a: FiniteIntSet,
     h: int,
     kind: SumsetKind = SumsetKind.RESTRICTED_SIGNED,
-    collect_stats: bool = False,
 ) -> SumsetResult:
     """Oracle engine: direct enumeration of every coefficient vector."""
     _require_valid_fold(a.k, h, kind)
     _require_safe_magnitude(a, h)
     values = tuple(sorted(_naive_values(a.elements, h, kind)))
-    return _build_result(a, h, kind, values, "naive", collect_stats)
+    return SumsetResult(values=values, kind=kind, h=h, source_k=a.k)
 
 
 def sumset_layered(
     a: FiniteIntSet,
     h: int,
     kind: SumsetKind = SumsetKind.RESTRICTED_SIGNED,
-    collect_stats: bool = False,
 ) -> SumsetResult:
     """Fast engine: weight-layered dynamic program over dense bitmasks."""
     _require_valid_fold(a.k, h, kind)
-    _require_safe_magnitude(a, h)
+    _require_layered_budget(a, h)
     values = tuple(_layered_values(a.elements, h, kind))
-    return _build_result(a, h, kind, values, "layered", collect_stats)
+    return SumsetResult(values=values, kind=kind, h=h, source_k=a.k)

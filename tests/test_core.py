@@ -37,8 +37,6 @@ def test_make_set_singleton():
 def test_make_set_flags_duplicates():
     s = make_set([1, 1, 3])
     assert s.elements == (1, 3)
-    assert s.had_duplicates
-    assert not make_set([1, 3]).had_duplicates
 
 
 def test_make_set_rejects_empty():

@@ -1,12 +1,15 @@
 import json
+import os
 
 import pytest
 
 from sumsets.core import SetFamily, canonical_json, make_set
 from sumsets.errors import EmptySpace, NotApplicable
+from sumsets import explorer
 from sumsets.explorer import (
     CSV_HEADER,
     ScanConfig,
+    _partitions,
     count_normalized_sets,
     enumerate_normalized_sets,
     parse_mode,
@@ -41,6 +44,13 @@ def test_closed_form_count_matches_enumeration(k, max_element, family):
     space = list(enumerate_normalized_sets(k, max_element, family))
     assert len(space) == count_normalized_sets(k, max_element, family)
     assert len(set(space)) == len(space)
+    # scan merges partitions in order, so their blocks must tile the space
+    config = ScanConfig(k, max_element, family, parse_mode("verify:T2_1"))
+    assert [
+        a
+        for p in _partitions(config)
+        for a in enumerate_normalized_sets(k, max_element, family, prefix=p)
+    ] == space
 
 
 def test_empty_space_raises():
@@ -125,6 +135,32 @@ def test_scan_determinism_across_jobs():
         report = scan(ScanConfig(4, 13, POS, parse_mode("conj:C2_1"), jobs=jobs))
         fingerprints.add(report.fingerprint())
     assert len(fingerprints) == 1
+
+
+def test_scan_pool_is_capped_at_cpu_count(monkeypatch):
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(explorer, "ProcessPoolExecutor", SerialPool)
+    config = ScanConfig(4, 12, POS, parse_mode("conj:C2_1"), jobs=64)
+    assert len(_partitions(config)) == 45
+    wide = scan(config)
+    assert started == [2]
+    serial = scan(ScanConfig(4, 12, POS, parse_mode("conj:C2_1"), jobs=1))
+    assert wide.fingerprint() == serial.fingerprint()
 
 
 def test_explicit_h_values():

@@ -3,11 +3,9 @@ import hashlib
 import pytest
 
 from sumsets.core import canonical_json, dilate, make_set
-from sumsets.errors import DegenerateSet
 from sumsets.inverse import (
     classify_extremal,
     inverse_coverage,
-    is_arithmetic_progression,
     regenerate,
 )
 from sumsets.core import SetFamily
@@ -17,17 +15,6 @@ from conftest import random_elements
 # sha256 of the classify_extremal JSON stream in test_classification_golden,
 # recorded before the inverse theory moved into the THEOREMS table
 CLASSIFICATION_GOLDEN = "3a7bc5a4067a224127a6b3235fa1e76e2214d8004d9beac9289ceec49fa59f58"
-
-
-def test_ap_detection():
-    assert is_arithmetic_progression(make_set([1, 3, 5, 7])) == 2
-    assert is_arithmetic_progression(make_set([0, 1, 2, 4])) is None
-    assert is_arithmetic_progression(make_set([5, 10])) == 5
-
-
-def test_ap_detection_singleton_degenerate():
-    with pytest.raises(DegenerateSet):
-        is_arithmetic_progression(make_set([3]))
 
 
 def test_classify_odd_ap_dilated():

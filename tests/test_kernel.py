@@ -189,11 +189,7 @@ def test_overflow_guard():
         sumset_naive(huge, 3, SumsetKind.SIGNED)
 
 
-def test_stats_collection():
-    a = make_set([1, 3, 5])
-    result = sumset_naive(a, 2, RS, collect_stats=True)
-    assert result.stats.vectors_enumerated == 12  # C(3,2) * 2^2
-    assert result.stats.distinct_values == result.cardinality == 8
-    assert result.stats.value_range == (-8, 8)
-    assert result.stats.engine == "naive"
-    assert sumset_layered(a, 2, RS).stats is None
+def test_layered_budget_refuses_huge_folds_before_allocating():
+    # an unbounded kind takes any h; the DP would need 10^15 + 1 layers
+    with pytest.raises(KernelOverflow, match="bits"):
+        sumset_layered(make_set([1, 2]), 10**15, SumsetKind.UNRESTRICTED)
