@@ -16,8 +16,8 @@ from math import comb
 from typing import Callable
 
 from .core import FiniteIntSet, SetFamily, SumsetKind, family_of
-from .errors import EngineMismatch, InvalidFold, NotApplicable, TheoremViolation
-from .kernel import sumset_layered, sumset_naive
+from .errors import EngineMismatch, NotApplicable, TheoremViolation
+from .kernel import require_fold, sumset_layered, sumset_naive
 
 
 class BoundStatus(str, Enum):
@@ -187,8 +187,7 @@ def audit(a: FiniteIntSet, h: int) -> BoundReport:
     agree on the cardinality.
     """
     family = family_of(a)
-    if not 1 <= h <= a.k:
-        raise InvalidFold(f"need 1 <= h <= k={a.k}, got h={h}")
+    require_fold(a.k, h, SumsetKind.RESTRICTED_SIGNED)
     cardinality = sumset_layered(a, h, SumsetKind.RESTRICTED_SIGNED).cardinality
     restricted = sumset_layered(a, h, SumsetKind.RESTRICTED).cardinality
 

@@ -106,12 +106,10 @@ class CoefficientVector:
 
 @dataclass(frozen=True)
 class SumsetResult:
-    """A computed sumset: sorted distinct values plus provenance."""
+    """A computed sumset: sorted distinct values and their kind."""
 
     values: tuple[int, ...]
     kind: SumsetKind
-    h: int
-    source_k: int
 
     def __post_init__(self) -> None:
         if any(b <= a for a, b in zip(self.values, self.values[1:])):

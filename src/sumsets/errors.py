@@ -27,7 +27,9 @@ class InvalidFold(SumsetError):
 
 
 class KernelOverflow(SumsetError):
-    """Raised when h * max|a_i| exceeds the 64-bit safety margin."""
+    """Raised when an input would exceed one of the kernel's guards: the
+    oracle's h * max|a_i| <= 2^62 magnitude margin, the layered DP's budget
+    of mask bits, or the oracle's budget of terms to add."""
 
 
 class DomainViolation(SumsetError):

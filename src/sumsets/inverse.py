@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import FiniteIntSet, SetFamily, SumsetKind, family_of, normalize_dilation
-from .errors import DegenerateSet, InvalidFold
-from .kernel import sumset_layered
-from .witness import FamilyName, gen_family
+from .errors import DegenerateSet
+from .kernel import require_fold, sumset_layered
+from .witness import FAMILY_SHAPES, FamilyName, gen_family
 from .bounds import FORMULAS, bound_value
 
 
@@ -125,21 +125,13 @@ THEOREMS: dict[str, InverseTheorem] = {
     )
 }
 
-# the elements a fixed-k family's gen_family params are read from; every
-# other family is a dilation of its d = 1 member
-_FREE_ELEMENTS = {
-    _F.PAIR: slice(0, 2),
-    _F.SUM_CLOSED_3: slice(0, 2),
-    _F.ZERO_PAIR: slice(1, 2),
-    _F.ZERO_TRIPLE: slice(1, 3),
-    _F.SUM_CLOSED_4: slice(1, 3),
-}
-
 
 def match_family(a: FiniteIntSet, name: FamilyName) -> dict | None:
     """The gen_family parameters that regenerate A byte for byte from the
-    named family, or None when A is not a member."""
-    free = _FREE_ELEMENTS.get(name)
+    named family, or None when A is not a member.  A family with free
+    elements reads its params from them; any other is a dilation of its
+    d = 1 member."""
+    free = FAMILY_SHAPES[name].free
     if free is not None:
         params = list(a.elements[free])
         if gen_family(name, a.k, params=params).elements == a.elements:
@@ -172,8 +164,7 @@ def classify_extremal(a: FiniteIntSet, h: int) -> ExtremalClassification:
     scan pipeline cannot pair a stale cardinality with the wrong set.
     """
     family = family_of(a)
-    if not 1 <= h <= a.k:
-        raise InvalidFold(f"need 1 <= h <= k={a.k}, got h={h}")
+    require_fold(a.k, h, SumsetKind.RESTRICTED_SIGNED)
     cardinality = sumset_layered(a, h, SumsetKind.RESTRICTED_SIGNED).cardinality
     theorem = inverse_coverage(family, a.k, h)
     bound = name = params = None

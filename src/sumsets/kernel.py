@@ -41,7 +41,8 @@ from .core import (
 from .errors import InvalidFold, KernelOverflow
 
 
-def _require_valid_fold(k: int, h: int, kind: SumsetKind) -> None:
+def require_fold(k: int, h: int, kind: SumsetKind) -> None:
+    """Refuse a fold h outside the kind's range: 1..k, or h >= 1 when unbounded."""
     if kind.bounded_fold:
         if not 1 <= h <= k:
             raise InvalidFold(f"{kind.value} needs 1 <= h <= k={k}, got h={h}")
@@ -69,12 +70,25 @@ def _require_layered_budget(a: FiniteIntSet, h: int) -> None:
         )
 
 
+# The oracle adds up to h terms for each coefficient vector; inputs that would
+# take more than this many additions are refused before enumerating.
+MAX_ORACLE_TERMS = 2**27
+
+
+def _require_oracle_budget(k: int, h: int, kind: SumsetKind) -> None:
+    terms = coefficient_space_size(k, h, kind) * h
+    if terms > MAX_ORACLE_TERMS:
+        raise KernelOverflow(
+            f"oracle needs {terms} terms ({kind.value} vectors times h), over 2^27"
+        )
+
+
 def enumerate_coefficients(
     k: int, h: int, kind: SumsetKind
 ) -> Iterator[CoefficientVector]:
     """Yield every coefficient vector of the kind with weight exactly h,
     each once, in lexicographic order over coefficient tuples."""
-    _require_valid_fold(k, h, kind)
+    require_fold(k, h, kind)
 
     def rec(prefix: list[int], remaining: int) -> Iterator[CoefficientVector]:
         pos = len(prefix)
@@ -103,7 +117,7 @@ def enumerate_coefficients(
 
 def coefficient_space_size(k: int, h: int, kind: SumsetKind) -> int:
     """Number of coefficient vectors of the kind with weight exactly h."""
-    _require_valid_fold(k, h, kind)
+    require_fold(k, h, kind)
     if kind is SumsetKind.RESTRICTED:
         return comb(k, h)
     if kind is SumsetKind.RESTRICTED_SIGNED:
@@ -196,10 +210,11 @@ def sumset_naive(
     kind: SumsetKind = SumsetKind.RESTRICTED_SIGNED,
 ) -> SumsetResult:
     """Oracle engine: direct enumeration of every coefficient vector."""
-    _require_valid_fold(a.k, h, kind)
+    require_fold(a.k, h, kind)
     _require_safe_magnitude(a, h)
+    _require_oracle_budget(a.k, h, kind)
     values = tuple(sorted(_naive_values(a.elements, h, kind)))
-    return SumsetResult(values=values, kind=kind, h=h, source_k=a.k)
+    return SumsetResult(values=values, kind=kind)
 
 
 def sumset_layered(
@@ -208,7 +223,7 @@ def sumset_layered(
     kind: SumsetKind = SumsetKind.RESTRICTED_SIGNED,
 ) -> SumsetResult:
     """Fast engine: weight-layered dynamic program over dense bitmasks."""
-    _require_valid_fold(a.k, h, kind)
+    require_fold(a.k, h, kind)
     _require_layered_budget(a, h)
     values = tuple(_layered_values(a.elements, h, kind))
-    return SumsetResult(values=values, kind=kind, h=h, source_k=a.k)
+    return SumsetResult(values=values, kind=kind)

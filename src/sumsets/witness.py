@@ -25,10 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from math import comb
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .core import FiniteIntSet, make_set
-from .errors import DomainViolation, InvalidFamily, InvalidFold
+from .core import FiniteIntSet, SetFamily, SumsetKind, family_of, make_set
+from .errors import DomainViolation, InvalidFamily
+from .kernel import require_fold
 
 LESS = "<"
 EQUAL = "="
@@ -66,9 +67,6 @@ class WitnessFamily:
     def core_values(self) -> set[int]:
         return {e.value for e in self.elements if e.core}
 
-    def distinct_core(self) -> int:
-        return len(self.core_values())
-
 
 @dataclass(frozen=True)
 class FamilyCheck:
@@ -90,29 +88,27 @@ class FamilyCheck:
         )
 
 
-def _require_positive(a: FiniteIntSet) -> None:
-    if a.elements[0] <= 0:
-        raise DomainViolation(f"family defined for strictly positive sets, got {a}")
+def _rising(links: Iterable[tuple[str, int, bool]]) -> tuple[WitnessElement, ...]:
+    """A strictly rising chain from (label, value, core) links: every link
+    claims LESS than the next, and the last claims nothing."""
+    links = list(links)
+    last = len(links) - 1
+    return tuple(
+        WitnessElement(label, value, LESS if n < last else None, core)
+        for n, (label, value, core) in enumerate(links)
+    )
 
 
-def _require_nonnegative(a: FiniteIntSet) -> None:
-    if a.elements[0] < 0:
-        raise DomainViolation(f"family defined for nonnegative sets, got {a}")
-
-
-def _require_fold(a: FiniteIntSet, h: int) -> None:
-    if not 1 <= h <= a.k:
-        raise InvalidFold(f"need 1 <= h <= k={a.k}, got h={h}")
+def _mirror(chain: tuple[WitnessElement, ...]) -> tuple[WitnessElement, ...]:
+    """The negated chain, read in reverse: h^+-A = -h^+-A keeps it in the
+    sumset, and negation turns a rising chain into a falling one."""
+    return _rising((f"-{e.label}", -e.value, e.core) for e in reversed(chain))
 
 
 def _s_value(a: Sequence[int], i: int, j: int, h: int) -> int:
-    """Sum of the window a[i..i+h] skipping a[i+h-j] (h distinct elements)."""
+    """Sum of the window a[i..i+h] skipping a[i+h-j] (h distinct elements);
+    the window may run one past the end, since l = h - j = h is skipped."""
     return sum(a[i + l] for l in range(h + 1) if l != h - j)
-
-
-def _s_last_value(a: Sequence[int], h: int) -> int:
-    """Sum of the h largest elements (the chain's final link)."""
-    return sum(a[len(a) - h :])
 
 
 def _t_value(a: Sequence[int], i: int, j: int, h: int) -> int:
@@ -132,8 +128,8 @@ def s_family(a: FiniteIntSet, h: int) -> WitnessFamily:
     Defined for nonnegative sets; the chain's strictness only needs the
     elements distinct, so a leading zero is fine.
     """
-    _require_nonnegative(a)
-    _require_fold(a, h)
+    family_of(a)  # refuses sets with a negative element
+    require_fold(a.k, h, SumsetKind.RESTRICTED_SIGNED)
     elems: list[WitnessElement] = []
     k = a.k
     seq = a.elements
@@ -143,7 +139,7 @@ def s_family(a: FiniteIntSet, h: int) -> WitnessFamily:
             # itself a checked claim
             rel = LESS if j < h else EQUAL
             elems.append(WitnessElement(f"s[{i},{j}]", _s_value(seq, i, j, h), rel))
-    elems.append(WitnessElement(f"s[{k - h},0]", _s_last_value(seq, h), None))
+    elems.append(WitnessElement(f"s[{k - h},0]", _s_value(seq, k - h, 0, h), None))
     return WitnessFamily(
         name="s",
         h=h,
@@ -154,7 +150,7 @@ def s_family(a: FiniteIntSet, h: int) -> WitnessFamily:
 
 def _t_chain(a: FiniteIntSet, h: int, zero_in_a: bool) -> list[WitnessElement]:
     seq = a.elements
-    s00 = _s_value(seq, 0, 0, h) if h < a.k else _s_last_value(seq, h)
+    s00 = _s_value(seq, 0, 0, h)
     boundary = EQUAL if zero_in_a else LESS
     elems = [WitnessElement("-s[0,0]", -s00, boundary, core=False)]
     for i in range(h):
@@ -180,62 +176,35 @@ def _superincreasing_subfamilies(a: FiniteIntSet, h: int) -> tuple[WitnessFamily
 
     # shifted s-values v[j] = s[0,j] - 2*a_0 interleave the s[0,*] chain
     if h >= 3:
-        up: list[WitnessElement] = [
-            WitnessElement("s[0,0]", _s_value(seq, 0, 0, h), LESS, core=False)
-        ]
+        links = [("s[0,0]", _s_value(seq, 0, 0, h), False)]
         for j in range(1, h - 1):
-            up.append(WitnessElement(f"v[{j}]", _s_value(seq, 0, j, h) - 2 * seq[0], LESS))
-            rel = LESS if j < h - 2 else None
-            up.append(WitnessElement(f"s[0,{j}]", _s_value(seq, 0, j, h), rel, core=False))
+            links.append((f"v[{j}]", _s_value(seq, 0, j, h) - 2 * seq[0], True))
+            links.append((f"s[0,{j}]", _s_value(seq, 0, j, h), False))
+        up = _rising(links)
+        subs.append(WitnessFamily(name="v", h=h, elements=up, expected_distinct=h - 2))
         subs.append(
-            WitnessFamily(name="v", h=h, elements=tuple(up), expected_distinct=h - 2)
-        )
-        down: list[WitnessElement] = [
-            WitnessElement(
-                f"-s[0,{h - 2}]", -_s_value(seq, 0, h - 2, h), LESS, core=False
-            )
-        ]
-        for j in range(h - 2, 0, -1):
-            down.append(
-                WitnessElement(f"-v[{j}]", 2 * seq[0] - _s_value(seq, 0, j, h), LESS)
-            )
-            rel = LESS if j > 1 else None
-            down.append(
-                WitnessElement(
-                    f"-s[0,{j - 1}]", -_s_value(seq, 0, j - 1, h), rel, core=False
-                )
-            )
-        subs.append(
-            WitnessFamily(name="-v", h=h, elements=tuple(down), expected_distinct=h - 2)
+            WitnessFamily(name="-v", h=h, elements=_mirror(up), expected_distinct=h - 2)
         )
 
     # mirrored t-rows fill the gaps between consecutive t[0,*] values
     for j in range(2, h - 2):
-        chain = [
-            WitnessElement(
-                f"t[0,{h - j - 1}]", _t_value(seq, 0, h - j - 1, h), LESS, core=False
-            )
-        ]
+        links = [(f"t[0,{h - j - 1}]", _t_value(seq, 0, h - j - 1, h), False)]
         for m in range(h - j - 2, -1, -1):
-            chain.append(WitnessElement(f"-t[{j},{m}]", -_t_value(seq, j, m, h), LESS))
-        chain.append(
-            WitnessElement(f"-t[{j - 1},{h - j}]", -_t_value(seq, j - 1, h - j, h), LESS)
-        )
-        chain.append(
-            WitnessElement(f"t[0,{h - j}]", _t_value(seq, 0, h - j, h), None, core=False)
-        )
+            links.append((f"-t[{j},{m}]", -_t_value(seq, j, m, h), True))
+        links.append((f"-t[{j - 1},{h - j}]", -_t_value(seq, j - 1, h - j, h), True))
+        links.append((f"t[0,{h - j}]", _t_value(seq, 0, h - j, h), False))
         subs.append(
             WitnessFamily(
-                name=f"-t[{j},*]", h=h, elements=tuple(chain), expected_distinct=h - j
+                name=f"-t[{j},*]", h=h, elements=_rising(links), expected_distinct=h - j
             )
         )
 
     if h >= 3:
-        top = (
-            WitnessElement("t[0,1]", _t_value(seq, 0, 1, h), LESS, core=False),
-            WitnessElement(f"-t[{h - 3},2]", -_t_value(seq, h - 3, 2, h), LESS),
-            WitnessElement("t[0,2]", _t_value(seq, 0, 2, h), None, core=False),
-        )
+        top = _rising([
+            ("t[0,1]", _t_value(seq, 0, 1, h), False),
+            (f"-t[{h - 3},2]", -_t_value(seq, h - 3, 2, h), True),
+            ("t[0,2]", _t_value(seq, 0, 2, h), False),
+        ])
         subs.append(
             WitnessFamily(name="-t[top]", h=h, elements=top, expected_distinct=1)
         )
@@ -254,15 +223,13 @@ def t_family(
     new-value contribution drops from C(h+1,2) - 1 to C(h,2) - 1.  With
     ``superincreasing`` the extra labeled sub-families are attached.
     """
-    _require_fold(a, h)
-    if zero_in_a:
-        if a.elements[0] != 0:
-            raise DomainViolation(f"zero_in_a requires a_0 = 0, got {a}")
-    else:
-        _require_positive(a)
+    require_fold(a.k, h, SumsetKind.RESTRICTED_SIGNED)
+    family = SetFamily.CONTAINS_ZERO if zero_in_a else SetFamily.POSITIVE
+    if family_of(a) is not family:
+        raise DomainViolation(f"zero_in_a={zero_in_a} needs a {family.value} set: {a}")
     subfamilies: tuple[WitnessFamily, ...] = ()
     if superincreasing:
-        if zero_in_a or not is_superincreasing(a):
+        if not is_superincreasing(a):  # a set with 0 in it never is
             raise DomainViolation(f"set {a} is not superincreasing")
         subfamilies = _superincreasing_subfamilies(a, h)
     if zero_in_a:
@@ -283,9 +250,8 @@ def t_family(
 
 def u_family(a: FiniteIntSet) -> WitnessFamily:
     """The full-fold (h = k) chain t[0,1] < u[1] < ... < u[k-1] = t[1,0]."""
-    _require_positive(a)
-    if a.k < 3:
-        raise DomainViolation(f"u-family needs k >= 3, got k={a.k}")
+    if a.elements[0] <= 0 or a.k < 3:
+        raise DomainViolation(f"u-family needs a positive set with k >= 3, got {a}")
     k = a.k
     seq = a.elements
     elems = [WitnessElement("t[0,1]", _t_value(seq, 0, 1, k), LESS, core=False)]
@@ -319,10 +285,19 @@ def verify_family(
         name=fam.name,
         chain_ok=not broken,
         broken_links=tuple(broken),
-        distinct=fam.distinct_core(),
+        distinct=len(fam.core_values()),
         expected_distinct=fam.expected_distinct,
         missing_members=missing,
     )
+
+
+def _census(s: WitnessFamily, t: WitnessFamily) -> int:
+    """Distinct core values of s, -s, t and t's sub-families together."""
+    union = s.core_values()
+    union |= {-v for v in union}
+    for fam in (t, *t.subfamilies):
+        union |= fam.core_values()
+    return len(union)
 
 
 def combined_census(a: FiniteIntSet, h: int) -> tuple[int, int]:
@@ -330,11 +305,9 @@ def combined_census(a: FiniteIntSet, h: int) -> tuple[int, int]:
     total 2(hk - h^2) + C(h+1,2) + 1, or C(h,2) in place of C(h+1,2) when
     0 is in A.  Returns (actual, expected)."""
     zero = a.elements[0] == 0
-    s_vals = s_family(a, h).core_values()
-    t_vals = t_family(a, h, zero_in_a=zero).core_values()
-    union = s_vals | {-v for v in s_vals} | t_vals
+    count = _census(s_family(a, h), t_family(a, h, zero_in_a=zero))
     tail = comb(h, 2) if zero else comb(h + 1, 2)
-    return len(union), 2 * (h * a.k - h * h) + tail + 1
+    return count, 2 * (h * a.k - h * h) + tail + 1
 
 
 def superincreasing_census(a: FiniteIntSet, h: int) -> tuple[int, int | None]:
@@ -342,16 +315,12 @@ def superincreasing_census(a: FiniteIntSet, h: int) -> tuple[int, int | None]:
     sub-families.  The certified total 2hk - h^2 + h - 4 applies only for
     h >= 5 and k >= 6; outside that range the count is reported with no
     claimed value."""
-    fam = t_family(a, h, superincreasing=True)
-    union = s_family(a, h).core_values()
-    union |= {-v for v in union}
-    union |= fam.core_values()
-    for sub in fam.subfamilies:
-        union |= sub.core_values()
+    # t first: its fold and domain checks decide which error a bad input gets
+    t = t_family(a, h, superincreasing=True)
     claimed = None
     if h >= 5 and a.k >= 6:
         claimed = 2 * h * a.k - h * h + h - 4
-    return len(union), claimed
+    return _census(s_family(a, h), t), claimed
 
 
 class FamilyName(str, Enum):
@@ -368,6 +337,30 @@ class FamilyName(str, Enum):
     ZERO_TRIPLE = "ZeroTriple"      # {0, a1, a2}, the k=3 exceptional case
 
 
+class FamilyShape(NamedTuple):
+    """How a named family is built from (k, d, params) and read back."""
+
+    k: int                  # the family's k when fixed, else its least k
+    fixed_k: bool
+    free: slice | None      # the elements params fill; None: params ignored
+    member: Callable[[int, tuple[int, ...]], list[int]]  # d = 1, from (k, params)
+
+
+_F = FamilyName
+
+FAMILY_SHAPES: dict[FamilyName, FamilyShape] = {
+    _F.ODD_AP: FamilyShape(2, False, None, lambda k, p: [2 * i + 1 for i in range(k)]),
+    _F.INTERVAL_1K: FamilyShape(3, False, None, lambda k, p: list(range(1, k + 1))),
+    _F.INTERVAL_0K: FamilyShape(2, False, None, lambda k, p: list(range(k))),
+    _F.SPECIAL_0124: FamilyShape(4, True, None, lambda k, p: [0, 1, 2, 4]),
+    _F.SUM_CLOSED_3: FamilyShape(3, True, slice(0, 2), lambda k, p: [*p, p[0] + p[1]]),
+    _F.SUM_CLOSED_4: FamilyShape(4, True, slice(1, 3), lambda k, p: [0, *p, p[0] + p[1]]),
+    _F.PAIR: FamilyShape(2, True, slice(0, 2), lambda k, p: list(p)),
+    _F.ZERO_PAIR: FamilyShape(2, True, slice(1, 2), lambda k, p: [0, *p]),
+    _F.ZERO_TRIPLE: FamilyShape(3, True, slice(1, 3), lambda k, p: [0, *p]),
+}
+
+
 def gen_family(
     name: FamilyName | str,
     k: int | None = None,
@@ -380,59 +373,26 @@ def gen_family(
     small-k exceptional families (see FamilyName comments).
     """
     name = FamilyName(name)
+    shape = FAMILY_SHAPES[name]
     if d < 1:
         raise InvalidFamily(f"dilation factor must be positive, got d={d}")
+    if shape.fixed_k:
+        if k is not None and k != shape.k:
+            raise InvalidFamily(f"{name.value} has k={shape.k}, got k={k}")
+    elif k is None or k < shape.k:
+        raise InvalidFamily(f"{name.value} needs k >= {shape.k}, got k={k}")
     params = tuple(params)
-
-    def fixed_k(expected: int) -> None:
-        if k is not None and k != expected:
-            raise InvalidFamily(f"{name.value} has k={expected}, got k={k}")
-
-    def free_params(n: int, *, positive: bool = True) -> tuple[int, ...]:
+    if shape.free is not None:
+        n = shape.free.stop - shape.free.start
         if len(params) != n:
             raise InvalidFamily(
                 f"{name.value} needs {n} parameter(s), got {params!r}"
             )
-        if positive and any(p <= 0 for p in params):
+        if any(p <= 0 for p in params):
             raise InvalidFamily(f"{name.value} parameters must be positive")
         if any(q <= p for p, q in zip(params, params[1:])):
             raise InvalidFamily(f"{name.value} parameters must increase")
-        return params
-
-    if name is FamilyName.ODD_AP:
-        if k is None or k < 2:
-            raise InvalidFamily(f"{name.value} needs k >= 2, got k={k}")
-        return make_set([d * (2 * i + 1) for i in range(k)])
-    if name is FamilyName.INTERVAL_1K:
-        if k is None or k < 3:
-            raise InvalidFamily(f"{name.value} needs k >= 3, got k={k}")
-        return make_set([d * i for i in range(1, k + 1)])
-    if name is FamilyName.INTERVAL_0K:
-        if k is None or k < 2:
-            raise InvalidFamily(f"{name.value} needs k >= 2, got k={k}")
-        return make_set([d * i for i in range(k)])
-    if name is FamilyName.SPECIAL_0124:
-        fixed_k(4)
-        return make_set([0, d, 2 * d, 4 * d])
-    if name is FamilyName.SUM_CLOSED_3:
-        fixed_k(3)
-        a0, a1 = free_params(2)
-        return make_set([d * a0, d * a1, d * (a0 + a1)])
-    if name is FamilyName.SUM_CLOSED_4:
-        fixed_k(4)
-        a1, a2 = free_params(2)
-        return make_set([0, d * a1, d * a2, d * (a1 + a2)])
-    if name is FamilyName.PAIR:
-        fixed_k(2)
-        a0, a1 = free_params(2)
-        return make_set([d * a0, d * a1])
-    if name is FamilyName.ZERO_PAIR:
-        fixed_k(2)
-        (a1,) = free_params(1)
-        return make_set([0, d * a1])
-    fixed_k(3)
-    a1, a2 = free_params(2)
-    return make_set([0, d * a1, d * a2])
+    return make_set([d * x for x in shape.member(k, params)])
 
 
 def is_superincreasing(a: FiniteIntSet) -> bool:

@@ -122,6 +122,12 @@ def test_compute_huge_fold_exits_65(capsys):
     assert code == 65 and "bits" in err
 
 
+def test_compute_naive_huge_fold_exits_65(capsys):
+    code, _, err = run(capsys, "compute", "--set", "1,2", "--h", str(10**15),
+                       "--kind", "unrestricted", "--engine", "naive")
+    assert code == 65 and "terms" in err
+
+
 def test_scan_fold_range_checked_before_it_is_built(capsys):
     # a range past k must fail as a domain error, never reach range()
     code, _, err = run(capsys, "scan", "--mode", "verify:T2_1", "--k", "4",

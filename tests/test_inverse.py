@@ -3,6 +3,7 @@ import hashlib
 import pytest
 
 from sumsets.core import canonical_json, dilate, make_set
+from sumsets.errors import SumsetError
 from sumsets.inverse import (
     classify_extremal,
     inverse_coverage,
@@ -10,11 +11,27 @@ from sumsets.inverse import (
 )
 from sumsets.core import SetFamily
 from sumsets.explorer import enumerate_normalized_sets
+from sumsets.kernel import sumset_layered
+from sumsets.witness import (
+    FamilyName,
+    combined_census,
+    gen_family,
+    gen_superincreasing,
+    s_family,
+    superincreasing_census,
+    t_family,
+    u_family,
+    verify_family,
+)
 from conftest import random_elements
 
 # sha256 of the classify_extremal JSON stream in test_classification_golden,
 # recorded before the inverse theory moved into the THEOREMS table
 CLASSIFICATION_GOLDEN = "3a7bc5a4067a224127a6b3235fa1e76e2214d8004d9beac9289ceec49fa59f58"
+# sha256 of the certificate and extremal-family stream in
+# test_certificate_golden, recorded before the certificate chains and the
+# family shapes were rewritten to one encoding each
+CERTIFICATE_GOLDEN = "1cabbfc50d9c7239e408c849b0ee4f050819d1826d1be10da5158d392d9973d2"
 
 
 def test_classify_odd_ap_dilated():
@@ -137,3 +154,82 @@ def test_classification_golden():
                         count += 1
     assert count == 12060
     assert digest.hexdigest() == CLASSIFICATION_GOLDEN
+
+
+def _outcome(fn, *args, **kwargs):
+    """A call's result, or the name of the SumsetError it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except SumsetError as exc:
+        return type(exc).__name__
+
+
+def _family_record(fam, members):
+    check = verify_family(fam, members)
+    return {
+        "name": fam.name,
+        "h": fam.h,
+        "elements": [[e.label, e.value, e.relation_to_next, e.core] for e in fam.elements],
+        "expected_new": fam.expected_new,
+        "check": {**vars(check), "ok": check.ok},
+    }
+
+
+def _certificates(a, h, **flags):
+    """Every chain for (A, h), each checked against the computed sumset,
+    and both censuses; a refused chain or census is its error's name."""
+    # every chain refuses a fold outside 1..k before it needs the sumset
+    members = sumset_layered(a, h).values if 1 <= h <= a.k else None
+    chains = [_outcome(s_family, a, h), _outcome(t_family, a, h, **flags)]
+    if not isinstance(chains[1], str):
+        chains += chains[1].subfamilies
+    if h == a.k and not flags.get("zero_in_a"):
+        chains.append(_outcome(u_family, a))
+    return {
+        "set": a.canonical(),
+        "h": h,
+        "flags": flags,
+        "families": [
+            c if isinstance(c, str) else _family_record(c, members) for c in chains
+        ],
+        "combined": _outcome(combined_census, a, h),
+        "superincreasing": _outcome(superincreasing_census, a, h),
+    }
+
+
+def test_certificate_golden():
+    digest = hashlib.sha256()
+    count = 0
+
+    def feed(record):
+        nonlocal count
+        digest.update(canonical_json(record).encode())
+        count += 1
+
+    for family in (SetFamily.POSITIVE, SetFamily.CONTAINS_ZERO):
+        zero = family is SetFamily.CONTAINS_ZERO
+        for k in range(1, 6):
+            for a in enumerate_normalized_sets(k, 9, family):
+                for h in range(1, k + 1):
+                    feed(_certificates(a, h, zero_in_a=zero))
+    for k in range(6, 9):
+        for base in (1, 2):
+            for ratio in (None, 2, 3):
+                a = gen_superincreasing(k, base, ratio)
+                for h in range(1, k):
+                    feed(_certificates(a, h, superincreasing=True))
+    # refusals: a flag that does not fit the set, a mixed-sign set, and
+    # folds outside 1..k
+    for raw in ([1, 2, 4], [0, 1, 3], [-2, 1, 5], [1, 2, 4, 8, 16, 32]):
+        a = make_set(raw)
+        for h in (0, 1, a.k, a.k + 1):
+            for flags in ({}, {"zero_in_a": True}, {"superincreasing": True}):
+                feed(_certificates(a, h, **flags))
+    for name in FamilyName:
+        for k in (None, 1, 2, 3, 4, 5):
+            for d in (0, 1, 2):
+                for params in ((), (3,), (0, 4), (2, 5), (5, 2), (1, 2, 3)):
+                    made = _outcome(gen_family, name, k, d, params)
+                    feed([name.value, k, d, list(params), str(made)])
+    assert count == 3575
+    assert digest.hexdigest() == CERTIFICATE_GOLDEN

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumsets.core import SumsetKind, dilate, make_set
+from sumsets import kernel
 from sumsets.errors import InvalidFold, KernelOverflow
 from sumsets.kernel import (
     coefficient_space_size,
@@ -193,3 +194,17 @@ def test_layered_budget_refuses_huge_folds_before_allocating():
     # an unbounded kind takes any h; the DP would need 10^15 + 1 layers
     with pytest.raises(KernelOverflow, match="bits"):
         sumset_layered(make_set([1, 2]), 10**15, SumsetKind.UNRESTRICTED)
+
+
+def test_oracle_budget_refuses_huge_folds_before_enumerating(monkeypatch):
+    # 10^15 + 1 unrestricted vectors of 10^15 terms each; the message names
+    # the count
+    with pytest.raises(KernelOverflow, match=str((10**15 + 1) * 10**15)):
+        sumset_naive(make_set([1, 2]), 10**15, SumsetKind.UNRESTRICTED)
+    # an input of exactly the budget runs, one term more is refused
+    a = make_set([1, 2, 3])
+    monkeypatch.setattr(kernel, "MAX_ORACLE_TERMS", coefficient_space_size(3, 2, RS) * 2)
+    assert sumset_naive(a, 2).values == sumset_layered(a, 2).values
+    monkeypatch.setattr(kernel, "MAX_ORACLE_TERMS", coefficient_space_size(3, 2, RS) * 2 - 1)
+    with pytest.raises(KernelOverflow, match="terms"):
+        sumset_naive(a, 2)
