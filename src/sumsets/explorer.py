@@ -16,6 +16,11 @@ dilation, so every dilation class is represented by its d = 1 member.
 Scans are partitioned by the first elements of each set and the partition
 results are merged in enumeration order, so reports are identical at every
 parallelism level.
+
+A partition is a depth-first walk over a tree whose nodes add one larger
+element to their parent's; a node copies its parent's DP layers and folds
+its element in with ``kernel.advance``.  At a leaf layer h is the h-fold
+sumset, so one walk gives every fold and ``layers[h].bit_count()`` is |h^A|.
 """
 from __future__ import annotations
 
@@ -30,7 +35,8 @@ from typing import Iterator
 from .core import FiniteIntSet, SetFamily, SumsetKind, canonical_json
 from .errors import EmptySpace, EngineMismatch, NotApplicable, TheoremViolation
 from .inverse import THEOREMS, InverseTheorem, classify_extremal, match_family
-from .kernel import sumset_layered, sumset_naive
+# sumset_layered stays bound here for bench/tracing.py, which wraps it
+from .kernel import _require_layered_budget, advance, sumset_layered, sumset_naive
 from .bounds import FORMULAS, BoundFormula
 
 
@@ -147,12 +153,35 @@ def enumerate_normalized_sets(
     Positive family: k-subsets of [1, max_element] with gcd 1.  Zero
     family: {0} plus a (k-1)-subset of [1, max_element] whose gcd is 1.
     """
+    yield from (a for a, _ in _walk(k, max_element, family, prefix))
+
+
+def _walk(
+    k: int, max_element: int, family: SetFamily, prefix: tuple[int, ...] = (),
+    depth: int = 0, kind: SumsetKind = SumsetKind.RESTRICTED_SIGNED,
+) -> Iterator[tuple[FiniteIntSet, list[int]]]:
+    """The sets of ``enumerate_normalized_sets``, each with its DP layers
+    0..depth of the kind in the frame m = max_element."""
     nonzero_size, base = _space_shape(k, max_element, family)
-    start = prefix[-1] + 1 if prefix else 1
-    for tail in combinations(range(start, max_element + 1), nonzero_size - len(prefix)):
-        nonzero = prefix + tail
-        if gcd(*nonzero) == 1 or not nonzero:
-            yield FiniteIntSet(base + nonzero)
+    root = [1] + [0] * depth
+    advance(root, base + prefix, max_element, kind)  # the zero family's 0, the prefix
+
+    def grow(nonzero: tuple[int, ...], layers: list[int], g: int):
+        room = nonzero_size - len(nonzero)
+        if not room:  # only at the root: a full prefix, or the zero family's {0}
+            if g < 2:  # gcd 1, or gcd() == 0 over no nonzero element
+                yield FiniteIntSet(base + nonzero), layers
+            return
+        for x in range(nonzero[-1] + 1 if nonzero else 1, max_element - room + 2):
+            child = layers.copy()
+            if depth:
+                advance(child, (x,), max_element, kind)
+            if room > 1:
+                yield from grow(nonzero + (x,), child, gcd(g, x))
+            elif gcd(g, x) == 1:  # a parent yields its leaves: one generator level less
+                yield FiniteIntSet(base + nonzero + (x,)), child
+
+    return grow(prefix, root, gcd(*prefix))
 
 
 def _space_shape(
@@ -236,6 +265,8 @@ def _validate(config: ScanConfig) -> tuple[int, ...]:
         raise NotApplicable(
             f"fold(s) {bad or h_values} invalid for {mode} at k={k}"
         )
+    # the walk sizes every mask by max_element, not by each set's max|a|
+    _require_layered_budget(max(h_values), config.max_element)
     return h_values
 
 
@@ -258,19 +289,20 @@ def _scan_partition(args: tuple[ScanConfig, tuple[int, ...], tuple[int, ...]]) -
     config, h_values, prefix = args
     target = config.mode.target
     if config.mode.action == "conjecture":
-        check = _check_conjecture
+        check, kind, depth = _check_conjecture, SumsetKind.RESTRICTED_SIGNED, max(h_values)
     elif target in THEOREMS:
-        check = _check_inverse
+        # classify_extremal computes its own cardinality: walk without a DP
+        check, kind, depth = _check_inverse, SumsetKind.RESTRICTED_SIGNED, 0
     else:
-        check = _check_direct
+        check, kind, depth = _check_direct, FORMULAS[target].kind, max(h_values)
     out = {"scanned": 0, "equalities": [], "failures": [], "counterexamples": []}
     try:
-        for a in enumerate_normalized_sets(
-            config.k, config.max_element, config.family, prefix
+        for a, layers in _walk(
+            config.k, config.max_element, config.family, prefix, depth, kind
         ):
             out["scanned"] += 1
             for h in h_values:
-                check(target, a, h, out)
+                check(target, a, h, layers[h].bit_count() if depth else None, out)
     except (TheoremViolation, EngineMismatch) as exc:
         raise type(exc)(f"[partition {prefix}] {exc}") from None
     return out
@@ -288,9 +320,8 @@ def _record(a: FiniteIntSet, h: int, card: int, bound: int, **extra) -> dict:
     return {"set": a.canonical(), "h": h, "cardinality": card, "bound": bound, **extra}
 
 
-def _check_direct(target: str, a: FiniteIntSet, h: int, out: dict) -> None:
+def _check_direct(target: str, a: FiniteIntSet, h: int, card: int, out: dict) -> None:
     formula = FORMULAS[target]
-    card = sumset_layered(a, h, formula.kind).cardinality
     bound = formula.value(a.k, h)
     if card < bound:
         _confirm(a, h, formula.kind, card)
@@ -301,7 +332,7 @@ def _check_direct(target: str, a: FiniteIntSet, h: int, out: dict) -> None:
         out["equalities"].append(_record(a, h, card, bound))
 
 
-def _check_inverse(target: str, a: FiniteIntSet, h: int, out: dict) -> None:
+def _check_inverse(target: str, a: FiniteIntSet, h: int, card: None, out: dict) -> None:
     cls = classify_extremal(a, h)
     if cls.cardinality < cls.bound:
         _confirm(a, h, SumsetKind.RESTRICTED_SIGNED, cls.cardinality)
@@ -321,10 +352,9 @@ def _check_inverse(target: str, a: FiniteIntSet, h: int, out: dict) -> None:
         )
 
 
-def _check_conjecture(target: str, a: FiniteIntSet, h: int, out: dict) -> None:
+def _check_conjecture(target: str, a: FiniteIntSet, h: int, card: int, out: dict) -> None:
     row = THEOREMS[target]
     formula = FORMULAS[row.bound]
-    card = sumset_layered(a, h).cardinality
     bound = formula.value(a.k, h)
     if card < bound:
         naive = _confirm(a, h, SumsetKind.RESTRICTED_SIGNED, card)

@@ -14,11 +14,12 @@ The two engines are deliberately unrelated in structure:
   and sign pattern so itertools drives the inner loops) and accumulates the
   distinct values in a hash set.  It is the oracle.
 * ``sumset_layered`` runs a dynamic program over elements with layers
-  indexed by consumed weight j = 0..h.  With m = max|a|, layer j is a dense
-  bitmask that stores value v at bit v + j*m, so adding +-c*a_i to a value
-  of layer j - c is a left shift by c*(m +- a_i) >= 0.  Each element is
-  folded in by updating j from h down to 1 in place, which reads layers
-  j - c before they take that element.  It is the fast path.
+  indexed by consumed weight j = 0..h.  Layer j is a dense bitmask that
+  stores value v at bit v + j*m for any frame m >= max|a|, so adding
+  +-c*a_i to layer j - c is a left shift by c*(m +- a_i) >= 0.  ``advance``
+  is the one transition: it folds elements in, j from h down to 1 in
+  place; the engine folds all of A (m = max|a|), the explorer's scan one
+  element per set-tree node (m = its largest element).  It is the fast path.
 
 Agreement of the two engines on a value set is the package's primary
 correctness evidence; the explorer module re-checks every would-be
@@ -29,7 +30,7 @@ from __future__ import annotations
 from itertools import combinations, combinations_with_replacement, product
 from math import comb
 from operator import mul
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .core import (
     MAX_SAFE_MAGNITUDE,
@@ -62,8 +63,8 @@ def _require_safe_magnitude(a: FiniteIntSet, h: int) -> None:
 MAX_LAYERED_BITS = 2**32
 
 
-def _require_layered_budget(a: FiniteIntSet, h: int) -> None:
-    bits = (h + 1) * (2 * h * a.max_magnitude + 1)
+def _require_layered_budget(h: int, magnitude: int) -> None:
+    bits = (h + 1) * (2 * h * magnitude + 1)
     if bits > MAX_LAYERED_BITS:
         raise KernelOverflow(
             f"layered DP needs (h+1)*(2h*max|a_i|+1) = {bits} bits, over 2^32"
@@ -76,6 +77,15 @@ MAX_ORACLE_TERMS = 2**27
 
 
 def _require_oracle_budget(k: int, h: int, kind: SumsetKind) -> None:
+    # The count is at least C(2r, r) >= 2^r vectors for r = min(k - h, h)
+    # (restricted) or min(k - 1, h) (the other kinds), and counting it
+    # exactly costs about r big multiplications, so a wide input is refused
+    # on r alone.
+    r = min(k - h if kind is SumsetKind.RESTRICTED else k - 1, h)
+    if r >= MAX_ORACLE_TERMS.bit_length():
+        raise KernelOverflow(
+            f"oracle needs at least 2^{r} terms ({kind.value}, k={k}, h={h}), over 2^27"
+        )
     terms = coefficient_space_size(k, h, kind) * h
     if terms > MAX_ORACLE_TERMS:
         raise KernelOverflow(
@@ -172,15 +182,14 @@ def _naive_values(elements: tuple[int, ...], h: int, kind: SumsetKind) -> set[in
     return values
 
 
-def _layered_values(elements: tuple[int, ...], h: int, kind: SumsetKind) -> list[int]:
-    m = max(abs(elements[0]), abs(elements[-1]))
-    layers = [0] * (h + 1)
-    layers[0] = 1
+def advance(layers: list[int], elements: Iterable[int], m: int, kind: SumsetKind) -> None:
+    """Fold each element into the DP ``layers`` in place; layer j stores
+    value v at bit v + j*m, for a frame m >= max|a| over every element."""
     signed_fold = kind.symmetric
     unit_fold = kind.bounded_fold
     for x in elements:
         up, down = m + x, m - x
-        for j in range(h, 0, -1):  # downward: layers[j - c] is still pre-x
+        for j in range(len(layers) - 1, 0, -1):  # downward: layers[j - c] is still pre-x
             acc = layers[j]
             if unit_fold:
                 prev = layers[j - 1]
@@ -194,6 +203,12 @@ def _layered_values(elements: tuple[int, ...], h: int, kind: SumsetKind) -> list
                     if signed_fold:
                         acc |= prev << c * down
             layers[j] = acc
+
+
+def _layered_values(elements: tuple[int, ...], h: int, kind: SumsetKind) -> list[int]:
+    m = max(abs(elements[0]), abs(elements[-1]))
+    layers = [1] + [0] * h
+    advance(layers, elements, m, kind)
     mask = layers[h]
     offset = h * m
     values = []
@@ -224,6 +239,6 @@ def sumset_layered(
 ) -> SumsetResult:
     """Fast engine: weight-layered dynamic program over dense bitmasks."""
     require_fold(a.k, h, kind)
-    _require_layered_budget(a, h)
+    _require_layered_budget(h, a.max_magnitude)
     values = tuple(_layered_values(a.elements, h, kind))
     return SumsetResult(values=values, kind=kind)

@@ -135,6 +135,13 @@ def test_scan_fold_range_checked_before_it_is_built(capsys):
     assert code == 65 and "within 1..4" in err
 
 
+def test_scan_frame_budget_refused_before_partitioning(capsys):
+    # the scan sizes every DP mask by --max: 3 layers of 4*10^10 + 1 bits
+    code, _, err = run(capsys, "scan", "--mode", "verify:T2_1", "--k", "2",
+                       "--max", str(10**10))
+    assert code == 65 and "bits" in err
+
+
 def test_scan_clean_exit_0(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     csv_path = tmp_path / "report.csv"

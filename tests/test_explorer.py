@@ -3,13 +3,15 @@ import os
 
 import pytest
 
-from sumsets.core import SetFamily, canonical_json, make_set
+from sumsets.core import SetFamily, SumsetKind, canonical_json, make_set
 from sumsets.errors import EmptySpace, NotApplicable
 from sumsets import explorer
+from sumsets.kernel import sumset_layered, sumset_naive
 from sumsets.explorer import (
     CSV_HEADER,
     ScanConfig,
     _partitions,
+    _walk,
     count_normalized_sets,
     enumerate_normalized_sets,
     parse_mode,
@@ -51,6 +53,24 @@ def test_closed_form_count_matches_enumeration(k, max_element, family):
         for p in _partitions(config)
         for a in enumerate_normalized_sets(k, max_element, family, prefix=p)
     ] == space
+
+
+@pytest.mark.parametrize("family", [POS, ZERO])
+@pytest.mark.parametrize("kind", list(SumsetKind))
+def test_walk_layers_are_every_fold_of_every_set(family, kind):
+    # layer h of a leaf is the h-fold sumset, whatever prefix the walk began
+    # from, and the blocks tile the enumeration in order
+    for k in range(1, 6):
+        config = ScanConfig(k, 9, family, parse_mode("verify:T2_1"))
+        walked = []
+        for p in _partitions(config):
+            for a, layers in _walk(k, 9, family, p, k, kind):
+                walked.append(a)
+                for h in range(1, k + 1):
+                    card = layers[h].bit_count()
+                    assert card == sumset_layered(a, h, kind).cardinality, (a, h)
+                    assert card == sumset_naive(a, h, kind).cardinality, (a, h)
+        assert walked == list(enumerate_normalized_sets(k, 9, family))
 
 
 def test_empty_space_raises():

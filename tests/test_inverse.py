@@ -5,12 +5,13 @@ import pytest
 from sumsets.core import canonical_json, dilate, make_set
 from sumsets.errors import SumsetError
 from sumsets.inverse import (
+    THEOREMS,
     classify_extremal,
     inverse_coverage,
     regenerate,
 )
 from sumsets.core import SetFamily
-from sumsets.explorer import enumerate_normalized_sets
+from sumsets.explorer import ScanConfig, enumerate_normalized_sets, parse_mode, scan
 from sumsets.kernel import sumset_layered
 from sumsets.witness import (
     FamilyName,
@@ -32,6 +33,9 @@ CLASSIFICATION_GOLDEN = "3a7bc5a4067a224127a6b3235fa1e76e2214d8004d9beac9289ceec
 # test_certificate_golden, recorded before the certificate chains and the
 # family shapes were rewritten to one encoding each
 CERTIFICATE_GOLDEN = "1cabbfc50d9c7239e408c849b0ee4f050819d1826d1be10da5158d392d9973d2"
+# sha256 of the scan fingerprints and refusals in test_scan_golden, recorded
+# before the scan became a depth-first walk over the set tree
+SCAN_GOLDEN = "71888c5fe12970141a59672e90c57e9e85b45c498c0e028aaffc21bd517dc065"
 
 
 def test_classify_odd_ap_dilated():
@@ -154,6 +158,32 @@ def test_classification_golden():
                         count += 1
     assert count == 12060
     assert digest.hexdigest() == CLASSIFICATION_GOLDEN
+
+
+def test_scan_golden():
+    # every scan mode, both families, k = 1..6 and five fold choices; a
+    # refused config contributes its error's type and text
+    modes = [
+        mode
+        for target in ("T2_1", "T3_1", "TA_Nathanson", *THEOREMS)
+        for mode in (f"verify:{target}", f"conj:{target}")
+        if _outcome(parse_mode, mode) != "NotApplicable"
+    ]
+    digest = hashlib.sha256()
+    scanned = 0
+    for mode in modes:
+        for family, max_element in ((SetFamily.POSITIVE, 9), (SetFamily.CONTAINS_ZERO, 10)):
+            for k in range(1, 7):
+                for h_values in (None, (1,), (2,), (3,), tuple(range(1, k + 1))):
+                    config = ScanConfig(k, max_element, family, parse_mode(mode), h_values)
+                    try:
+                        digest.update(scan(config).fingerprint().encode())
+                        scanned += 1
+                    except SumsetError as exc:
+                        digest.update(f"{type(exc).__name__}: {exc}".encode())
+    assert len(modes) == 14
+    assert scanned == 170
+    assert digest.hexdigest() == SCAN_GOLDEN
 
 
 def _outcome(fn, *args, **kwargs):

@@ -208,3 +208,23 @@ def test_oracle_budget_refuses_huge_folds_before_enumerating(monkeypatch):
     monkeypatch.setattr(kernel, "MAX_ORACLE_TERMS", coefficient_space_size(3, 2, RS) * 2 - 1)
     with pytest.raises(KernelOverflow, match="terms"):
         sumset_naive(a, 2)
+
+
+def test_oracle_budget_admits_exactly_the_inputs_within_it():
+    # wide inputs are refused before their exact count; that shortcut must
+    # not change which inputs pass: (k, h, kind) runs iff count * h <= 2^27
+    for kind in KINDS:
+        for k in range(1, 41):
+            folds = list(range(1, k + 1))
+            if not kind.bounded_fold:
+                folds += list(range(k + 1, 41))
+                if k <= 3:  # where count * h crosses 2^27 for small k
+                    folds += [11584, 11585, 2**26 - 1, 2**26, 2**26 + 1, 2**27, 2**27 + 1]
+            for h in folds:
+                within = coefficient_space_size(k, h, kind) * h <= kernel.MAX_ORACLE_TERMS
+                try:
+                    kernel._require_oracle_budget(k, h, kind)
+                    admitted = True
+                except KernelOverflow:
+                    admitted = False
+                assert admitted == within, (kind, k, h)
