@@ -69,17 +69,37 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("scan", help="exhaustive scan of a normalized space")
     p.add_argument("--mode", required=True, help="verify:<id> or conj:<id>")
-    p.add_argument("--k", required=True, type=int)
+    p.add_argument(
+        "--k", required=True, type=int, help="set size; a contains-zero set counts its 0"
+    )
     p.add_argument("--h", help="fold, or inclusive range like 3-5")
     p.add_argument(
         "--family", choices=["positive", "contains-zero"], default="positive"
     )
-    p.add_argument("--max", required=True, type=int, dest="max_element")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--max", required=True, type=int, dest="max_element",
+        help="largest element; the bitmasks (2^32 bits) and prefix blocks "
+        "(2^18) are budgeted by it",
+    )
+    p.add_argument(
+        "--jobs", type=_positive_int, default=1,
+        help="worker processes N >= 1, capped at min(N, blocks, CPU count); "
+        "1 runs in the calling process",
+    )
     p.add_argument("--out", help="write the JSON report here")
     p.add_argument("--csv", help="write the CSV report here")
     p.add_argument("--json", action="store_true", help="print report JSON to stdout")
     return parser
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _parse_h_range(text: str | None, k: int) -> tuple[int, ...] | None:

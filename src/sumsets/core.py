@@ -34,16 +34,13 @@ class SumsetKind(str, Enum):
     SIGNED = "signed"                      # coefficients in Z, |weight| = h
     RESTRICTED_SIGNED = "restricted-signed"  # coefficients in {-1,0,1}
 
-    @property
-    def bounded_fold(self) -> bool:
-        """True for kinds where each element carries at most weight 1,
-        forcing 1 <= h <= k."""
-        return self in (SumsetKind.RESTRICTED, SumsetKind.RESTRICTED_SIGNED)
+    # Plain member attributes, not properties: the DP reads them per step.
+    bounded_fold: bool  # each element carries at most weight 1, forcing 1 <= h <= k
+    symmetric: bool     # value sets satisfy S = -S
 
-    @property
-    def symmetric(self) -> bool:
-        """True for kinds whose value sets satisfy S = -S."""
-        return self in (SumsetKind.SIGNED, SumsetKind.RESTRICTED_SIGNED)
+    def __init__(self, value: str) -> None:
+        self.bounded_fold = value in ("restricted", "restricted-signed")
+        self.symmetric = value in ("signed", "restricted-signed")
 
 
 class SetFamily(str, Enum):

@@ -29,7 +29,8 @@ class InvalidFold(SumsetError):
 class KernelOverflow(SumsetError):
     """Raised when an input would exceed one of the kernel's guards: the
     oracle's h * max|a_i| <= 2^62 magnitude margin, the layered DP's budget
-    of mask bits, or the oracle's budget of terms to add."""
+    of mask bits, the oracle's budget of terms to add, or a scan's budget
+    of prefix blocks."""
 
 
 class DomainViolation(SumsetError):

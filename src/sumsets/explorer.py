@@ -19,8 +19,12 @@ parallelism level.
 
 A partition is a depth-first walk over a tree whose nodes add one larger
 element to their parent's; a node copies its parent's DP layers and folds
-its element in with ``kernel.advance``.  At a leaf layer h is the h-fold
-sumset, so one walk gives every fold and ``layers[h].bit_count()`` is |h^A|.
+its element in with ``kernel.advance``.  A node one element short of its
+sets is their parent, and the walk stops there: the leaf step
+``kernel.leaf_cards`` reads |h^A| for every set A = P + {x} and scanned fold
+h straight from the parent's layers, and reports only the cards at or
+below the fold's bound, the only ones a check acts on.  A set is built and
+checked only then; inverse modes walk without a DP and check every set.
 """
 from __future__ import annotations
 
@@ -30,13 +34,17 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb, gcd
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .core import FiniteIntSet, SetFamily, SumsetKind, canonical_json
-from .errors import EmptySpace, EngineMismatch, NotApplicable, TheoremViolation
+from .errors import (
+    EmptySpace, EngineMismatch, KernelOverflow, NotApplicable, TheoremViolation,
+)
 from .inverse import THEOREMS, InverseTheorem, classify_extremal, match_family
 # sumset_layered stays bound here for bench/tracing.py, which wraps it
-from .kernel import _require_layered_budget, advance, sumset_layered, sumset_naive
+from .kernel import (
+    _require_layered_budget, advance, leaf_cards, sumset_layered, sumset_naive,
+)
 from .bounds import FORMULAS, BoundFormula
 
 
@@ -153,35 +161,42 @@ def enumerate_normalized_sets(
     Positive family: k-subsets of [1, max_element] with gcd 1.  Zero
     family: {0} plus a (k-1)-subset of [1, max_element] whose gcd is 1.
     """
-    yield from (a for a, _ in _walk(k, max_element, family, prefix))
+    for parent, _, xs in _walk(k, max_element, family, prefix):
+        for x in xs:
+            yield FiniteIntSet(parent + (x,))
 
 
 def _walk(
     k: int, max_element: int, family: SetFamily, prefix: tuple[int, ...] = (),
     depth: int = 0, kind: SumsetKind = SumsetKind.RESTRICTED_SIGNED,
-) -> Iterator[tuple[FiniteIntSet, list[int]]]:
-    """The sets of ``enumerate_normalized_sets``, each with its DP layers
-    0..depth of the kind in the frame m = max_element."""
+) -> Iterator[tuple[tuple[int, ...], list[int], Sequence[int]]]:
+    """The sets of ``enumerate_normalized_sets`` grouped by their parent, the
+    set less its last element: yields each parent's elements, its DP layers
+    0..depth of the kind in the frame m = max_element, and the last elements
+    of its sets in order."""
     nonzero_size, base = _space_shape(k, max_element, family)
-    root = [1] + [0] * depth
-    advance(root, base + prefix, max_element, kind)  # the zero family's 0, the prefix
+    elements = base + prefix
+    room = nonzero_size - len(prefix)
+    layers = [1] + [0] * depth
+    if not room:  # the root is a set: a full prefix, or the zero family's {0}
+        advance(layers, elements[:-1], max_element, kind)
+        if gcd(*prefix) < 2:  # gcd 1, or gcd() == 0 over no nonzero element
+            yield elements[:-1], layers, elements[-1:]
+        return
+    advance(layers, elements, max_element, kind)  # the zero family's 0, the prefix
 
-    def grow(nonzero: tuple[int, ...], layers: list[int], g: int):
-        room = nonzero_size - len(nonzero)
-        if not room:  # only at the root: a full prefix, or the zero family's {0}
-            if g < 2:  # gcd 1, or gcd() == 0 over no nonzero element
-                yield FiniteIntSet(base + nonzero), layers
+    def grow(parent: tuple[int, ...], layers: list[int], g: int, room: int):
+        xs = range(parent[-1] + 1 if parent else 1, max_element - room + 2)
+        if room == 1:
+            yield parent, layers, xs if g == 1 else [x for x in xs if gcd(g, x) == 1]
             return
-        for x in range(nonzero[-1] + 1 if nonzero else 1, max_element - room + 2):
+        for x in xs:
             child = layers.copy()
             if depth:
                 advance(child, (x,), max_element, kind)
-            if room > 1:
-                yield from grow(nonzero + (x,), child, gcd(g, x))
-            elif gcd(g, x) == 1:  # a parent yields its leaves: one generator level less
-                yield FiniteIntSet(base + nonzero + (x,)), child
+            yield from grow(parent + (x,), child, gcd(g, x), room - 1)
 
-    return grow(prefix, root, gcd(*prefix))
+    yield from grow(elements, layers, gcd(*prefix), room)
 
 
 def _space_shape(
@@ -250,6 +265,19 @@ def resolve_h_values(config: ScanConfig) -> tuple[int, ...]:
     return formula.folds(config.k)
 
 
+# A scan lists its prefix blocks, with one partial result each, and its
+# completeness count sieves max_element + 1 entries; max_element is at most
+# the block count plus k.  A space of more blocks is refused before either.
+MAX_SCAN_BLOCKS = 2**18
+
+
+def _block_shape(config: ScanConfig) -> tuple[int, int]:
+    """The length of a scan's prefix blocks and the largest element in one."""
+    nonzero_size, _ = _space_shape(config.k, config.max_element, config.family)
+    plen = min(2, nonzero_size)
+    return plen, config.max_element - (nonzero_size - plen)
+
+
 def _validate(config: ScanConfig) -> tuple[int, ...]:
     mode = config.mode
     k = config.k
@@ -267,42 +295,45 @@ def _validate(config: ScanConfig) -> tuple[int, ...]:
         )
     # the walk sizes every mask by max_element, not by each set's max|a|
     _require_layered_budget(max(h_values), config.max_element)
+    plen, top = _block_shape(config)
+    blocks = comb(top, plen)
+    if blocks > MAX_SCAN_BLOCKS:
+        raise KernelOverflow(
+            f"scan space splits into {blocks} prefix blocks, over 2^18; lower --max"
+        )
     return h_values
 
 
 def _partitions(config: ScanConfig) -> list[tuple[int, ...]]:
     """Prefix blocks over the first (up to two) nonzero elements."""
-    nonzero_size, _ = _space_shape(config.k, config.max_element, config.family)
-    plen = min(2, nonzero_size)
-    if plen == 0:
-        return [()]
-    room = nonzero_size - plen
-    return [
-        p
-        for p in combinations(range(1, config.max_element + 1), plen)
-        if config.max_element - p[-1] >= room
-    ]
+    plen, top = _block_shape(config)
+    # combinations() would hold the whole range even when plen is 0
+    return list(combinations(range(1, top + 1), plen)) if plen else [()]
 
 
 def _scan_partition(args: tuple[ScanConfig, tuple[int, ...], tuple[int, ...]]) -> dict:
     """Worker: scan one prefix block. Returns plain lists for cheap merging."""
     config, h_values, prefix = args
-    target = config.mode.target
-    if config.mode.action == "conjecture":
-        check, kind, depth = _check_conjecture, SumsetKind.RESTRICTED_SIGNED, max(h_values)
-    elif target in THEOREMS:
-        # classify_extremal computes its own cardinality: walk without a DP
-        check, kind, depth = _check_inverse, SumsetKind.RESTRICTED_SIGNED, 0
-    else:
-        check, kind, depth = _check_direct, FORMULAS[target].kind, max(h_values)
+    k, m, target = config.k, config.max_element, config.mode.target
+    row, formula = _target(target)
     out = {"scanned": 0, "equalities": [], "failures": [], "counterexamples": []}
     try:
-        for a, layers in _walk(
-            config.k, config.max_element, config.family, prefix, depth, kind
-        ):
-            out["scanned"] += 1
-            for h in h_values:
-                check(target, a, h, layers[h].bit_count() if depth else None, out)
+        if config.mode.action == "verify" and row is not None:
+            # classify_extremal computes its own cardinality: walk without a DP
+            for a in enumerate_normalized_sets(k, m, config.family, prefix):
+                out["scanned"] += 1
+                for h in h_values:
+                    _check_inverse(target, a, h, out)
+            return out
+        check = _check_conjecture if config.mode.action == "conjecture" else _check_direct
+        kind = formula.kind
+        bounds = [(h, formula.value(k, h)) for h in h_values]
+        bound_at = dict(bounds)
+        for parent, layers, xs in _walk(k, m, config.family, prefix, max(h_values), kind):
+            out["scanned"] += len(xs)
+            # a card above its bound is one neither check acts on
+            for x, h, card in leaf_cards(layers, xs, m, kind, bounds):
+                check(target, FiniteIntSet(parent + (x,)), h, card, bound_at[h], out)
     except (TheoremViolation, EngineMismatch) as exc:
         raise type(exc)(f"[partition {prefix}] {exc}") from None
     return out
@@ -320,9 +351,10 @@ def _record(a: FiniteIntSet, h: int, card: int, bound: int, **extra) -> dict:
     return {"set": a.canonical(), "h": h, "cardinality": card, "bound": bound, **extra}
 
 
-def _check_direct(target: str, a: FiniteIntSet, h: int, card: int, out: dict) -> None:
+def _check_direct(
+    target: str, a: FiniteIntSet, h: int, card: int, bound: int, out: dict
+) -> None:
     formula = FORMULAS[target]
-    bound = formula.value(a.k, h)
     if card < bound:
         _confirm(a, h, formula.kind, card)
         raise TheoremViolation(
@@ -332,7 +364,7 @@ def _check_direct(target: str, a: FiniteIntSet, h: int, card: int, out: dict) ->
         out["equalities"].append(_record(a, h, card, bound))
 
 
-def _check_inverse(target: str, a: FiniteIntSet, h: int, card: None, out: dict) -> None:
+def _check_inverse(target: str, a: FiniteIntSet, h: int, out: dict) -> None:
     cls = classify_extremal(a, h)
     if cls.cardinality < cls.bound:
         _confirm(a, h, SumsetKind.RESTRICTED_SIGNED, cls.cardinality)
@@ -352,14 +384,14 @@ def _check_inverse(target: str, a: FiniteIntSet, h: int, card: None, out: dict) 
         )
 
 
-def _check_conjecture(target: str, a: FiniteIntSet, h: int, card: int, out: dict) -> None:
+def _check_conjecture(
+    target: str, a: FiniteIntSet, h: int, card: int, bound: int, out: dict
+) -> None:
     row = THEOREMS[target]
-    formula = FORMULAS[row.bound]
-    bound = formula.value(a.k, h)
     if card < bound:
         naive = _confirm(a, h, SumsetKind.RESTRICTED_SIGNED, card)
         out["counterexamples"].append(
-            _record(a, h, card, bound, naive_cardinality=naive, conjecture=formula.id)
+            _record(a, h, card, bound, naive_cardinality=naive, conjecture=row.bound)
         )
     elif card == bound:
         expected = row.extremal_at(a.k)

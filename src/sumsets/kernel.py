@@ -20,6 +20,12 @@ The two engines are deliberately unrelated in structure:
   is the one transition: it folds elements in, j from h down to 1 in
   place; the engine folds all of A (m = max|a|), the explorer's scan one
   element per set-tree node (m = its largest element).  It is the fast path.
+* ``leaf_cards`` is the scan's leaf step: from the layers of a set P it
+  reads |h^(P + {x})| for many last elements x without folding each x
+  into a copy of every layer, and reports only cardinalities at most a
+  bound.  For the unit-fold kinds that is one shift per sign of layer
+  h - 1; the others fold x in with ``advance``.  A property test pins it
+  to ``advance``.
 
 Agreement of the two engines on a value set is the package's primary
 correctness evidence; the explorer module re-checks every would-be
@@ -30,7 +36,7 @@ from __future__ import annotations
 from itertools import combinations, combinations_with_replacement, product
 from math import comb
 from operator import mul
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     MAX_SAFE_MAGNITUDE,
@@ -203,6 +209,34 @@ def advance(layers: list[int], elements: Iterable[int], m: int, kind: SumsetKind
                     if signed_fold:
                         acc |= prev << c * down
             layers[j] = acc
+
+
+def leaf_cards(
+    layers: list[int], xs: Iterable[int], m: int, kind: SumsetKind,
+    bounds: Sequence[tuple[int, int]],
+) -> Iterator[tuple[int, int, int]]:
+    """The leaf step: (x, h, |h^(P + {x})|) for each x in ``xs`` and each
+    (h, bound) in ``bounds`` with that cardinality at most bound, read from
+    the ``layers`` of P as ``advance`` would fold x into a copy of them."""
+    if not kind.bounded_fold:  # x may fill several units of a layer
+        for x in xs:
+            leaf = layers.copy()
+            advance(leaf, (x,), m, kind)
+            for h, bound in bounds:
+                if (card := leaf[h].bit_count()) <= bound:
+                    yield x, h, card
+        return
+    # one unit of x: layer h gains layer h - 1 shifted by m + x (and m - x)
+    rows = [(h, bound, layers[h], layers[h - 1]) for h, bound in bounds]
+    signed_fold = kind.symmetric
+    for x in xs:
+        up, down = m + x, m - x
+        for h, bound, top, prev in rows:
+            layer = top | prev << up
+            if signed_fold:
+                layer |= prev << down
+            if (card := layer.bit_count()) <= bound:
+                yield x, h, card
 
 
 def _layered_values(elements: tuple[int, ...], h: int, kind: SumsetKind) -> list[int]:

@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -140,6 +145,32 @@ def test_scan_frame_budget_refused_before_partitioning(capsys):
     code, _, err = run(capsys, "scan", "--mode", "verify:T2_1", "--k", "2",
                        "--max", str(10**10))
     assert code == 65 and "bits" in err
+
+
+def test_scan_space_budget_refused_before_allocating():
+    # 3*10^8 passes the frame budget; listing its prefix blocks, or sieving
+    # to 3*10^8, would exhaust a 400 MB address space (MemoryError, exit 1)
+    child = textwrap.dedent("""
+        import resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, (400 * 2**20, 400 * 2**20))
+        from sumsets.cli import main
+        sys.exit(main(["scan", "--mode", "verify:T2_1", "--k", "2",
+                       "--max", "300000000"]))
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", child], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 65, proc.stderr
+    assert "prefix blocks, over 2^18" in proc.stderr
+
+
+def test_scan_jobs_below_one_is_a_usage_error(capsys):
+    for jobs in ("0", "-3", "x"):
+        code, _, err = run(capsys, "scan", "--mode", "conj:C2_1", "--k", "4",
+                           "--max", "9", "--jobs", jobs)
+        assert code == 64 and "--jobs" in err
 
 
 def test_scan_clean_exit_0(capsys, tmp_path):

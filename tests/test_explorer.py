@@ -1,12 +1,13 @@
 import json
 import os
+from itertools import product
 
 import pytest
 
-from sumsets.core import SetFamily, SumsetKind, canonical_json, make_set
+from sumsets.core import FiniteIntSet, SetFamily, SumsetKind, canonical_json, make_set
 from sumsets.errors import EmptySpace, NotApplicable
 from sumsets import explorer
-from sumsets.kernel import sumset_layered, sumset_naive
+from sumsets.kernel import advance, leaf_cards, sumset_layered, sumset_naive
 from sumsets.explorer import (
     CSV_HEADER,
     ScanConfig,
@@ -58,18 +59,27 @@ def test_closed_form_count_matches_enumeration(k, max_element, family):
 @pytest.mark.parametrize("family", [POS, ZERO])
 @pytest.mark.parametrize("kind", list(SumsetKind))
 def test_walk_layers_are_every_fold_of_every_set(family, kind):
-    # layer h of a leaf is the h-fold sumset, whatever prefix the walk began
-    # from, and the blocks tile the enumeration in order
+    # the leaf step on a parent's layers gives every fold of each of its
+    # sets, whatever prefix the walk began from (at k=3 positive a prefix is
+    # already a parent, at k=2 contains-zero a root is already a set), and
+    # the blocks tile the enumeration in order
     for k in range(1, 6):
         config = ScanConfig(k, 9, family, parse_mode("verify:T2_1"))
         walked = []
         for p in _partitions(config):
-            for a, layers in _walk(k, 9, family, p, k, kind):
-                walked.append(a)
-                for h in range(1, k + 1):
-                    card = layers[h].bit_count()
+            for parent, layers, xs in _walk(k, 9, family, p, k, kind):
+                # with no bound in reach, the leaf step reports every fold
+                folds = range(1, k + 1)
+                cards = list(leaf_cards(layers, xs, 9, kind, [(h, 10**9) for h in folds]))
+                assert [(x, h) for x, h, _ in cards] == list(product(xs, folds))
+                for x, h, card in cards:
+                    a = FiniteIntSet(parent + (x,))
+                    leaf = layers.copy()
+                    advance(leaf, (x,), 9, kind)
+                    assert card == leaf[h].bit_count(), (a, h)
                     assert card == sumset_layered(a, h, kind).cardinality, (a, h)
                     assert card == sumset_naive(a, h, kind).cardinality, (a, h)
+                walked += [FiniteIntSet(parent + (x,)) for x in xs]
         assert walked == list(enumerate_normalized_sets(k, 9, family))
 
 

@@ -6,8 +6,10 @@ from sumsets.core import SumsetKind, dilate, make_set
 from sumsets import kernel
 from sumsets.errors import InvalidFold, KernelOverflow
 from sumsets.kernel import (
+    advance,
     coefficient_space_size,
     enumerate_coefficients,
+    leaf_cards,
     sumset_layered,
     sumset_naive,
 )
@@ -117,6 +119,26 @@ def test_engines_agree(raw):
                 sumset_naive(a, h, kind).values
                 == sumset_layered(a, h, kind).values
             )
+
+
+@given(small_sets)
+def test_leaf_step_is_advance_on_the_last_element(raw):
+    """The leaf step reads layer h of A from the layers of A less one
+    element, exactly as ``advance`` folds that element in, and reports a
+    fold just when its cardinality is at most the bound."""
+    a = make_set(raw)
+    m = a.max_magnitude
+    *parent, x = a.elements
+    for kind in KINDS:
+        layers = [1] + [0] * a.k
+        advance(layers, parent, m, kind)
+        full = layers.copy()
+        advance(full, (x,), m, kind)
+        cards = [(h, full[h].bit_count()) for h in range(1, a.k + 1)]
+        at_bound = list(leaf_cards(layers, [x], m, kind, cards))
+        assert at_bound == [(x, h, card) for h, card in cards]
+        below = [(h, card - 1) for h, card in cards]
+        assert list(leaf_cards(layers, [x], m, kind, below)) == []
 
 
 @given(small_sets)
