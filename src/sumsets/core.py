@@ -190,5 +190,37 @@ def family_of(a: FiniteIntSet) -> SetFamily:
 
 def canonical_json(obj: object) -> str:
     """Single JSON serialization used everywhere, so that parsing a report
-    and re-serializing it is byte-identical."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    and re-serializing it is byte-identical.
+
+    The text is ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"`` byte
+    for byte.  Strs, ints, nonempty lists and tuples, and nonempty dicts
+    with str keys are written here directly, which skips the stdlib's
+    pure-Python indenting encoder; any other value (floats, bools, None,
+    empty containers, enum members, non-str keys) goes to ``json.dumps``,
+    whose newlines, never raw inside a JSON string, are re-indented to the
+    value's depth."""
+    return _json_text(obj, "\n") + "\n"
+
+
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _json_text(obj: object, pad: str) -> str:
+    """``obj``'s canonical text; ``pad`` is a newline and the indent of the
+    line that ``obj`` ends on."""
+    cls = type(obj)
+    if cls is str:
+        return _json_str(obj)
+    if cls is int:
+        return int.__repr__(obj)
+    if cls is dict and obj and all(type(key) is str for key in obj):
+        inner = pad + "  "
+        return "{" + inner + ("," + inner).join(
+            [f"{_json_str(key)}: {_json_text(obj[key], inner)}" for key in sorted(obj)]
+        ) + pad + "}"
+    if (cls is list or cls is tuple) and obj:
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join(
+            [_json_text(item, inner) for item in obj]
+        ) + pad + "]"
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", pad)

@@ -17,14 +17,24 @@ Scans are partitioned by the first elements of each set and the partition
 results are merged in enumeration order, so reports are identical at every
 parallelism level.
 
+``scan`` resolves its plan once: the check every reported set goes
+through, the kind the walk folds, and the bound at each scanned fold.  Each
+partition gets the plan with its prefix block.  With more than one job, the
+blocks go to a process pool in about four chunks per worker, so the pool
+makes a few round trips per scan, not one per block, and the results come
+back in block order.
+
 A partition is a depth-first walk over a tree whose nodes add one larger
 element to their parent's; a node copies its parent's DP layers and folds
 its element in with ``kernel.advance``.  A node one element short of its
 sets is their parent, and the walk stops there: the leaf step
 ``kernel.leaf_cards`` reads |h^A| for every set A = P + {x} and scanned fold
 h straight from the parent's layers, and reports only the cards at or
-below the fold's bound, the only ones a check acts on.  A set is built and
-checked only then; inverse modes walk without a DP and check every set.
+below the fold's bound, the only ones a check acts on.  A record names its
+set by the parent's canonical text, built once per parent that has a
+record, plus ``str(x)``.  A ``FiniteIntSet`` is built only where the oracle
+or ``match_family`` reads one: a direct violation and every conjecture
+card.  Inverse modes walk without a DP and check every set.
 """
 from __future__ import annotations
 
@@ -34,7 +44,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb, gcd
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import FiniteIntSet, SetFamily, SumsetKind, canonical_json
 from .errors import (
@@ -184,19 +194,24 @@ def _walk(
             yield elements[:-1], layers, elements[-1:]
         return
     advance(layers, elements, max_element, kind)  # the zero family's 0, the prefix
-
-    def grow(parent: tuple[int, ...], layers: list[int], g: int, room: int):
-        xs = range(parent[-1] + 1 if parent else 1, max_element - room + 2)
-        if room == 1:
+    # Depth first over an explicit stack, not a generator per element, so a
+    # deep walk cannot reach the interpreter's recursion limit.  An entry is
+    # a node still to visit: its parent's elements, layers and gcd, how many
+    # elements the node still lacks, and the element it adds.
+    parent, g, left, stack = elements, gcd(*prefix), room, []
+    while True:
+        xs = range(parent[-1] + 1 if parent else 1, max_element - left + 2)
+        if left == 1:
             yield parent, layers, xs if g == 1 else [x for x in xs if gcd(g, x) == 1]
+        else:
+            stack.extend((parent, layers, g, left - 1, x) for x in reversed(xs))
+        if not stack:
             return
-        for x in xs:
-            child = layers.copy()
-            if depth:
-                advance(child, (x,), max_element, kind)
-            yield from grow(parent + (x,), child, gcd(g, x), room - 1)
-
-    yield from grow(elements, layers, gcd(*prefix), room)
+        parent, layers, g, left, x = stack.pop()
+        layers = layers.copy()
+        if depth:
+            advance(layers, (x,), max_element, kind)
+        parent, g = parent + (x,), gcd(g, x)
 
 
 def _space_shape(
@@ -278,7 +293,18 @@ def _block_shape(config: ScanConfig) -> tuple[int, int]:
     return plen, config.max_element - (nonzero_size - plen)
 
 
-def _validate(config: ScanConfig) -> tuple[int, ...]:
+@dataclass(frozen=True)
+class _ScanPlan:
+    """What every partition of one scan shares, resolved once by
+    ``_validate``: the scan, the check its sets go through, the kind its
+    walk folds, and the bound at each scanned fold."""
+    config: ScanConfig
+    check: Callable[..., None]
+    kind: SumsetKind
+    bounds: tuple[tuple[int, int], ...]
+
+
+def _validate(config: ScanConfig) -> _ScanPlan:
     mode = config.mode
     k = config.k
     _space_shape(k, config.max_element, config.family)
@@ -301,7 +327,12 @@ def _validate(config: ScanConfig) -> tuple[int, ...]:
         raise KernelOverflow(
             f"scan space splits into {blocks} prefix blocks, over 2^18; lower --max"
         )
-    return h_values
+    if mode.action == "conjecture":
+        check = _check_conjecture
+    else:
+        check = _check_direct if row is None else _check_inverse
+    bounds = tuple((h, formula.value(k, h)) for h in h_values)
+    return _ScanPlan(config, check, formula.kind, bounds)
 
 
 def _partitions(config: ScanConfig) -> list[tuple[int, ...]]:
@@ -311,29 +342,29 @@ def _partitions(config: ScanConfig) -> list[tuple[int, ...]]:
     return list(combinations(range(1, top + 1), plen)) if plen else [()]
 
 
-def _scan_partition(args: tuple[ScanConfig, tuple[int, ...], tuple[int, ...]]) -> dict:
+def _scan_partition(args: tuple[_ScanPlan, tuple[int, ...]]) -> dict:
     """Worker: scan one prefix block. Returns plain lists for cheap merging."""
-    config, h_values, prefix = args
+    plan, prefix = args
+    config, check, kind, bounds = plan.config, plan.check, plan.kind, plan.bounds
     k, m, target = config.k, config.max_element, config.mode.target
-    row, formula = _target(target)
     out = {"scanned": 0, "equalities": [], "failures": [], "counterexamples": []}
     try:
-        if config.mode.action == "verify" and row is not None:
+        if check is _check_inverse:
             # classify_extremal computes its own cardinality: walk without a DP
             for a in enumerate_normalized_sets(k, m, config.family, prefix):
                 out["scanned"] += 1
-                for h in h_values:
+                for h, _ in bounds:
                     _check_inverse(target, a, h, out)
             return out
-        check = _check_conjecture if config.mode.action == "conjecture" else _check_direct
-        kind = formula.kind
-        bounds = [(h, formula.value(k, h)) for h in h_values]
         bound_at = dict(bounds)
-        for parent, layers, xs in _walk(k, m, config.family, prefix, max(h_values), kind):
+        for parent, layers, xs in _walk(k, m, config.family, prefix, max(bound_at), kind):
             out["scanned"] += len(xs)
+            head = None  # the parent's canonical text and a comma, once it is needed
             # a card above its bound is one neither check acts on
             for x, h, card in leaf_cards(layers, xs, m, kind, bounds):
-                check(target, FiniteIntSet(parent + (x,)), h, card, bound_at[h], out)
+                if head is None:
+                    head = "".join(f"{a}," for a in parent)
+                check(target, head + str(x), parent + (x,), h, card, bound_at[h], out)
     except (TheoremViolation, EngineMismatch) as exc:
         raise type(exc)(f"[partition {prefix}] {exc}") from None
     return out
@@ -347,21 +378,21 @@ def _confirm(a: FiniteIntSet, h: int, kind: SumsetKind, card: int) -> int:
     return naive
 
 
-def _record(a: FiniteIntSet, h: int, card: int, bound: int, **extra) -> dict:
-    return {"set": a.canonical(), "h": h, "cardinality": card, "bound": bound, **extra}
+def _record(text: str, h: int, card: int, bound: int, **extra) -> dict:
+    """A report record; ``text`` is the set's canonical form."""
+    return {"set": text, "h": h, "cardinality": card, "bound": bound, **extra}
 
 
 def _check_direct(
-    target: str, a: FiniteIntSet, h: int, card: int, bound: int, out: dict
+    target: str, text: str, elements: tuple[int, ...], h: int, card: int,
+    bound: int, out: dict,
 ) -> None:
-    formula = FORMULAS[target]
     if card < bound:
-        _confirm(a, h, formula.kind, card)
-        raise TheoremViolation(
-            f"{formula.id} violated on {a}, h={h}: {card} < {bound}"
-        )
+        a = FiniteIntSet(elements)
+        _confirm(a, h, FORMULAS[target].kind, card)
+        raise TheoremViolation(f"{target} violated on {a}, h={h}: {card} < {bound}")
     if card == bound:
-        out["equalities"].append(_record(a, h, card, bound))
+        out["equalities"].append(_record(text, h, card, bound))
 
 
 def _check_inverse(target: str, a: FiniteIntSet, h: int, out: dict) -> None:
@@ -380,60 +411,72 @@ def _check_inverse(target: str, a: FiniteIntSet, h: int, out: dict) -> None:
         )
     if cls.equality:
         out["equalities"].append(
-            _record(a, h, cls.cardinality, cls.bound, family=cls.family)
+            _record(a.canonical(), h, cls.cardinality, cls.bound, family=cls.family)
         )
 
 
 def _check_conjecture(
-    target: str, a: FiniteIntSet, h: int, card: int, bound: int, out: dict
+    target: str, text: str, elements: tuple[int, ...], h: int, card: int,
+    bound: int, out: dict,
 ) -> None:
     row = THEOREMS[target]
+    a = FiniteIntSet(elements)
     if card < bound:
         naive = _confirm(a, h, SumsetKind.RESTRICTED_SIGNED, card)
         out["counterexamples"].append(
-            _record(a, h, card, bound, naive_cardinality=naive, conjecture=row.bound)
+            _record(text, h, card, bound, naive_cardinality=naive, conjecture=row.bound)
         )
     elif card == bound:
         expected = row.extremal_at(a.k)
         matched = match_family(a, expected) is not None
         naive = _confirm(a, h, SumsetKind.RESTRICTED_SIGNED, card)
         out["equalities"].append(
-            _record(a, h, card, bound, family=expected.value if matched else None)
+            _record(text, h, card, bound, family=expected.value if matched else None)
         )
         if not matched:
             out["failures"].append(
                 _record(
-                    a, h, card, bound,
+                    text, h, card, bound,
                     naive_cardinality=naive, expected_family=expected.value,
                 )
             )
 
 
+def _merge(partials: Iterable[dict]) -> dict:
+    """The partition results joined in partition order, which is enumeration
+    order; each result is dropped once it is merged."""
+    merged = {"scanned": 0, "equalities": [], "failures": [], "counterexamples": []}
+    for p in partials:
+        merged["scanned"] += p["scanned"]
+        for key in ("equalities", "failures", "counterexamples"):
+            merged[key].extend(p[key])
+    return merged
+
+
 def scan(config: ScanConfig) -> ScanReport:
     """Run a full scan; see the module docstring for mode semantics."""
     start = time.perf_counter()
-    h_values = _validate(config)
+    plan = _validate(config)
     parts = _partitions(config)
-    args = [(config, h_values, p) for p in parts]
+    args = [(plan, p) for p in parts]
     workers = min(max(1, config.jobs), len(parts), os.cpu_count() or 1)
     if workers == 1:
-        partials = [_scan_partition(a) for a in args]
+        merged = _merge(map(_scan_partition, args))
     else:
+        # about four chunks per worker: few round trips, and a slow chunk
+        # still leaves the others work to share; map keeps the blocks' order
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(_scan_partition, args, chunksize=1))
+            merged = _merge(pool.map(
+                _scan_partition, args, chunksize=max(1, len(args) // (4 * workers))
+            ))
 
-    scanned = sum(p["scanned"] for p in partials)
+    scanned = merged["scanned"]
     expected = count_normalized_sets(config.k, config.max_element, config.family)
     if scanned != expected:
         raise TheoremViolation(
             f"partition completeness broken: scanned {scanned}, closed form "
             f"{expected}"
         )
-    merged = {"equalities": [], "failures": [], "counterexamples": []}
-    for p in partials:  # partition order == enumeration order
-        merged["equalities"].extend(p["equalities"])
-        merged["failures"].extend(p["failures"])
-        merged["counterexamples"].extend(p["counterexamples"])
     return ScanReport(
         config=config,
         sets_scanned=scanned,

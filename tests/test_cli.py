@@ -166,6 +166,28 @@ def test_scan_space_budget_refused_before_allocating():
     assert "prefix blocks, over 2^18" in proc.stderr
 
 
+def test_scan_walk_depth_is_not_bounded_by_recursion():
+    # k=200 sets nest 198 tree levels below their prefix blocks; a walk that
+    # recursed once per element would die with RecursionError (exit 1) under
+    # a recursion limit of 120, as verify:T2_2 --k 1100 did under the default
+    child = textwrap.dedent("""
+        import sys
+        sys.setrecursionlimit(120)
+        from sumsets.cli import main
+        for argv in (["--mode", "verify:T2_1", "--h", "1"], ["--mode", "verify:T2_2"]):
+            code = main(["scan", "--k", "200", "--max", "201", *argv])
+            if code:
+                sys.exit(code)
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", child], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("sets_scanned 201") == 2
+
+
 def test_scan_jobs_below_one_is_a_usage_error(capsys):
     for jobs in ("0", "-3", "x"):
         code, _, err = run(capsys, "scan", "--mode", "conj:C2_1", "--k", "4",

@@ -1,12 +1,13 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumsets.core import (
     FiniteIntSet,
     SetFamily,
+    SumsetKind,
     canonical_json,
     dilate,
     family_of,
@@ -125,3 +126,30 @@ def test_canonical_json_round_trips_byte_identical():
     payload = {"b": [1, 2, {"x": None}], "a": "1,3,5", "t": 0.125}
     text = canonical_json(payload)
     assert canonical_json(json.loads(text)) == text
+
+
+enums = st.sampled_from([*SumsetKind, *SetFamily])
+json_strs = st.text() | st.sampled_from(['"', "\\", "\n", "\x00\x1f", "\u00e9", "\u2028", "\U0001f600"])
+json_scalars = (
+    st.none() | st.booleans() | st.integers() | st.integers(-2**80, 2**80)
+    | st.floats() | json_strs | enums
+)
+# one key type per dict: json.dumps cannot sort keys of mixed types
+json_key_kinds = (json_strs | enums, st.integers(), st.booleans(), st.none(), st.floats())
+json_values = st.recursive(
+    json_scalars,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.one_of(*(st.dictionaries(keys, children, max_size=4) for keys in json_key_kinds))
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=150)
+@given(json_values)
+def test_canonical_json_is_the_stdlib_text(obj):
+    # the direct writer must reproduce the stdlib's indented, sorted text
+    # byte for byte, on the values it writes itself and on those it hands on
+    assert canonical_json(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"

@@ -167,6 +167,46 @@ def test_scan_determinism_across_jobs():
     assert len(fingerprints) == 1
 
 
+@pytest.mark.parametrize("k, max_element", [(2, 60), (5, 12)])
+def test_record_heavy_scan_is_identical_in_a_real_pool(k, max_element):
+    # T2_1 records every set at h = 1; at k = 2 every block holds one set, so
+    # the pool gets its blocks in chunks of many
+    reports = [
+        scan(ScanConfig(k, max_element, POS, parse_mode("verify:T2_1"), jobs=jobs))
+        for jobs in (1, 2)
+    ]
+    assert len(reports[0].equalities) >= reports[0].sets_scanned
+    assert reports[0].fingerprint() == reports[1].fingerprint()
+    assert reports[0].csv_rows() == reports[1].csv_rows()
+
+
+@pytest.mark.parametrize("family, modes", [
+    (POS, ("verify:T2_1", "conj:C2_1")),
+    (ZERO, ("verify:T3_1", "conj:C3_1")),
+])
+def test_records_name_their_sets_canonically(family, modes):
+    # a record's set is written from its parent's text; it must read as the
+    # set's canonical form, including the k=1 sets and the k=2 contains-zero
+    # space, where the parent is empty or the walk's root is a set
+    for k in range(1, 6):
+        sets = [a.canonical() for a in enumerate_normalized_sets(k, 10, family)]
+        for mode in modes:
+            try:
+                report = scan(ScanConfig(k, 10, family, parse_mode(mode)))
+            except NotApplicable:  # the conjectures start at k = 4 and 5
+                continue
+            records = (
+                report.equalities + report.classification_failures
+                + report.conjecture_counterexamples
+            )
+            for rec in records:
+                text = rec["set"]
+                assert FiniteIntSet(tuple(map(int, text.split(",")))).canonical() == text
+                assert text in sets, (mode, k, text)
+            if mode.startswith("verify"):  # h = 1 is an equality for every set
+                assert [r["set"] for r in report.equalities if r["h"] == 1] == sets
+
+
 def test_scan_pool_is_capped_at_cpu_count(monkeypatch):
     started = []
 
