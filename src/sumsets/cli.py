@@ -78,8 +78,8 @@ def _build_parser() -> _Parser:
     )
     p.add_argument(
         "--max", required=True, type=int, dest="max_element",
-        help="largest element; the bitmasks (2^32 bits) and prefix blocks "
-        "(2^18) are budgeted by it",
+        help="largest element; the bitmasks of every layer list the walk "
+        "holds (2^32 bits) and the prefix blocks (2^18) are budgeted by it",
     )
     p.add_argument(
         "--jobs", type=_positive_int, default=1,

@@ -18,8 +18,8 @@ results are merged in enumeration order, so reports are identical at every
 parallelism level.
 
 ``scan`` resolves its plan once: the check every reported set goes
-through, the kind the walk folds, and the bound at each scanned fold.  Each
-partition gets the plan with its prefix block.  With more than one job, the
+through, the kind the walk folds, and the bound and limit at each scanned
+fold.  Each partition gets the plan with its prefix block.  With more than one job, the
 blocks go to a process pool in about four chunks per worker, so the pool
 makes a few round trips per scan, not one per block, and the results come
 back in block order.
@@ -30,11 +30,12 @@ its element in with ``kernel.advance``.  A node one element short of its
 sets is their parent, and the walk stops there: the leaf step
 ``kernel.leaf_cards`` reads |h^A| for every set A = P + {x} and scanned fold
 h straight from the parent's layers, and reports only the cards at or
-below the fold's bound, the only ones a check acts on.  A record names its
-set by the parent's canonical text, built once per parent that has a
-record, plus ``str(x)``.  A ``FiniteIntSet`` is built only where the oracle
-or ``match_family`` reads one: a direct violation and every conjecture
-card.  Inverse modes walk without a DP and check every set.
+below the fold's limit, the only ones a check acts on: the bound, or none
+for an inverse check, since a family member above it breaks the converse.
+A record names its set by the parent's canonical text, built once per
+parent that has a record, plus ``str(x)``.  A ``FiniteIntSet`` is built
+only where the oracle or ``match_family`` reads one: a direct violation
+and every conjecture or inverse card.
 """
 from __future__ import annotations
 
@@ -43,15 +44,16 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import comb, gcd
+from math import comb, gcd, inf
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import FiniteIntSet, SetFamily, SumsetKind, canonical_json
 from .errors import (
     EmptySpace, EngineMismatch, KernelOverflow, NotApplicable, TheoremViolation,
 )
+# classify_extremal and sumset_layered stay bound here for bench/tracing.py,
+# which wraps them
 from .inverse import THEOREMS, InverseTheorem, classify_extremal, match_family
-# sumset_layered stays bound here for bench/tracing.py, which wraps it
 from .kernel import (
     _require_layered_budget, advance, leaf_cards, sumset_layered, sumset_naive,
 )
@@ -297,11 +299,13 @@ def _block_shape(config: ScanConfig) -> tuple[int, int]:
 class _ScanPlan:
     """What every partition of one scan shares, resolved once by
     ``_validate``: the scan, the check its sets go through, the kind its
-    walk folds, and the bound at each scanned fold."""
+    walk folds, and at each scanned fold the bound and the limit, the
+    largest cardinality the leaf step reports to the check."""
     config: ScanConfig
     check: Callable[..., None]
     kind: SumsetKind
     bounds: tuple[tuple[int, int], ...]
+    limits: tuple[tuple[int, int | float], ...]
 
 
 def _validate(config: ScanConfig) -> _ScanPlan:
@@ -319,9 +323,10 @@ def _validate(config: ScanConfig) -> _ScanPlan:
         raise NotApplicable(
             f"fold(s) {bad or h_values} invalid for {mode} at k={k}"
         )
-    # the walk sizes every mask by max_element, not by each set's max|a|
-    _require_layered_budget(max(h_values), config.max_element)
     plen, top = _block_shape(config)
+    # the walk sizes every mask by max_element, not by each set's max|a|, and
+    # holds one layer list per tree level below a prefix block, plus one
+    _require_layered_budget(max(h_values), config.max_element, config.max_element - top + 1)
     blocks = comb(top, plen)
     if blocks > MAX_SCAN_BLOCKS:
         raise KernelOverflow(
@@ -332,7 +337,9 @@ def _validate(config: ScanConfig) -> _ScanPlan:
     else:
         check = _check_direct if row is None else _check_inverse
     bounds = tuple((h, formula.value(k, h)) for h in h_values)
-    return _ScanPlan(config, check, formula.kind, bounds)
+    # a family member above its bound breaks the converse: no limit
+    limits = tuple((h, inf if check is _check_inverse else b) for h, b in bounds)
+    return _ScanPlan(config, check, formula.kind, bounds, limits)
 
 
 def _partitions(config: ScanConfig) -> list[tuple[int, ...]]:
@@ -345,23 +352,15 @@ def _partitions(config: ScanConfig) -> list[tuple[int, ...]]:
 def _scan_partition(args: tuple[_ScanPlan, tuple[int, ...]]) -> dict:
     """Worker: scan one prefix block. Returns plain lists for cheap merging."""
     plan, prefix = args
-    config, check, kind, bounds = plan.config, plan.check, plan.kind, plan.bounds
+    config, check, kind = plan.config, plan.check, plan.kind
     k, m, target = config.k, config.max_element, config.mode.target
     out = {"scanned": 0, "equalities": [], "failures": [], "counterexamples": []}
+    bound_at = dict(plan.bounds)
     try:
-        if check is _check_inverse:
-            # classify_extremal computes its own cardinality: walk without a DP
-            for a in enumerate_normalized_sets(k, m, config.family, prefix):
-                out["scanned"] += 1
-                for h, _ in bounds:
-                    _check_inverse(target, a, h, out)
-            return out
-        bound_at = dict(bounds)
         for parent, layers, xs in _walk(k, m, config.family, prefix, max(bound_at), kind):
             out["scanned"] += len(xs)
             head = None  # the parent's canonical text and a comma, once it is needed
-            # a card above its bound is one neither check acts on
-            for x, h, card in leaf_cards(layers, xs, m, kind, bounds):
+            for x, h, card in leaf_cards(layers, xs, m, kind, plan.limits):
                 if head is None:
                     head = "".join(f"{a}," for a in parent)
                 check(target, head + str(x), parent + (x,), h, card, bound_at[h], out)
@@ -395,24 +394,25 @@ def _check_direct(
         out["equalities"].append(_record(text, h, card, bound))
 
 
-def _check_inverse(target: str, a: FiniteIntSet, h: int, out: dict) -> None:
-    cls = classify_extremal(a, h)
-    if cls.cardinality < cls.bound:
-        _confirm(a, h, SumsetKind.RESTRICTED_SIGNED, cls.cardinality)
+def _check_inverse(
+    target: str, text: str, elements: tuple[int, ...], h: int, card: int,
+    bound: int, out: dict,
+) -> None:
+    a = FiniteIntSet(elements)
+    if card < bound:
+        _confirm(a, h, SumsetKind.RESTRICTED_SIGNED, card)
+        raise TheoremViolation(f"{target} bound violated on {a}: {card} < {bound}")
+    expected = THEOREMS[target].extremal_at(a.k)
+    family = expected.value if match_family(a, expected) is not None else None
+    if (card == bound) != (family is not None):
+        _confirm(a, h, SumsetKind.RESTRICTED_SIGNED, card)
         raise TheoremViolation(
-            f"{target} bound violated on {a}: {cls.cardinality} < {cls.bound}"
+            f"{target} classification failed on {a}: equality={card == bound} "
+            f"but family match={family!r} (cardinality {card}, "
+            f"bound {bound}, both engines agree)"
         )
-    if cls.equality != cls.matched:
-        _confirm(a, h, SumsetKind.RESTRICTED_SIGNED, cls.cardinality)
-        raise TheoremViolation(
-            f"{target} classification failed on {a}: equality={cls.equality} "
-            f"but family match={cls.family!r} (cardinality {cls.cardinality}, "
-            f"bound {cls.bound}, both engines agree)"
-        )
-    if cls.equality:
-        out["equalities"].append(
-            _record(a.canonical(), h, cls.cardinality, cls.bound, family=cls.family)
-        )
+    if family is not None:
+        out["equalities"].append(_record(text, h, card, bound, family=family))
 
 
 def _check_conjecture(

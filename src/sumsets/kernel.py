@@ -23,9 +23,9 @@ The two engines are deliberately unrelated in structure:
 * ``leaf_cards`` is the scan's leaf step: from the layers of a set P it
   reads |h^(P + {x})| for many last elements x without folding each x
   into a copy of every layer, and reports only cardinalities at most a
-  bound.  For the unit-fold kinds that is one shift per sign of layer
-  h - 1; the others fold x in with ``advance``.  A property test pins it
-  to ``advance``.
+  bound.  It takes the bounded-fold kinds, the only ones a scan walks,
+  where x fills one unit: one shift per sign of layer h - 1.  A property
+  test pins it to ``advance``.
 
 Agreement of the two engines on a value set is the package's primary
 correctness evidence; the explorer module re-checks every would-be
@@ -64,16 +64,17 @@ def _require_safe_magnitude(a: FiniteIntSet, h: int) -> None:
         )
 
 
-# The layered DP holds h + 1 masks of at most 2h*max|a| + 1 bits each; inputs
-# whose masks would total more than this are refused before any allocation.
+# The layered DP holds h + 1 masks of at most 2h*max|a| + 1 bits each (a scan
+# walk holds several copies); inputs whose masks would total more than this
+# are refused before any allocation.
 MAX_LAYERED_BITS = 2**32
 
 
-def _require_layered_budget(h: int, magnitude: int) -> None:
-    bits = (h + 1) * (2 * h * magnitude + 1)
+def _require_layered_budget(h: int, magnitude: int, copies: int = 1) -> None:
+    bits = copies * (h + 1) * (2 * h * magnitude + 1)
     if bits > MAX_LAYERED_BITS:
         raise KernelOverflow(
-            f"layered DP needs (h+1)*(2h*max|a_i|+1) = {bits} bits, over 2^32"
+            f"layered DP needs {copies} x (h+1)*(2h*max|a_i|+1) = {bits} bits, over 2^32"
         )
 
 
@@ -217,15 +218,8 @@ def leaf_cards(
 ) -> Iterator[tuple[int, int, int]]:
     """The leaf step: (x, h, |h^(P + {x})|) for each x in ``xs`` and each
     (h, bound) in ``bounds`` with that cardinality at most bound, read from
-    the ``layers`` of P as ``advance`` would fold x into a copy of them."""
-    if not kind.bounded_fold:  # x may fill several units of a layer
-        for x in xs:
-            leaf = layers.copy()
-            advance(leaf, (x,), m, kind)
-            for h, bound in bounds:
-                if (card := leaf[h].bit_count()) <= bound:
-                    yield x, h, card
-        return
+    the ``layers`` of P as ``advance`` would fold x into a copy of them.
+    The kind must be bounded-fold."""
     # one unit of x: layer h gains layer h - 1 shifted by m + x (and m - x)
     rows = [(h, bound, layers[h], layers[h - 1]) for h, bound in bounds]
     signed_fold = kind.symmetric

@@ -27,6 +27,5 @@ def test_tracer_sees_every_layer():
     assert {
         "kernel.layered.restricted-signed",
         "kernel.naive.restricted-signed",
-        "inverse.classify",
         "core.result",
     } <= set(tracer.names)

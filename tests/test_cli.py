@@ -166,6 +166,28 @@ def test_scan_space_budget_refused_before_allocating():
     assert "prefix blocks, over 2^18" in proc.stderr
 
 
+def test_scan_walk_layer_copies_budgeted_before_walking():
+    # the walk holds a layer list per tree level: at k=1100 one list of
+    # (h+1)*(2h*max+1) bits passes the frame budget, but the 1,099 lists of
+    # a full-fold scan come to 2.9*10^12 bits, far past a 400 MB address space
+    child = textwrap.dedent("""
+        import resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, (400 * 2**20, 400 * 2**20))
+        from sumsets.cli import main
+        for mode in ("verify:T2_1", "verify:T2_3"):
+            code = main(["scan", "--mode", mode, "--k", "1100", "--max", "1101"])
+            if code != 65:
+                sys.exit(code or 1)
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", child], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.count("1099 x (h+1)*(2h*max|a_i|+1)") == 2, proc.stderr
+
+
 def test_scan_walk_depth_is_not_bounded_by_recursion():
     # k=200 sets nest 198 tree levels below their prefix blocks; a walk that
     # recursed once per element would die with RecursionError (exit 1) under

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 from itertools import product
@@ -5,8 +6,11 @@ from itertools import product
 import pytest
 
 from sumsets.core import FiniteIntSet, SetFamily, SumsetKind, canonical_json, make_set
-from sumsets.errors import EmptySpace, NotApplicable
+from sumsets.errors import EmptySpace, NotApplicable, TheoremViolation
 from sumsets import explorer
+from sumsets.bounds import FORMULAS
+from sumsets.inverse import THEOREMS
+from sumsets.witness import FamilyName
 from sumsets.kernel import advance, leaf_cards, sumset_layered, sumset_naive
 from sumsets.explorer import (
     CSV_HEADER,
@@ -68,19 +72,26 @@ def test_walk_layers_are_every_fold_of_every_set(family, kind):
         walked = []
         for p in _partitions(config):
             for parent, layers, xs in _walk(k, 9, family, p, k, kind):
-                # with no bound in reach, the leaf step reports every fold
                 folds = range(1, k + 1)
-                cards = list(leaf_cards(layers, xs, 9, kind, [(h, 10**9) for h in folds]))
-                assert [(x, h) for x, h, _ in cards] == list(product(xs, folds))
-                for x, h, card in cards:
+                cards = []
+                for x, h in product(xs, folds):
                     a = FiniteIntSet(parent + (x,))
                     leaf = layers.copy()
                     advance(leaf, (x,), 9, kind)
-                    assert card == leaf[h].bit_count(), (a, h)
+                    card = leaf[h].bit_count()
                     assert card == sumset_layered(a, h, kind).cardinality, (a, h)
                     assert card == sumset_naive(a, h, kind).cardinality, (a, h)
+                    cards.append((x, h, card))
+                if kind.bounded_fold:  # the leaf step takes the kinds a scan walks
+                    # with no bound in reach, it reports every fold
+                    limits = [(h, 10**9) for h in folds]
+                    assert list(leaf_cards(layers, xs, 9, kind, limits)) == cards
                 walked += [FiniteIntSet(parent + (x,)) for x in xs]
         assert walked == list(enumerate_normalized_sets(k, 9, family))
+
+
+def test_scans_walk_only_bounded_fold_kinds():
+    assert all(formula.kind.bounded_fold for formula in FORMULAS.values())
 
 
 def test_empty_space_raises():
@@ -126,6 +137,20 @@ def test_verify_inverse_census_odd_ap():
     assert report.clean
 
 
+def test_verify_inverse_fails_a_family_member_above_the_bound(monkeypatch):
+    # no real set breaks the converse, so no golden shows a scan that skips
+    # it; with Interval1K as T2_2's family, {1,2,3} is a member whose
+    # cardinality 10 is above the bound 8
+    row = dataclasses.replace(THEOREMS["T2_2"], extremal=FamilyName.INTERVAL_1K)
+    monkeypatch.setitem(THEOREMS, "T2_2", row)
+    with pytest.raises(TheoremViolation) as exc:
+        scan(ScanConfig(3, 5, POS, parse_mode("verify:T2_2")))
+    assert str(exc.value) == (
+        "[partition (1, 2)] T2_2 classification failed on 1,2,3: equality=False "
+        "but family match='Interval1K' (cardinality 10, bound 8, both engines agree)"
+    )
+
+
 def test_verify_inverse_exceptional_pairs():
     # every pair is extremal at h = 2, so the census is the whole space
     report = scan(ScanConfig(2, 10, POS, parse_mode("verify:T2_2")))
@@ -160,11 +185,14 @@ def test_inverse_conjecture_mode_equals_direct_mode():
 
 
 def test_scan_determinism_across_jobs():
-    fingerprints = set()
-    for jobs in (1, 2, 4):
-        report = scan(ScanConfig(4, 13, POS, parse_mode("conj:C2_1"), jobs=jobs))
-        fingerprints.add(report.fingerprint())
-    assert len(fingerprints) == 1
+    for family, max_element, mode in (
+        (POS, 13, "conj:C2_1"), (ZERO, 12, "verify:T3_3"),
+    ):
+        outputs = set()
+        for jobs in (1, 2, 4):
+            report = scan(ScanConfig(4, max_element, family, parse_mode(mode), jobs=jobs))
+            outputs.add((report.fingerprint(), repr(report.csv_rows())))
+        assert len(outputs) == 1, mode
 
 
 @pytest.mark.parametrize("k, max_element", [(2, 60), (5, 12)])

@@ -129,7 +129,7 @@ def test_leaf_step_is_advance_on_the_last_element(raw):
     a = make_set(raw)
     m = a.max_magnitude
     *parent, x = a.elements
-    for kind in KINDS:
+    for kind in [kind for kind in KINDS if kind.bounded_fold]:  # the kinds a scan walks
         layers = [1] + [0] * a.k
         advance(layers, parent, m, kind)
         full = layers.copy()
