@@ -20,9 +20,14 @@ from .errors import (
     NotNormalizable,
 )
 
-# The naive engine rejects inputs whose h * max|a_i| exceeds this, so every
-# value a coefficient vector can reach stays well inside a signed 64-bit word.
-# The layered engine has its own budget on the size of its bitmasks.
+# The naive engine rejects inputs whose h * max|a_i| exceeds this.  Python
+# ints do not overflow, so the reason is output: past it, sums can outgrow
+# Python's 4300-digit limit on int-to-decimal conversion.  Without the guard,
+# `compute --set=<5*10^4299>,<6*10^4299> --h 2 --engine naive` reaches a sum
+# of 4301 digits and dies printing it with a ValueError (exit 1, with or
+# without --json) instead of a KernelOverflow (exit 65).  Any value far below
+# 10^4299 would do; 2^62 is kept.  The layered engine has its own budget on
+# the size of its bitmasks.
 MAX_SAFE_MAGNITUDE = 2**62
 
 
@@ -92,10 +97,6 @@ class CoefficientVector:
     """One choice of coefficients (lambda_0, ..., lambda_{k-1})."""
 
     coefficients: tuple[int, ...]
-
-    @property
-    def weight(self) -> int:
-        return sum(abs(c) for c in self.coefficients)
 
     def apply(self, a: FiniteIntSet) -> int:
         return sum(c * x for c, x in zip(self.coefficients, a.elements))

@@ -39,7 +39,8 @@ class DomainViolation(SumsetError):
 
 
 class DegenerateSet(SumsetError):
-    """Raised for size-1 sets where a structural question is vacuous."""
+    """Raised by ``inverse.regenerate`` on a classification that matched no
+    family."""
 
 
 class InvalidFamily(SumsetError):

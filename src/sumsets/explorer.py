@@ -33,9 +33,11 @@ h straight from the parent's layers, and reports only the cards at or
 below the fold's limit, the only ones a check acts on: the bound, or none
 for an inverse check, since a family member above it breaks the converse.
 A record names its set by the parent's canonical text, built once per
-parent that has a record, plus ``str(x)``.  A ``FiniteIntSet`` is built
-only where the oracle or ``match_family`` reads one: a direct violation
-and every conjecture or inverse card.
+parent that has a record, plus ``str(x)``.  The checks read a set's
+element tuple: ``match_family`` compares it with the family's shape.  A
+``FiniteIntSet`` is built only for the oracle, in ``_confirm``: a bound
+violation, every conjecture equality, and an inverse classification
+failure.
 """
 from __future__ import annotations
 
@@ -234,37 +236,18 @@ def _space_shape(
     return nonzero_size, base
 
 
-def _mobius_upto(n: int) -> list[int]:
-    mu = [1] * (n + 1)
-    primes = []
-    is_comp = [False] * (n + 1)
-    for i in range(2, n + 1):
-        if not is_comp[i]:
-            primes.append(i)
-            mu[i] = -1
-        for p in primes:
-            if i * p > n:
-                break
-            is_comp[i * p] = True
-            if i % p == 0:
-                mu[i * p] = 0
-                break
-            mu[i * p] = -mu[i]
-    return mu
-
-
 def count_normalized_sets(k: int, max_element: int, family: SetFamily) -> int:
-    """Closed-form size of the scan space, via Moebius inversion over the
-    gcd; used as the partition-completeness cross-check."""
+    """Closed-form size of the scan space, by exact gcd: C(max // d, n)
+    choices of n nonzero elements are multiples of d, and those whose gcd
+    is exactly d are the ones whose gcd is no larger multiple of d.  Used
+    as the partition-completeness cross-check."""
     nonzero_size, _ = _space_shape(k, max_element, family)
     if nonzero_size == 0:
         return 1
-    mu = _mobius_upto(max_element)
-    return sum(
-        mu[d] * comb(max_element // d, nonzero_size)
-        for d in range(1, max_element + 1)
-        if mu[d] != 0
-    )
+    exact = [0] * (max_element + 1)
+    for d in range(max_element, 0, -1):
+        exact[d] = comb(max_element // d, nonzero_size) - sum(exact[2 * d::d])
+    return exact[1]
 
 
 def resolve_h_values(config: ScanConfig) -> tuple[int, ...]:
@@ -283,7 +266,7 @@ def resolve_h_values(config: ScanConfig) -> tuple[int, ...]:
 
 
 # A scan lists its prefix blocks, with one partial result each, and its
-# completeness count sieves max_element + 1 entries; max_element is at most
+# completeness count holds max_element + 1 entries; max_element is at most
 # the block count plus k.  A space of more blocks is refused before either.
 MAX_SCAN_BLOCKS = 2**18
 
@@ -387,9 +370,8 @@ def _check_direct(
     bound: int, out: dict,
 ) -> None:
     if card < bound:
-        a = FiniteIntSet(elements)
-        _confirm(a, h, FORMULAS[target].kind, card)
-        raise TheoremViolation(f"{target} violated on {a}, h={h}: {card} < {bound}")
+        _confirm(FiniteIntSet(elements), h, FORMULAS[target].kind, card)
+        raise TheoremViolation(f"{target} violated on {text}, h={h}: {card} < {bound}")
     if card == bound:
         out["equalities"].append(_record(text, h, card, bound))
 
@@ -398,16 +380,15 @@ def _check_inverse(
     target: str, text: str, elements: tuple[int, ...], h: int, card: int,
     bound: int, out: dict,
 ) -> None:
-    a = FiniteIntSet(elements)
     if card < bound:
-        _confirm(a, h, SumsetKind.RESTRICTED_SIGNED, card)
-        raise TheoremViolation(f"{target} bound violated on {a}: {card} < {bound}")
-    expected = THEOREMS[target].extremal_at(a.k)
-    family = expected.value if match_family(a, expected) is not None else None
+        _confirm(FiniteIntSet(elements), h, SumsetKind.RESTRICTED_SIGNED, card)
+        raise TheoremViolation(f"{target} bound violated on {text}: {card} < {bound}")
+    expected = THEOREMS[target].extremal_at(len(elements))
+    family = expected.value if match_family(elements, expected) is not None else None
     if (card == bound) != (family is not None):
-        _confirm(a, h, SumsetKind.RESTRICTED_SIGNED, card)
+        _confirm(FiniteIntSet(elements), h, SumsetKind.RESTRICTED_SIGNED, card)
         raise TheoremViolation(
-            f"{target} classification failed on {a}: equality={card == bound} "
+            f"{target} classification failed on {text}: equality={card == bound} "
             f"but family match={family!r} (cardinality {card}, "
             f"bound {bound}, both engines agree)"
         )
@@ -420,16 +401,15 @@ def _check_conjecture(
     bound: int, out: dict,
 ) -> None:
     row = THEOREMS[target]
-    a = FiniteIntSet(elements)
     if card < bound:
-        naive = _confirm(a, h, SumsetKind.RESTRICTED_SIGNED, card)
+        naive = _confirm(FiniteIntSet(elements), h, SumsetKind.RESTRICTED_SIGNED, card)
         out["counterexamples"].append(
             _record(text, h, card, bound, naive_cardinality=naive, conjecture=row.bound)
         )
     elif card == bound:
-        expected = row.extremal_at(a.k)
-        matched = match_family(a, expected) is not None
-        naive = _confirm(a, h, SumsetKind.RESTRICTED_SIGNED, card)
+        expected = row.extremal_at(len(elements))
+        matched = match_family(elements, expected) is not None
+        naive = _confirm(FiniteIntSet(elements), h, SumsetKind.RESTRICTED_SIGNED, card)
         out["equalities"].append(
             _record(text, h, card, bound, family=expected.value if matched else None)
         )

@@ -4,17 +4,17 @@ The proven inverse results cover h = 2, h = 3 and h = k.  They and the
 conjectured ones are rows of one table, ``THEOREMS``: each row names its
 fold, k range, bound formula and extremal family.  For each covered
 (h, k, family) combination the classifier looks up the predicted family,
-tests membership by regenerating the set from it, recomputes the sumset
-cardinality (never trusting a caller-supplied number), and reports whether
-observation and prediction agree.  Outside the proven coverage it returns
-a first-class "not covered" result so scan pipelines can route those folds
-to the conjecture machinery instead of crashing.
+tests membership against the family's shape in ``witness.FAMILY_SHAPES``,
+recomputes the sumset cardinality (never trusting a caller-supplied
+number), and reports whether observation and prediction agree.  Outside
+the proven coverage it returns a first-class "not covered" result.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 
-from .core import FiniteIntSet, SetFamily, SumsetKind, family_of, normalize_dilation
+from .core import FiniteIntSet, SetFamily, SumsetKind, family_of
 from .errors import DegenerateSet
 from .kernel import require_fold, sumset_layered
 from .witness import FAMILY_SHAPES, FamilyName, gen_family
@@ -36,10 +36,6 @@ class ExtremalClassification:
     params: dict | None         # regeneration parameters for gen_family
     consistent: bool            # equality holds AND the set matches
 
-    @property
-    def matched(self) -> bool:
-        return self.family is not None
-
     def to_json_dict(self) -> dict:
         return {
             "set": self.set.canonical(),
@@ -57,13 +53,7 @@ def regenerate(classification: ExtremalClassification) -> FiniteIntSet:
     """Rebuild the matched family instance from its stored parameters."""
     if classification.family is None:
         raise DegenerateSet("classification matched no family")
-    p = dict(classification.params or {})
-    return gen_family(
-        classification.family,
-        k=p.get("k"),
-        d=p.get("d", 1),
-        params=tuple(p.get("params", ())),
-    )
+    return gen_family(classification.family, **classification.params)
 
 
 @dataclass(frozen=True)
@@ -126,20 +116,26 @@ THEOREMS: dict[str, InverseTheorem] = {
 }
 
 
-def match_family(a: FiniteIntSet, name: FamilyName) -> dict | None:
-    """The gen_family parameters that regenerate A byte for byte from the
-    named family, or None when A is not a member.  A family with free
-    elements reads its params from them; any other is a dilation of its
-    d = 1 member."""
-    free = FAMILY_SHAPES[name].free
-    if free is not None:
-        params = list(a.elements[free])
-        if gen_family(name, a.k, params=params).elements == a.elements:
-            return {"k": a.k, "params": params}
+def match_family(elements: tuple[int, ...], name: FamilyName) -> dict | None:
+    """The gen_family parameters that regenerate the set of ``elements``
+    byte for byte from the named family, or None when it is not a member.
+    A family with free elements reads its params from them; any other is a
+    dilation of its d = 1 member.
+
+    The elements must be a valid input of the family: strictly increasing,
+    nonnegative with a positive one, and k in the family's range.
+    ``family_of`` and the theorem rows ensure this for every caller.
+    """
+    shape = FAMILY_SHAPES[name]
+    k = len(elements)
+    if shape.free is not None:
+        params = list(elements[shape.free])
+        if shape.member(k, params) == list(elements):
+            return {"k": k, "params": params}
         return None
-    d, base = normalize_dilation(a)
-    if gen_family(name, a.k).elements == base.elements:
-        return {"k": a.k, "d": d}
+    d = gcd(*elements)
+    if shape.member(k, ()) == [x // d for x in elements]:
+        return {"k": k, "d": d}
     return None
 
 
@@ -172,7 +168,7 @@ def classify_extremal(a: FiniteIntSet, h: int) -> ExtremalClassification:
         row = THEOREMS[theorem]
         bound = bound_value(row.bound, a.k, h)
         name = row.extremal_at(a.k)
-        params = match_family(a, name)
+        params = match_family(a.elements, name)
     equality = cardinality == bound
     return ExtremalClassification(
         set=a,

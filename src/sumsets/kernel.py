@@ -33,6 +33,7 @@ counterexample with both.
 """
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations, combinations_with_replacement, product
 from math import comb
 from operator import mul
@@ -148,13 +149,9 @@ def coefficient_space_size(k: int, h: int, kind: SumsetKind) -> int:
     )
 
 
-_SIGN_PATTERNS: dict[int, list[tuple[int, ...]]] = {}
-
-
+@cache
 def _sign_patterns(n: int) -> list[tuple[int, ...]]:
-    if n not in _SIGN_PATTERNS:
-        _SIGN_PATTERNS[n] = list(product((1, -1), repeat=n))
-    return _SIGN_PATTERNS[n]
+    return list(product((1, -1), repeat=n))
 
 
 def _naive_values(elements: tuple[int, ...], h: int, kind: SumsetKind) -> set[int]:

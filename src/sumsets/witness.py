@@ -264,23 +264,17 @@ def u_family(a: FiniteIntSet) -> WitnessFamily:
     )
 
 
-def verify_family(
-    fam: WitnessFamily, membership: Iterable[int] | None = None
-) -> FamilyCheck:
-    """Check every claimed relation, the distinct count, and (optionally)
-    membership of each core value in a computed sumset."""
+def verify_family(fam: WitnessFamily, membership: Iterable[int]) -> FamilyCheck:
+    """Check every claimed relation, the distinct count, and membership of
+    each core value in a computed sumset."""
     broken = []
     for cur, nxt in zip(fam.elements, fam.elements[1:]):
         if cur.relation_to_next == LESS and not cur.value < nxt.value:
             broken.append(f"{cur.label} < {nxt.label}")
         elif cur.relation_to_next == EQUAL and cur.value != nxt.value:
             broken.append(f"{cur.label} = {nxt.label}")
-    missing: tuple[str, ...] = ()
-    if membership is not None:
-        allowed = set(membership)
-        missing = tuple(
-            e.label for e in fam.elements if e.core and e.value not in allowed
-        )
+    allowed = set(membership)
+    missing = tuple(e.label for e in fam.elements if e.core and e.value not in allowed)
     return FamilyCheck(
         name=fam.name,
         chain_ok=not broken,

@@ -1,6 +1,7 @@
 """Shared fixtures. Set SUMSETS_TEST_SEED to reseed every randomized suite."""
 import os
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -34,3 +35,8 @@ def random_elements(rng: random.Random, k: int, family: str, hi: int = 40) -> li
     if family == "zero":
         return [0] + rng.sample(range(1, hi + 1), k - 1)
     raise ValueError(family)
+
+
+def overcounting(naive):
+    """A stand-in for ``sumset_naive`` whose cardinality is one too many."""
+    return lambda a, h, kind: SimpleNamespace(cardinality=naive(a, h, kind).cardinality + 1)

@@ -8,7 +8,7 @@ from sumsets.core import canonical_json, dilate, make_set
 from sumsets.errors import DomainViolation, NotApplicable
 from sumsets.kernel import sumset_layered
 from sumsets.witness import gen_family
-from conftest import random_elements
+from conftest import overcounting, random_elements
 
 
 def test_bound_value_table():
@@ -147,3 +147,25 @@ def test_theorem_violation_aborts(monkeypatch):
     report = audit(make_set([1, 2, 4]), 2)
     assert report.has_conjecture_violation
     assert entry(report, "FAKE_C").status is BoundStatus.VIOLATION
+
+
+def test_audit_engine_mismatch_raises(monkeypatch):
+    """A violation the oracle does not confirm is an engine bug, raised
+    before the formula is blamed."""
+    import sumsets.bounds as bounds_mod
+    from sumsets.bounds import FORMULAS, BoundFormula
+    from sumsets.core import SetFamily, SumsetKind
+    from sumsets.errors import EngineMismatch
+
+    patched = dict(FORMULAS)
+    patched["FAKE_T"] = BoundFormula(
+        "FAKE_T", SetFamily.POSITIVE, True, SumsetKind.RESTRICTED_SIGNED,
+        lambda k, h: 1 <= h <= k, lambda k, h: 10**6, "deliberately wrong",
+    )
+    monkeypatch.setattr(bounds_mod, "FORMULAS", patched)
+    monkeypatch.setattr(bounds_mod, "sumset_naive", overcounting(bounds_mod.sumset_naive))
+    with pytest.raises(EngineMismatch) as exc:
+        audit(make_set([1, 2, 4]), 2)
+    assert str(exc.value) == (
+        "engines disagree on |2-fold restricted-signed| of 1,2,4: layered 10, naive 11"
+    )

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import overcounting
+from sumsets import explorer
 from sumsets.cli import main
 from sumsets.core import canonical_json
 
@@ -133,6 +135,16 @@ def test_compute_naive_huge_fold_exits_65(capsys):
     assert code == 65 and "terms" in err
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_compute_naive_huge_magnitude_exits_65(capsys, json_flag):
+    # without the oracle's magnitude guard this input computes, then dies
+    # printing a sum past Python's 4300-digit int-to-decimal limit (exit 1)
+    literal = f"--set={5 * 10**4299},{6 * 10**4299}"
+    code, _, err = run(capsys, "compute", literal, "--h", "2", "--engine", "naive",
+                       *json_flag)
+    assert code == 65 and "exceeds 2^62" in err
+
+
 def test_scan_fold_range_checked_before_it_is_built(capsys):
     # a range past k must fail as a domain error, never reach range()
     code, _, err = run(capsys, "scan", "--mode", "verify:T2_1", "--k", "4",
@@ -245,6 +257,20 @@ def test_scan_counterexample_exit_3(capsys):
     assert code == 3
     assert "INVERSE COUNTEREXAMPLE 0,1,2,4,6" in out
     assert "naive_cardinality=21" in out
+
+
+def test_scan_engine_mismatch_exit_2(capsys, monkeypatch):
+    monkeypatch.setattr(explorer, "sumset_naive", overcounting(explorer.sumset_naive))
+    code, _, err = run(
+        capsys,
+        "scan", "--mode", "conj:C2_1", "--k", "4", "--family", "positive",
+        "--max", "10",
+    )
+    assert code == 2
+    assert err == (
+        "theorem violation: [partition (1, 3)] engines disagree on 1,3,5,7, "
+        "h=3: 16 vs 17\n"
+    )
 
 
 def test_scan_json_output_round_trips(capsys):

@@ -5,8 +5,9 @@ from itertools import product
 
 import pytest
 
+from conftest import overcounting
 from sumsets.core import FiniteIntSet, SetFamily, SumsetKind, canonical_json, make_set
-from sumsets.errors import EmptySpace, NotApplicable, TheoremViolation
+from sumsets.errors import EmptySpace, EngineMismatch, NotApplicable, TheoremViolation
 from sumsets import explorer
 from sumsets.bounds import FORMULAS
 from sumsets.inverse import THEOREMS
@@ -46,7 +47,7 @@ def test_enumeration_excludes_common_factors():
 
 @pytest.mark.parametrize("family", [POS, ZERO])
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
-@pytest.mark.parametrize("max_element", [4, 9, 13])
+@pytest.mark.parametrize("max_element", [4, 9, 13, 36])
 def test_closed_form_count_matches_enumeration(k, max_element, family):
     space = list(enumerate_normalized_sets(k, max_element, family))
     assert len(space) == count_normalized_sets(k, max_element, family)
@@ -148,6 +149,17 @@ def test_verify_inverse_fails_a_family_member_above_the_bound(monkeypatch):
     assert str(exc.value) == (
         "[partition (1, 2)] T2_2 classification failed on 1,2,3: equality=False "
         "but family match='Interval1K' (cardinality 10, bound 8, both engines agree)"
+    )
+
+
+def test_scan_engine_mismatch_raises(monkeypatch):
+    # an oracle that disagrees with the walk must abort the scan, naming the
+    # first set it confirms: the conjecture equality 1,3,5,7 at h = 3
+    monkeypatch.setattr(explorer, "sumset_naive", overcounting(sumset_naive))
+    with pytest.raises(EngineMismatch) as exc:
+        scan(ScanConfig(4, 10, POS, parse_mode("conj:C2_1")))
+    assert str(exc.value) == (
+        "[partition (1, 3)] engines disagree on 1,3,5,7, h=3: 16 vs 17"
     )
 
 
