@@ -10,6 +10,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from math import gcd
+from operator import lt, neg
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -110,14 +111,15 @@ class SumsetResult:
     kind: SumsetKind
 
     def __post_init__(self) -> None:
-        if any(b <= a for a, b in zip(self.values, self.values[1:])):
+        v = self.values
+        if not all(map(lt, v, v[1:])):
             raise InvalidSet("sumset values must be strictly increasing")
-        if self.kind.symmetric:
-            vals = set(self.values)
-            if any(-v not in vals for v in vals):
-                raise InvalidSet(
-                    f"{self.kind.value} sumset must be symmetric, got {self.values}"
-                )
+        # a strictly increasing tuple is closed under negation iff it is its
+        # own mirror image
+        if self.kind.symmetric and v != tuple(map(neg, reversed(v))):
+            raise InvalidSet(
+                f"{self.kind.value} sumset must be symmetric, got {self.values}"
+            )
 
     @property
     def cardinality(self) -> int:

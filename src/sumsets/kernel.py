@@ -10,16 +10,19 @@ sums  sum(lambda_i * a_i)  over coefficient vectors lambda with
 
 The two engines are deliberately unrelated in structure:
 
-* ``sumset_naive`` enumerates every coefficient vector (grouped by support
-  and sign pattern so itertools drives the inner loops) and accumulates the
-  distinct values in a hash set.  It is the oracle.
+* ``sumset_naive`` enumerates every coefficient vector once, as a support
+  times a composition of h into positive parts (signed kinds) times an
+  itertools ``product`` of the signs, and sums each vector in C; only the
+  final hash set merges equal values.  It is the oracle.
 * ``sumset_layered`` runs a dynamic program over elements with layers
   indexed by consumed weight j = 0..h.  Layer j is a dense bitmask that
   stores value v at bit v + j*m for any frame m >= max|a|, so adding
   +-c*a_i to layer j - c is a left shift by c*(m +- a_i) >= 0.  ``advance``
   is the one transition: it folds elements in, j from h down to 1 in
-  place; the engine folds all of A (m = max|a|), the explorer's scan one
-  element per set-tree node (m = its largest element).  It is the fast path.
+  place; the engine folds all of A / d for d = gcd(A) (m = max|a| / d) and
+  scales the values back by d, since h^(d*A) = d * h^A; the explorer's scan
+  folds one element per set-tree node (m = its largest element).  The
+  engine's budget is still on the raw max|a|.  It is the fast path.
 * ``leaf_cards`` is the scan's leaf step: from the layers of a set P it
   reads |h^(P + {x})| for many last elements x without folding each x
   into a copy of every layer, and reports only cardinalities at most a
@@ -33,10 +36,8 @@ counterexample with both.
 """
 from __future__ import annotations
 
-from functools import cache
 from itertools import combinations, combinations_with_replacement, product
-from math import comb
-from operator import mul
+from math import comb, gcd
 from typing import Iterable, Iterator, Sequence
 
 from .core import (
@@ -61,7 +62,8 @@ def require_fold(k: int, h: int, kind: SumsetKind) -> None:
 def _require_safe_magnitude(a: FiniteIntSet, h: int) -> None:
     if h * a.max_magnitude > MAX_SAFE_MAGNITUDE:
         raise KernelOverflow(
-            f"h * max|a_i| = {h} * {a.max_magnitude} exceeds 2^62"
+            f"h * max|a_i| is a {(h * a.max_magnitude).bit_length()}-bit number,"
+            " which exceeds 2^62"
         )
 
 
@@ -75,7 +77,8 @@ def _require_layered_budget(h: int, magnitude: int, copies: int = 1) -> None:
     bits = copies * (h + 1) * (2 * h * magnitude + 1)
     if bits > MAX_LAYERED_BITS:
         raise KernelOverflow(
-            f"layered DP needs {copies} x (h+1)*(2h*max|a_i|+1) = {bits} bits, over 2^32"
+            f"layered DP needs {copies} x (h+1)*(2h*max|a_i|+1) bits,"
+            f" a {bits.bit_length()}-bit count, over 2^32"
         )
 
 
@@ -149,40 +152,29 @@ def coefficient_space_size(k: int, h: int, kind: SumsetKind) -> int:
     )
 
 
-@cache
-def _sign_patterns(n: int) -> list[tuple[int, ...]]:
-    return list(product((1, -1), repeat=n))
-
-
 def _naive_values(elements: tuple[int, ...], h: int, kind: SumsetKind) -> set[int]:
     k = len(elements)
     if kind is SumsetKind.RESTRICTED:
-        return {sum(c) for c in combinations(elements, h)}
+        return set(map(sum, combinations(elements, h)))
     if kind is SumsetKind.UNRESTRICTED:
-        return {sum(c) for c in combinations_with_replacement(elements, h)}
-    if kind is SumsetKind.RESTRICTED_SIGNED:
-        patterns = _sign_patterns(h)
-        return {
-            sum(map(mul, support, signs))
-            for support in combinations(elements, h)
-            for signs in patterns
-        }
-    # signed: a vector is a support subset, a sign per support slot, and a
-    # composition of h into positive parts; compositions m_i = 1 + n_i are
-    # enumerated as multisets of extra copies
+        return set(map(sum, combinations_with_replacement(elements, h)))
     values: set[int] = set()
+    if kind is SumsetKind.RESTRICTED_SIGNED:
+        for support in combinations(elements, h):
+            values.update(map(sum, product(*[(a, -a) for a in support])))
+        return values
+    # signed: a vector is a support of s slots, a composition of h into s
+    # positive parts (cut 1..h-1 at s-1 places) and a sign per slot
     for s in range(1, min(k, h) + 1):
-        patterns = _sign_patterns(s)
-        extra = h - s
+        compositions = [
+            [hi - lo for lo, hi in zip((0, *cuts), (*cuts, h))]
+            for cuts in combinations(range(1, h), s - 1)
+        ]
         for support in combinations(elements, s):
-            for signs in patterns:
-                signed = tuple(map(mul, support, signs))
-                base = sum(signed)
-                if extra == 0:
-                    values.add(base)
-                else:
-                    for copies in combinations_with_replacement(signed, extra):
-                        values.add(base + sum(copies))
+            for parts in compositions:
+                values.update(map(sum, product(
+                    *[(c * a, -c * a) for c, a in zip(parts, support)]
+                )))
     return values
 
 
@@ -230,18 +222,32 @@ def leaf_cards(
                 yield x, h, card
 
 
+# _layered_values reads a mask's set bits this many bytes at a time
+_SLICE_BYTES = 4096
+
+
 def _layered_values(elements: tuple[int, ...], h: int, kind: SumsetKind) -> list[int]:
+    # h^(d*A) = d * h^A, so the DP runs on A / gcd(A) in that set's frame
+    d = gcd(*elements) or 1  # gcd 0 only for {0}
+    if d > 1:
+        elements = tuple(a // d for a in elements)
     m = max(abs(elements[0]), abs(elements[-1]))
     layers = [1] + [0] * h
     advance(layers, elements, m, kind)
+    # bit i of layer h holds value i - h*m.  Read the set bits low to high
+    # from slices of the mask's bytes: text for the whole mask would take a
+    # byte per bit, eight times the mask itself
     mask = layers[h]
-    offset = h * m
+    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
     values = []
-    while mask:
-        low = mask & -mask
-        values.append(low.bit_length() - 1 - offset)
-        mask ^= low
-    return values
+    for lo in range(0, len(data), _SLICE_BYTES):
+        text = bin(int.from_bytes(data[lo:lo + _SLICE_BYTES], "little"))[:1:-1]
+        base = 8 * lo - h * m
+        i = text.find("1")
+        while i >= 0:
+            values.append(base + i)
+            i = text.find("1", i + 1)
+    return [d * v for v in values] if d > 1 else values
 
 
 def sumset_naive(

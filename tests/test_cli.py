@@ -129,6 +129,15 @@ def test_compute_huge_fold_exits_65(capsys):
     assert code == 65 and "bits" in err
 
 
+@pytest.mark.parametrize("literal", [
+    "--set=2147483648,4294967296",  # the engine runs it as {1, 2}
+    f"--set={5 * 10**4299},{6 * 10**4299}",  # its mask size has 4301 digits
+], ids=["dilated", "4300-digit"])
+def test_compute_layered_budget_reads_the_raw_magnitude(capsys, literal):
+    code, _, err = run(capsys, "compute", literal, "--h", "2", "--kind", "signed")
+    assert code == 65 and "bits" in err
+
+
 def test_compute_naive_huge_fold_exits_65(capsys):
     code, _, err = run(capsys, "compute", "--set", "1,2", "--h", str(10**15),
                        "--kind", "unrestricted", "--engine", "naive")
@@ -176,6 +185,26 @@ def test_scan_space_budget_refused_before_allocating():
     )
     assert proc.returncode == 65, proc.stderr
     assert "prefix blocks, over 2^18" in proc.stderr
+
+
+def test_compute_wide_sparse_set_reads_its_values_in_bounded_memory():
+    # {1, 10^8} passes the layered budget with a 25 MB mask of 2*10^8 + 1
+    # bits; text for the whole mask, a byte per bit, would take 200 MB and
+    # run out of a 400 MB address space (MemoryError, exit 1)
+    child = textwrap.dedent("""
+        import resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, (400 * 2**20, 400 * 2**20))
+        from sumsets.cli import main
+        sys.exit(main(["compute", "--set", "1,100000000", "--h", "1",
+                       "--kind", "signed", "--json"]))
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", child], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["values"] == [-10**8, -1, 1, 10**8]
 
 
 def test_scan_walk_layer_copies_budgeted_before_walking():

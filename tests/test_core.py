@@ -1,13 +1,14 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sumsets.core import (
     FiniteIntSet,
     SetFamily,
     SumsetKind,
+    SumsetResult,
     canonical_json,
     dilate,
     family_of,
@@ -53,6 +54,26 @@ def test_make_set_rejects_non_integers():
 def test_finite_int_set_rejects_unsorted():
     with pytest.raises(InvalidSet):
         FiniteIntSet((3, 1))
+
+
+@pytest.mark.parametrize("values", [(2, 1), (1, 1), (-1, 3, 2), (0, 0, 1)])
+def test_sumset_result_rejects_unsorted_values(values):
+    for kind in SumsetKind:
+        with pytest.raises(InvalidSet, match="strictly increasing"):
+            SumsetResult(values, kind)
+
+
+@given(st.sets(st.integers(-6, 6), max_size=6))
+@example({-2, 1, 2})
+def test_sumset_result_symmetry_check_is_closure_under_negation(raw):
+    values = tuple(sorted(raw))
+    closed = all(-v in raw for v in raw)
+    for kind in SumsetKind:
+        if kind.symmetric and not closed:
+            with pytest.raises(InvalidSet, match=f"{kind.value} sumset must be symmetric"):
+                SumsetResult(values, kind)
+        else:
+            assert SumsetResult(values, kind).cardinality == len(raw)
 
 
 def test_dilate_examples():

@@ -1,5 +1,8 @@
+from math import gcd
+from unittest import mock
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sumsets.core import SumsetKind, dilate, make_set
@@ -121,6 +124,52 @@ def test_engines_agree(raw):
             )
 
 
+@pytest.mark.parametrize("kind", [SumsetKind.SIGNED, RS])
+@pytest.mark.parametrize(
+    "raw",
+    [
+        [1, 3, 9, 27, 81, 243, 729],  # every restricted-signed vector has its own sum
+        [-40, -17, -3, 0, 8, 21, 38],
+    ],
+)
+def test_naive_matches_literal_definition_at_seven_elements(raw, kind):
+    """Seven slots reach the compositions and sign products of up to seven
+    parts, which the drawn sets above never do."""
+    a = make_set(raw)
+    for h in range(1, a.k + 1):
+        literal = {cv.apply(a) for cv in enumerate_coefficients(a.k, h, kind)}
+        assert set(sumset_naive(a, h, kind).values) == literal
+
+
+@given(st.sets(st.integers(-30, 30), min_size=1, max_size=5), st.integers(2, 10**4))
+@example({0}, 7)  # gcd 0
+@example({5}, 2)
+@example({-6, 0, 9}, 10**4)
+@settings(max_examples=40)
+def test_layered_matches_the_oracle_on_dilated_sets(raw, d):
+    """The layered engine runs d*A / gcd in that set's frame and scales the
+    values back; the oracle sums d*A as given."""
+    a = dilate(make_set(raw), d)
+    frame = a.max_magnitude // (gcd(*a.elements) or 1)
+    for kind in KINDS:
+        for h in range(1, a.k + 1):
+            with mock.patch.object(kernel, "advance", wraps=kernel.advance) as spy:
+                values = sumset_layered(a, h, kind).values
+            assert spy.call_args.args[2] == frame
+            assert values == sumset_naive(a, h, kind).values
+
+
+@given(st.sets(st.integers(-10**5, 10**5), min_size=1, max_size=3))
+@example({16384})  # signed h=1 puts 16384 at bit 32768, the first of a slice
+@example({-16384, 16383})  # restricted h=1 puts 16383 at bit 32767, the last
+@settings(max_examples=30)
+def test_engines_agree_on_masks_wider_than_a_read_slice(raw):
+    a = make_set(raw)
+    for kind in KINDS:
+        for h in range(1, a.k + 1):
+            assert sumset_layered(a, h, kind).values == sumset_naive(a, h, kind).values
+
+
 @given(small_sets)
 def test_leaf_step_is_advance_on_the_last_element(raw):
     """The leaf step reads layer h of A from the layers of A less one
@@ -210,6 +259,17 @@ def test_overflow_guard():
         sumset_layered(huge, 3, SumsetKind.SIGNED)
     with pytest.raises(KernelOverflow):
         sumset_naive(huge, 3, SumsetKind.SIGNED)
+    # the message must not print a number past the int-to-str limit
+    with pytest.raises(KernelOverflow, match="exceeds 2"):
+        sumset_naive(make_set([10**5000]), 1, SumsetKind.SIGNED)
+
+
+@pytest.mark.parametrize("raw", [[2**31, 2**32], [10**5000, 2 * 10**5000]])
+def test_layered_budget_reads_the_raw_magnitude(raw):
+    # both sets run as {1, 2}; a budget on that would admit values too long
+    # to print, and the message must not print one either
+    with pytest.raises(KernelOverflow, match="bits"):
+        sumset_layered(make_set(raw), 1, SumsetKind.SIGNED)
 
 
 def test_layered_budget_refuses_huge_folds_before_allocating():
