@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb, gcd, inf
@@ -443,6 +442,10 @@ def scan(config: ScanConfig) -> ScanReport:
     if workers == 1:
         merged = _merge(map(_scan_partition, args))
     else:
+        # imported here: the pool pulls in multiprocessing, pickle and
+        # sockets, which a serial scan or a plain ``import sumsets`` never uses
+        from concurrent.futures import ProcessPoolExecutor
+
         # about four chunks per worker: few round trips, and a slow chunk
         # still leaves the others work to share; map keeps the blocks' order
         with ProcessPoolExecutor(max_workers=workers) as pool:

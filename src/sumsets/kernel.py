@@ -13,7 +13,11 @@ The two engines are deliberately unrelated in structure:
 * ``sumset_naive`` enumerates every coefficient vector once, as a support
   times a composition of h into positive parts (signed kinds) times an
   itertools ``product`` of the signs, and sums each vector in C; only the
-  final hash set merges equal values.  It is the oracle.
+  final hash set merges equal values.  A signed vector is one vector of
+  weight w on the low half of A joined with one of weight h - w on the high
+  half: each w in 1..h-1 adds every low-half sum to every high-half sum in
+  C, and the end weights w = h and w = 0 stream one half's sums unlisted.
+  It is the oracle.
 * ``sumset_layered`` runs a dynamic program over elements with layers
   indexed by consumed weight j = 0..h.  Layer j is a dense bitmask that
   stores value v at bit v + j*m for any frame m >= max|a|, so adding
@@ -36,8 +40,9 @@ counterexample with both.
 """
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement, product
+from itertools import chain, combinations, combinations_with_replacement, product, starmap
 from math import comb, gcd
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from .core import (
@@ -91,7 +96,10 @@ def _require_oracle_budget(k: int, h: int, kind: SumsetKind) -> None:
     # The count is at least C(2r, r) >= 2^r vectors for r = min(k - h, h)
     # (restricted) or min(k - 1, h) (the other kinds), and counting it
     # exactly costs about r big multiplications, so a wide input is refused
-    # on r alone.
+    # on r alone.  The budget is the same for the signed oracle's split into
+    # halves: it lists the two halves' sums of one split weight at a time, at
+    # most 107,200 of them on one side (k=39, h=5), and streams the end
+    # weights, which as lists would reach 16.8M sums (k=5791, h=2).
     r = min(k - h if kind is SumsetKind.RESTRICTED else k - 1, h)
     if r >= MAX_ORACLE_TERMS.bit_length():
         raise KernelOverflow(
@@ -111,29 +119,39 @@ def enumerate_coefficients(
     each once, in lexicographic order over coefficient tuples."""
     require_fold(k, h, kind)
 
-    def rec(prefix: list[int], remaining: int) -> Iterator[CoefficientVector]:
-        pos = len(prefix)
-        if pos == k:
-            if remaining == 0:
-                yield CoefficientVector(tuple(prefix))
-            return
-        if kind.bounded_fold and remaining > k - pos:
-            return  # cannot place the leftover weight one unit at a time
-        if kind is SumsetKind.UNRESTRICTED:
-            candidates = range(0, remaining + 1)
-        elif kind is SumsetKind.RESTRICTED:
-            candidates = range(0, min(1, remaining) + 1)
-        elif kind is SumsetKind.SIGNED:
-            candidates = range(-remaining, remaining + 1)
-        else:
-            candidates = range(-1, 2)
-        for c in candidates:
-            if abs(c) <= remaining:
-                prefix.append(c)
-                yield from rec(prefix, remaining - abs(c))
-                prefix.pop()
+    def candidates(pos: int, remaining: int) -> Iterator[int]:
+        # remaining >= 1 here: a coefficient that uses it up ends the vector
+        if kind.bounded_fold:
+            if remaining > k - pos:
+                return iter(())  # cannot place the leftover weight one unit at a time
+            return iter((-1, 0, 1) if kind.symmetric else (0, 1))
+        return iter(range(-remaining if kind.symmetric else 0, remaining + 1))
 
-    return rec([], h)
+    def walk() -> Iterator[CoefficientVector]:
+        # stack[i] holds the untried coefficients for position i, so a long
+        # set does not recurse once per element; vec holds the choices for
+        # the positions below the top and zeros from there on
+        vec = [0] * k
+        remaining = h
+        stack = [candidates(0, h)]
+        while stack:
+            pos = len(stack) - 1
+            c = next(stack[-1], None)
+            if c is None:
+                stack.pop()
+                if pos:
+                    remaining += abs(vec[pos - 1])
+                    vec[pos - 1] = 0
+            elif remaining == abs(c):  # every later coefficient is 0
+                vec[pos] = c
+                yield CoefficientVector(tuple(vec))
+                vec[pos] = 0
+            elif pos + 1 < k:
+                vec[pos] = c
+                remaining -= abs(c)
+                stack.append(candidates(pos + 1, remaining))
+
+    return walk()
 
 
 def coefficient_space_size(k: int, h: int, kind: SumsetKind) -> int:
@@ -152,8 +170,39 @@ def coefficient_space_size(k: int, h: int, kind: SumsetKind) -> int:
     )
 
 
+def _signed_sums(elements: tuple[int, ...], w: int) -> Iterator[int]:
+    """One sum per signed coefficient vector of weight w >= 1 on ``elements``:
+    a support of s slots, a composition of w into s positive parts (cut
+    1..w-1 at s-1 places) and a sign per slot, each vector summed in C."""
+    return chain.from_iterable(
+        map(sum, product(*[(c * a, -c * a) for c, a in zip(parts, support)]))
+        for s in range(1, min(len(elements), w) + 1)
+        # combinations holds its whole pool of w - 1 cut points, so s = 1,
+        # which cuts nothing, passes none: w runs to 2^26 on one element
+        for cuts in combinations(range(1, w) if s > 1 else (), s - 1)
+        for parts in [[hi - lo for lo, hi in zip((0, *cuts), (*cuts, w))]]
+        for support in combinations(elements, s)
+    )
+
+
+def _signed_split_sums(elements: tuple[int, ...], h: int) -> Iterator[int]:
+    """One sum per signed coefficient vector of weight h on ``elements``.  A
+    vector is one of weight w on the low half joined with one of weight
+    h - w on the high half: w = h and w = 0 stream one half's sums, and each
+    w in 1..h-1 adds every low-half sum to every high-half sum in C."""
+    low, high = elements[:len(elements) // 2], elements[len(elements) // 2:]
+    return chain(
+        _signed_sums(low, h),
+        _signed_sums(high, h),
+        chain.from_iterable(
+            starmap(add, product(_signed_sums(low, w), _signed_sums(high, h - w)))
+            # one element leaves the low half empty, with h up to 2^26
+            for w in (range(1, h) if low else ())
+        ),
+    )
+
+
 def _naive_values(elements: tuple[int, ...], h: int, kind: SumsetKind) -> set[int]:
-    k = len(elements)
     if kind is SumsetKind.RESTRICTED:
         return set(map(sum, combinations(elements, h)))
     if kind is SumsetKind.UNRESTRICTED:
@@ -163,19 +212,7 @@ def _naive_values(elements: tuple[int, ...], h: int, kind: SumsetKind) -> set[in
         for support in combinations(elements, h):
             values.update(map(sum, product(*[(a, -a) for a in support])))
         return values
-    # signed: a vector is a support of s slots, a composition of h into s
-    # positive parts (cut 1..h-1 at s-1 places) and a sign per slot
-    for s in range(1, min(k, h) + 1):
-        compositions = [
-            [hi - lo for lo, hi in zip((0, *cuts), (*cuts, h))]
-            for cuts in combinations(range(1, h), s - 1)
-        ]
-        for support in combinations(elements, s):
-            for parts in compositions:
-                values.update(map(sum, product(
-                    *[(c * a, -c * a) for c, a in zip(parts, support)]
-                )))
-    return values
+    return set(_signed_split_sums(elements, h))
 
 
 def advance(layers: list[int], elements: Iterable[int], m: int, kind: SumsetKind) -> None:

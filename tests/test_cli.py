@@ -207,6 +207,25 @@ def test_compute_wide_sparse_set_reads_its_values_in_bounded_memory():
     assert json.loads(proc.stdout)["values"] == [-10**8, -1, 1, 10**8]
 
 
+def test_compute_naive_signed_one_element_at_the_largest_fold():
+    # one element admits h = 2^26 (2h terms, the oracle budget); listing the
+    # h - 1 cut points of its compositions would take about 2.6 GB
+    child = textwrap.dedent("""
+        import resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, (400 * 2**20, 400 * 2**20))
+        from sumsets.cli import main
+        sys.exit(main(["compute", "--set", "3", "--h", str(2**26), "--kind",
+                       "signed", "--engine", "naive", "--json"]))
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", child], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["values"] == [-3 * 2**26, 3 * 2**26]
+
+
 def test_scan_walk_layer_copies_budgeted_before_walking():
     # the walk holds a layer list per tree level: at k=1100 one list of
     # (h+1)*(2h*max+1) bits passes the frame budget, but the 1,099 lists of

@@ -1,7 +1,11 @@
+import concurrent.futures
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -264,13 +268,31 @@ def test_scan_pool_is_capped_at_cpu_count(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(explorer, "ProcessPoolExecutor", SerialPool)
+    # scan imports the pool from concurrent.futures when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     config = ScanConfig(4, 12, POS, parse_mode("conj:C2_1"), jobs=64)
     assert len(_partitions(config)) == 45
     wide = scan(config)
     assert started == [2]
     serial = scan(ScanConfig(4, 12, POS, parse_mode("conj:C2_1"), jobs=1))
     assert wide.fingerprint() == serial.fingerprint()
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # multiprocessing, pickle and sockets are loaded only by a scan that
+    # runs a pool, not by every import of the package
+    child = (
+        "import sys, sumsets\n"
+        "print([m for m in ('concurrent.futures.process', 'multiprocessing')"
+        " if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", child], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_explicit_h_values():

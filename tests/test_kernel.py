@@ -1,3 +1,6 @@
+import sys
+import tracemalloc
+from collections import Counter
 from math import gcd
 from unittest import mock
 
@@ -19,6 +22,7 @@ from sumsets.kernel import (
 
 KINDS = list(SumsetKind)
 RS = SumsetKind.RESTRICTED_SIGNED
+SIGNED = SumsetKind.SIGNED
 
 small_sets = st.sets(st.integers(-30, 30), min_size=1, max_size=6)
 
@@ -50,6 +54,15 @@ def test_enumeration_matches_count_and_is_lexicographic(kind, k):
         assert vectors == sorted(vectors)
         assert len(set(vectors)) == len(vectors)
         assert all(sum(abs(c) for c in v) == h for v in vectors)
+
+
+@pytest.mark.parametrize(
+    "kind, h", [(kind, 1) for kind in KINDS] + [(SumsetKind.RESTRICTED, 2)]
+)
+def test_enumeration_does_not_recurse_per_element(kind, h):
+    # a frame per element raised RecursionError near k = 1000
+    count = sum(1 for _ in enumerate_coefficients(1100, h, kind))
+    assert count == coefficient_space_size(1100, h, kind)
 
 
 def test_enumerate_rejects_bad_fold():
@@ -139,6 +152,40 @@ def test_naive_matches_literal_definition_at_seven_elements(raw, kind):
     for h in range(1, a.k + 1):
         literal = {cv.apply(a) for cv in enumerate_coefficients(a.k, h, kind)}
         assert set(sumset_naive(a, h, kind).values) == literal
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        [7], [0], [-5],  # one element: the low half is empty
+        [0, 3], [-4, 9], [-3, 0, 5], [1, 2, 3, 4], [-7, -2, 0, 6, 11],
+        [-9, -4, -1, 0, 2, 8], [1, 3, 9, 27, 81, 243],
+    ],
+)
+def test_signed_oracle_sums_each_vector_once(raw):
+    """The split oracle yields one sum per signed vector: a value set cannot
+    see a vector dropped or counted twice, a Counter of the sums can."""
+    a = make_set(raw)
+    for h in range(1, a.k + 3):
+        sums = Counter(kernel._signed_split_sums(a.elements, h))
+        assert sums == Counter(cv.apply(a) for cv in enumerate_coefficients(a.k, h, SIGNED))
+        assert sum(sums.values()) == coefficient_space_size(a.k, h, SIGNED)
+
+
+def test_signed_oracle_streams_the_end_weights():
+    """At k=600, h=2 each half has about 180k vectors of weight 2, but the
+    sums fill only [-1200, 1200]: the oracle holds the value set and the
+    weight-1 halves, never a list of one half's weight-2 sums."""
+    a = make_set(range(1, 601))
+    half_list = sys.getsizeof([0] * coefficient_space_size(300, 2, SIGNED))
+    tracemalloc.start()
+    try:
+        values = sumset_naive(a, 2, SIGNED).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values == sumset_layered(a, 2, SIGNED).values
+    assert peak < half_list // 4, (peak, half_list)
 
 
 @given(st.sets(st.integers(-30, 30), min_size=1, max_size=5), st.integers(2, 10**4))
