@@ -19,7 +19,7 @@ from .errors import (
     SumsetError,
     TheoremViolation,
 )
-from .explorer import CSV_HEADER, ScanConfig, parse_mode, scan
+from .explorer import CSV_HEADER, ScanConfig, _target, parse_mode, scan
 from .inverse import classify_extremal
 from .kernel import sumset_layered, sumset_naive
 from .witness import s_family, t_family, u_family, verify_family
@@ -42,10 +42,11 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="sumsets", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common(p: _Parser) -> None:
+    def common(p: _Parser, json: bool = True) -> None:
         p.add_argument("--set", required=True, help="set literal, e.g. 1,3,5,7")
         p.add_argument("--h", required=True, type=int, help="fold count")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
+        if json:
+            p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p = sub.add_parser("compute", help="compute one sumset")
     common(p)
@@ -59,9 +60,10 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("bound", help="audit a set against all applicable bounds")
     common(p)
 
-    p = sub.add_parser("witness", help="dump certificate families with checks")
-    common(p)
-    p.add_argument("--zero-in-a", action="store_true")
+    text = ("dump certificate families with checks as JSON; a set that "
+            "starts at 0 gets the contains-zero chains")
+    p = sub.add_parser("witness", help=text, description=text)
+    common(p, json=False)
     p.add_argument("--superincreasing", action="store_true")
 
     p = sub.add_parser("classify", help="classify a set against inverse theory")
@@ -74,7 +76,8 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--h", help="fold, or inclusive range like 3-5")
     p.add_argument(
-        "--family", choices=["positive", "contains-zero"], default="positive"
+        "--family", choices=["positive", "contains-zero"],
+        help="set family to scan; defaults to the target's (positive for TA_Nathanson)",
     )
     p.add_argument(
         "--max", required=True, type=int, dest="max_element",
@@ -158,7 +161,7 @@ def _cmd_bound(args) -> int:
 def _cmd_witness(args) -> int:
     a = parse_set_literal(args.set)
     h = args.h
-    zero = args.zero_in_a
+    zero = a.elements[0] == 0
     membership = sumset_layered(a, h).values
     families = [s_family(a, h)]
     t = t_family(a, h, zero_in_a=zero, superincreasing=args.superincreasing)
@@ -171,18 +174,10 @@ def _cmd_witness(args) -> int:
     for fam in families:
         check = verify_family(fam, membership)
         all_ok = all_ok and check.ok
-        payload.append(
-            {
-                "name": fam.name,
-                "elements": [e.to_json_dict() for e in fam.elements],
-                "chain_ok": check.chain_ok,
-                "broken_links": list(check.broken_links),
-                "distinct": check.distinct,
-                "expected_distinct": check.expected_distinct,
-                "missing_members": list(check.missing_members),
-                "ok": check.ok,
-            }
-        )
+        payload.append({
+            **vars(check), "elements": [e.to_json_dict() for e in fam.elements],
+            "ok": check.ok,
+        })
     sys.stdout.write(
         canonical_json(
             {
@@ -216,11 +211,14 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    mode = parse_mode(args.mode)
+    family = SetFamily(args.family or _target(mode.target)[1].family)
     config = ScanConfig(
         k=args.k,
         max_element=args.max_element,
-        family=SetFamily(args.family),
-        mode=parse_mode(args.mode),
+        # TA_Nathanson holds for any set; its scan defaults to positive ones
+        family=SetFamily.POSITIVE if family is SetFamily.ANY else family,
+        mode=mode,
         h_values=_parse_h_range(args.h, args.k),
         jobs=args.jobs,
     )

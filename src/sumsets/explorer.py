@@ -63,12 +63,11 @@ from .bounds import FORMULAS, BoundFormula
 
 @dataclass(frozen=True)
 class ScanMode:
-    action: str   # "verify" | "conjecture"
+    action: str   # "verify" | "conj"
     target: str   # formula / theorem / conjecture id
 
     def __str__(self) -> str:
-        prefix = "verify" if self.action == "verify" else "conj"
-        return f"{prefix}:{self.target}"
+        return f"{self.action}:{self.target}"
 
 
 def parse_mode(text: str) -> ScanMode:
@@ -77,10 +76,8 @@ def parse_mode(text: str) -> ScanMode:
     action, _, target = text.partition(":")
     _, formula = _target(target)
     if formula is not None:
-        if action == "verify" and formula.theorem_backed:
-            return ScanMode("verify", target)
-        if action in ("conj", "conjecture") and not formula.theorem_backed:
-            return ScanMode("conjecture", target)
+        if action == ("verify" if formula.theorem_backed else "conj"):
+            return ScanMode(action, target)
     raise NotApplicable(f"unknown scan mode {text!r}")
 
 
@@ -314,7 +311,7 @@ def _validate(config: ScanConfig) -> _ScanPlan:
         raise KernelOverflow(
             f"scan space splits into {blocks} prefix blocks, over 2^18; lower --max"
         )
-    if mode.action == "conjecture":
+    if mode.action == "conj":
         check = _check_conjecture
     else:
         check = _check_direct if row is None else _check_inverse

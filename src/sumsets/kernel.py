@@ -206,6 +206,10 @@ def _naive_values(elements: tuple[int, ...], h: int, kind: SumsetKind) -> set[in
     if kind is SumsetKind.RESTRICTED:
         return set(map(sum, combinations(elements, h)))
     if kind is SumsetKind.UNRESTRICTED:
+        # one element has one vector, (h), summing to h*a; combinations would
+        # hold it as h copies, about 16 bytes a term, and h runs to 2^27
+        if len(elements) == 1:
+            return {h * elements[0]}
         return set(map(sum, combinations_with_replacement(elements, h)))
     values: set[int] = set()
     if kind is SumsetKind.RESTRICTED_SIGNED:

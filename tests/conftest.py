@@ -1,10 +1,13 @@
 """Shared fixtures. Set SUMSETS_TEST_SEED to reseed every randomized suite."""
+import dataclasses
 import os
 import random
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, settings
+
+from sumsets.bounds import FORMULAS
 
 settings.register_profile(
     "sumsets",
@@ -40,3 +43,12 @@ def random_elements(rng: random.Random, k: int, family: str, hi: int = 40) -> li
 def overcounting(naive):
     """A stand-in for ``sumset_naive`` whose cardinality is one too many."""
     return lambda a, h, kind: SimpleNamespace(cardinality=naive(a, h, kind).cardinality + 1)
+
+
+def bound_one_above(monkeypatch, formula_id: str) -> None:
+    """Patch a bound formula to one above its true value, so a set at the
+    bound falls short of it."""
+    formula = FORMULAS[formula_id]
+    monkeypatch.setitem(FORMULAS, formula_id, dataclasses.replace(
+        formula, value=lambda k, h: formula.value(k, h) + 1
+    ))

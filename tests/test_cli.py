@@ -7,10 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from conftest import overcounting
-from sumsets import explorer
+from conftest import bound_one_above, overcounting
+from sumsets import cli, explorer
 from sumsets.cli import main
 from sumsets.core import canonical_json
+from sumsets.witness import EQUAL, LESS, WitnessElement, WitnessFamily
 
 
 def run(capsys, *argv):
@@ -79,11 +80,52 @@ def test_witness_command(capsys):
 
 
 def test_witness_zero_flag(capsys):
-    code, out, _ = run(
-        capsys, "witness", "--set", "0,1,2", "--h", "2", "--zero-in-a"
-    )
+    # a set that starts at 0 gets the contains-zero chains; no flag says so
+    code, out, _ = run(capsys, "witness", "--set", "0,1,2", "--h", "2")
     assert code == 0
+    assert '"zero_in_a": true' in out
     assert json.loads(out)["all_ok"]
+
+
+def test_witness_full_fold_appends_the_u_family(capsys):
+    code, out, _ = run(capsys, "witness", "--set", "1,2,4", "--h", "3")
+    assert code == 0
+    payload = json.loads(out)
+    assert [f["name"] for f in payload["families"]] == ["s", "t", "u"]
+    assert payload["all_ok"] and payload["zero_in_a"] is False
+
+
+def test_witness_false_claims_exit_2(capsys, monkeypatch):
+    # 5, 3 and 6 are all in 2^±{1,2,4,8}, so only the two claims are false
+    chain = WitnessFamily("s", 2, (
+        WitnessElement("a", 5, LESS), WitnessElement("b", 3, EQUAL),
+        WitnessElement("c", 6, None),
+    ), expected_distinct=3)
+    monkeypatch.setattr(cli, "s_family", lambda a, h: chain)
+    code, out, _ = run(capsys, "witness", "--set", "1,2,4,8", "--h", "2")
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["families"][0] == {
+        "name": "s",
+        "elements": [
+            {"label": "a", "value": 5, "relation_to_next": "<"},
+            {"label": "b", "value": 3, "relation_to_next": "="},
+            {"label": "c", "value": 6, "relation_to_next": None},
+        ],
+        "chain_ok": False,
+        "broken_links": ["a < b", "b = c"],
+        "distinct": 3,
+        "expected_distinct": 3,
+        "missing_members": [],
+        "ok": False,
+    }
+    assert payload["families"][1]["ok"] and not payload["all_ok"]
+
+
+@pytest.mark.parametrize("flag", ["--zero-in-a", "--json"])
+def test_witness_removed_options_are_usage_errors(capsys, flag):
+    code, _, err = run(capsys, "witness", "--set", "0,1,2", "--h", "2", flag)
+    assert code == 64 and f"unrecognized arguments: {flag}" in err
 
 
 def test_witness_superincreasing(capsys):
@@ -103,6 +145,24 @@ def test_classify_command_json(capsys):
     payload = json.loads(out)
     assert payload["family"] == "OddAP" and payload["params"] == {"d": 3, "k": 4}
     assert canonical_json(payload) == out
+
+
+def test_classify_command_plain(capsys):
+    code, out, _ = run(capsys, "classify", "--set", "3,9,15,21", "--h", "2")
+    assert code == 0
+    assert out.splitlines() == [
+        "set 3,9,15,21 h 2: theorem T2_2",
+        "cardinality 12 bound 12",
+        "equality True",
+        "family OddAP params {'k': 4, 'd': 3}",
+        "consistent True",
+    ]
+    code, out, _ = run(capsys, "classify", "--set", "1,2,3,4,5,6,7", "--h", "4")
+    assert code == 0
+    assert out.splitlines() == [
+        "set 1,2,3,4,5,6,7 h 4: not covered by a proven inverse theorem",
+        "cardinality 45",
+    ]
 
 
 def test_usage_errors_exit_64(capsys):
@@ -205,6 +265,25 @@ def test_compute_wide_sparse_set_reads_its_values_in_bounded_memory():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["values"] == [-10**8, -1, 1, 10**8]
+
+
+def test_compute_naive_unrestricted_one_element_at_the_largest_fold():
+    # one element admits h = 2^27 (one vector of h terms, the oracle budget);
+    # a tuple of its h copies would take about 2 GB
+    child = textwrap.dedent("""
+        import resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, (400 * 2**20, 400 * 2**20))
+        from sumsets.cli import main
+        sys.exit(main(["compute", "--set", "3", "--h", str(2**27), "--kind",
+                       "unrestricted", "--engine", "naive", "--json"]))
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", child], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["values"] == [3 * 2**27]
 
 
 def test_compute_naive_signed_one_element_at_the_largest_fold():
@@ -329,3 +408,50 @@ def test_scan_json_output_round_trips(capsys):
     )
     assert code == 0
     assert canonical_json(json.loads(out)) == out
+
+
+def test_scan_family_defaults_to_the_target_family(capsys):
+    # C3_1 is a contains-zero conjecture: no --family needed
+    code, out, _ = run(capsys, "scan", "--mode", "conj:C3_1", "--k", "5",
+                       "--max", "13", "--json")
+    assert code == 3
+    code, explicit, _ = run(capsys, "scan", "--mode", "conj:C3_1", "--k", "5",
+                            "--family", "contains-zero", "--max", "13", "--json")
+    assert code == 3
+
+    def fingerprint(text):
+        report = json.loads(text)
+        del report["wall_time"]
+        return canonical_json(report)
+
+    assert fingerprint(out) == fingerprint(explicit)
+    # TA_Nathanson holds for any set and scans positive ones by default
+    code, out, _ = run(capsys, "scan", "--mode", "verify:TA_Nathanson", "--k", "3",
+                       "--max", "6")
+    assert code == 0 and out.startswith("mode verify:TA_Nathanson k=3 family=positive")
+    # an explicit family still has to fit the target
+    code, _, err = run(capsys, "scan", "--mode", "verify:T3_1", "--k", "4",
+                       "--family", "positive", "--max", "10")
+    assert code == 65 and "T3_1 applies to contains-zero sets" in err
+
+
+def test_scan_fold_range(capsys):
+    code, out, _ = run(capsys, "scan", "--mode", "verify:T2_1", "--k", "5",
+                       "--max", "9", "--h", "3-5", "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["config"]["h"] == [3, 4, 5]
+    assert report["sets_scanned"] == 126
+    assert report["equalities"] == [
+        {"set": "1,2,3,4,5", "h": 5, "cardinality": 16, "bound": 16}
+    ]
+
+
+def test_scan_bound_counterexample_exit_3(capsys, monkeypatch):
+    bound_one_above(monkeypatch, "C2_1")
+    code, out, _ = run(capsys, "scan", "--mode", "conj:C2_1", "--k", "4",
+                       "--max", "7")
+    assert code == 3
+    assert ("  BOUND COUNTEREXAMPLE 1,3,5,7 h=3 cardinality=16 < bound=17 "
+            "naive_cardinality=16") in out.splitlines()
+

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import overcounting
+from conftest import bound_one_above, overcounting
 from sumsets.core import FiniteIntSet, SetFamily, SumsetKind, canonical_json, make_set
 from sumsets.errors import EmptySpace, EngineMismatch, NotApplicable, TheoremViolation
 from sumsets import explorer
@@ -113,6 +113,8 @@ def test_mode_parsing():
         parse_mode("verify:C2_1")
     with pytest.raises(NotApplicable):
         parse_mode("frobnicate:T2_1")
+    with pytest.raises(NotApplicable, match="unknown scan mode 'conjecture:C2_1'"):
+        parse_mode("conjecture:C2_1")
 
 
 def test_scan_rejects_mismatched_family():
@@ -167,6 +169,56 @@ def test_scan_engine_mismatch_raises(monkeypatch):
     )
 
 
+@pytest.mark.parametrize("mode, formula_id, k, family, violation, mismatch", [
+    ("verify:T2_1", "T2_1", 2, POS, "T2_1 violated on 1,2, h=1: 4 < 5",
+     "engines disagree on 1,2, h=1: 4 vs 5"),
+    ("verify:T3_1", "T3_1", 3, ZERO, "T3_1 violated on 0,1,2, h=1: 5 < 6",
+     "engines disagree on 0,1,2, h=1: 5 vs 6"),
+    ("verify:T2_2", "T2_1", 2, POS, "T2_2 bound violated on 1,2: 4 < 5",
+     "engines disagree on 1,2, h=2: 4 vs 5"),
+])
+def test_verify_bound_violation_raises_once_the_oracle_agrees(
+    monkeypatch, mode, formula_id, k, family, violation, mismatch
+):
+    bound_one_above(monkeypatch, formula_id)
+    config = ScanConfig(k, 4, family, parse_mode(mode))
+    with pytest.raises(TheoremViolation) as exc:
+        scan(config)
+    assert str(exc.value) == f"[partition (1, 2)] {violation}"
+    # the oracle checks the violating set before the scan raises
+    monkeypatch.setattr(explorer, "sumset_naive", overcounting(sumset_naive))
+    with pytest.raises(EngineMismatch) as exc:
+        scan(config)
+    assert str(exc.value) == f"[partition (1, 2)] {mismatch}"
+
+
+@pytest.mark.parametrize("mode", ["conj:C2_1", "conj:C2_2"])
+def test_conjecture_bound_counterexample_is_recorded(monkeypatch, mode):
+    bound_one_above(monkeypatch, "C2_1")
+    config = ScanConfig(4, 7, POS, parse_mode(mode))
+    report = scan(config)
+    # the record names the bound the conjecture rests on
+    assert report.conjecture_counterexamples == ({
+        "set": "1,3,5,7", "h": 3, "cardinality": 16, "bound": 17,
+        "naive_cardinality": 16, "conjecture": "C2_1",
+    },)
+    assert report.csv_rows() == [["counterexample", "1,3,5,7", 3, 16, 17, ""]]
+    assert not report.clean
+    monkeypatch.setattr(explorer, "sumset_naive", overcounting(sumset_naive))
+    with pytest.raises(EngineMismatch, match="engines disagree on 1,3,5,7, h=3: 16 vs 17"):
+        scan(config)
+
+
+def test_partition_completeness_failure_raises(monkeypatch):
+    monkeypatch.setattr(
+        explorer, "count_normalized_sets",
+        lambda k, m, family: count_normalized_sets(k, m, family) + 1,
+    )
+    with pytest.raises(TheoremViolation) as exc:
+        scan(ScanConfig(2, 4, POS, parse_mode("verify:T2_1")))
+    assert str(exc.value) == "partition completeness broken: scanned 5, closed form 6"
+
+
 def test_verify_inverse_exceptional_pairs():
     # every pair is extremal at h = 2, so the census is the whole space
     report = scan(ScanConfig(2, 10, POS, parse_mode("verify:T2_2")))
@@ -191,6 +243,9 @@ def test_conjecture_scan_finds_inverse_counterexample():
     assert failure["cardinality"] == failure["bound"] == 21
     assert failure["naive_cardinality"] == 21  # oracle-confirmed
     assert not report.clean
+    assert [r for r in report.csv_rows() if r[0] == "classification_failure"] == [
+        ["classification_failure", "0,1,2,4,6", 4, 21, 21, "Interval0K"]
+    ]
 
 
 def test_inverse_conjecture_mode_equals_direct_mode():

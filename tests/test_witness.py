@@ -6,7 +6,11 @@ from sumsets.core import make_set
 from sumsets.errors import DomainViolation, InvalidFamily
 from sumsets.kernel import sumset_layered
 from sumsets.witness import (
+    EQUAL,
+    LESS,
     FamilyName,
+    WitnessElement,
+    WitnessFamily,
     combined_census,
     gen_family,
     gen_superincreasing,
@@ -140,6 +144,18 @@ def test_chain_soundness_random(rng):
             if not zero and k >= 3 and h == k:
                 check = verify_family(u_family(a), membership)
                 assert check.ok, (a.canonical(), check)
+
+
+def test_verify_family_reports_false_claims():
+    # 5 < 3 and 3 = 6 are both false; every value is a member and distinct
+    chain = WitnessFamily("x", 2, (
+        WitnessElement("a", 5, LESS), WitnessElement("b", 3, EQUAL),
+        WitnessElement("c", 6, None),
+    ), expected_distinct=3)
+    check = verify_family(chain, [3, 5, 6])
+    assert check.broken_links == ("a < b", "b = c")
+    assert not check.chain_ok and not check.ok
+    assert check.distinct == 3 and check.missing_members == ()
 
 
 def test_count_identity_random(rng):
