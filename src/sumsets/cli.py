@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 
 from .bounds import audit
@@ -86,8 +87,9 @@ def _build_parser() -> _Parser:
     )
     p.add_argument(
         "--jobs", type=_positive_int, default=1,
-        help="worker processes N >= 1, capped at min(N, blocks, CPU count); "
-        "1 runs in the calling process",
+        help="worker processes N >= 1, at most min(N, blocks, usable CPUs, "
+        "1 + sets x folds // 2^16), since smaller scans ran slower in a "
+        "pool; one worker runs in the calling process",
     )
     p.add_argument("--out", help="write the JSON report here")
     p.add_argument("--csv", help="write the CSV report here")
@@ -210,7 +212,21 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
+def _writable(path: str) -> bool:
+    """Whether a report can be written to ``path``: a writable file, or a
+    new name in a writable directory."""
+    if os.path.exists(path):
+        return not os.path.isdir(path) and os.access(path, os.W_OK)
+    folder = os.path.dirname(path) or "."
+    return os.path.isdir(folder) and os.access(folder, os.W_OK)
+
+
 def _cmd_scan(args) -> int:
+    # a report path that cannot be written fails now, not after the scan
+    for flag, path in (("--out", args.out), ("--csv", args.csv)):
+        if path is not None and not _writable(path):
+            print(f"usage error: {flag} {path!r} cannot be written", file=sys.stderr)
+            return EXIT_USAGE
     mode = parse_mode(args.mode)
     family = SetFamily(args.family or _target(mode.target)[1].family)
     config = ScanConfig(

@@ -19,10 +19,18 @@ parallelism level.
 
 ``scan`` resolves its plan once: the check every reported set goes
 through, the kind the walk folds, and the bound and limit at each scanned
-fold.  Each partition gets the plan with its prefix block.  With more than one job, the
-blocks go to a process pool in about four chunks per worker, so the pool
-makes a few round trips per scan, not one per block, and the results come
-back in block order.
+fold.  Each partition gets the plan with its prefix block.  The scan sizes
+its pool from its own work before it starts one: min(jobs, usable CPUs,
+blocks, 1 + set_folds // POOLED_SET_FOLDS) workers, where set_folds is the
+completeness count of sets times the scanned folds and the usable CPUs are
+those the process's affinity mask allows.  POOLED_SET_FOLDS = 2^16 lies
+inside the serial-vs-pool crossover that conjecture scans showed on a
+2-vCPU host (BENCH_14.json): below it a pool's start-up and the records it
+ships back cost more than the work it shares.  At one worker the blocks run in the
+calling process and ``multiprocessing`` is never imported.  Otherwise
+the blocks go to a process pool in about four chunks per worker, so the
+pool makes a few round trips per scan, not one per block, and the results
+come back in block order.
 
 A partition is a depth-first walk over a tree whose nodes add one larger
 element to their parent's; a node copies its parent's DP layers and folds
@@ -235,8 +243,8 @@ def _space_shape(
 def count_normalized_sets(k: int, max_element: int, family: SetFamily) -> int:
     """Closed-form size of the scan space, by exact gcd: C(max // d, n)
     choices of n nonzero elements are multiples of d, and those whose gcd
-    is exactly d are the ones whose gcd is no larger multiple of d.  Used
-    as the partition-completeness cross-check."""
+    is exactly d are the ones whose gcd is no larger multiple of d.  A scan
+    sizes its pool by it and checks its partitions' completeness with it."""
     nonzero_size, _ = _space_shape(k, max_element, family)
     if nonzero_size == 0:
         return 1
@@ -429,13 +437,32 @@ def _merge(partials: Iterable[dict]) -> dict:
     return merged
 
 
+# Sets times folds per pool worker.  On a 2-vCPU host (BENCH_14.json), a
+# 2-worker pool against the calling process took 1.9x as long at 23,940
+# set-folds and 0.92x at 115,647 for conj:C2_1 k=6, and 1.26x at 25,308 and
+# 0.75x at 77,553 for conj:C3_1 k=6: starting the workers and shipping the
+# records back cost tens of thousands of set-folds.
+POOLED_SET_FOLDS = 2**16
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, which ``taskset`` or a container can make smaller
+    than the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def scan(config: ScanConfig) -> ScanReport:
     """Run a full scan; see the module docstring for mode semantics."""
     start = time.perf_counter()
     plan = _validate(config)
+    expected = count_normalized_sets(config.k, config.max_element, config.family)
     parts = _partitions(config)
     args = [(plan, p) for p in parts]
-    workers = min(max(1, config.jobs), len(parts), os.cpu_count() or 1)
+    work = 1 + expected * len(plan.bounds) // POOLED_SET_FOLDS
+    workers = min(max(1, config.jobs), _usable_cpus(), len(parts), work)
     if workers == 1:
         merged = _merge(map(_scan_partition, args))
     else:
@@ -451,7 +478,6 @@ def scan(config: ScanConfig) -> ScanReport:
             ))
 
     scanned = merged["scanned"]
-    expected = count_normalized_sets(config.k, config.max_element, config.family)
     if scanned != expected:
         raise TheoremViolation(
             f"partition completeness broken: scanned {scanned}, closed form "

@@ -1,4 +1,5 @@
 """Shared fixtures. Set SUMSETS_TEST_SEED to reseed every randomized suite."""
+import concurrent.futures
 import dataclasses
 import os
 import random
@@ -7,6 +8,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import HealthCheck, settings
 
+from sumsets import explorer
 from sumsets.bounds import FORMULAS
 
 settings.register_profile(
@@ -52,3 +54,34 @@ def bound_one_above(monkeypatch, formula_id: str) -> None:
     monkeypatch.setitem(FORMULAS, formula_id, dataclasses.replace(
         formula, value=lambda k, h: formula.value(k, h) + 1
     ))
+
+
+def record_pools(monkeypatch, pool_class) -> list[int]:
+    """Route the process pools that scans start to ``pool_class``; returns
+    the worker count of each pool started, in order."""
+    started = []
+
+    def pool(max_workers):
+        started.append(max_workers)
+        return pool_class(max_workers=max_workers)
+
+    # scan imports the pool from concurrent.futures when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    return started
+
+
+@pytest.fixture
+def pool_at_any_size(monkeypatch) -> None:
+    """Scans with more than one job start a pool however little work they
+    have, so a test-sized scan still goes through it."""
+    monkeypatch.setattr(explorer, "POOLED_SET_FOLDS", 1)
+
+
+@pytest.fixture
+def real_pool(pool_at_any_size, monkeypatch) -> list[int]:
+    """Scans with more than one job run in a real process pool of at least
+    two workers, even on one usable CPU; the worker counts of the pools
+    started."""
+    cpus = explorer._usable_cpus()
+    monkeypatch.setattr(explorer, "_usable_cpus", lambda: max(2, cpus))
+    return record_pools(monkeypatch, concurrent.futures.ProcessPoolExecutor)

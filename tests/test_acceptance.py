@@ -268,7 +268,7 @@ def test_criterion_10_conjecture_scans():
               f"(0,1,2,4,6 at h=4, exit code 3) in {elapsed:.1f}s (< 15min)")
 
 
-def test_criterion_11_property_suites():
+def test_criterion_11_property_suites(real_pool):
     rng = random.Random(suite_seed() + 11)
     # symmetry + dilation equivariance + inclusion chain on random sets
     for _ in range(80):
@@ -295,5 +295,6 @@ def test_criterion_11_property_suites():
         )
         fingerprints.add(report.fingerprint())
     assert len(fingerprints) == 1
+    assert len(real_pool) == 2 and min(real_pool) >= 2  # jobs 4 and 8 ran pooled
     _pass(11, "symmetry, dilation equivariance, inclusion chain and scan "
               "determinism across jobs 1/4/8 all hold")

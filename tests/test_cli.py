@@ -356,6 +356,20 @@ def test_scan_jobs_below_one_is_a_usage_error(capsys):
         assert code == 64 and "--jobs" in err
 
 
+@pytest.mark.parametrize("flag", ["--out", "--csv"])
+def test_scan_unwritable_report_path_is_a_usage_error(capsys, monkeypatch, tmp_path, flag):
+    def no_scan(config):
+        raise AssertionError("scanned before checking the report path")
+
+    monkeypatch.setattr(cli, "scan", no_scan)
+    for path in (tmp_path / "missing" / "r.json", tmp_path):
+        code, out, err = run(capsys, "scan", "--mode", "verify:T2_1", "--k", "3",
+                             "--max", "8", flag, str(path))
+        assert code == 64 and out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert flag in err and str(path) in err
+
+
 def test_scan_clean_exit_0(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     csv_path = tmp_path / "report.csv"

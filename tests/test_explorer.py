@@ -1,4 +1,3 @@
-import concurrent.futures
 import dataclasses
 import json
 import os
@@ -9,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import bound_one_above, overcounting
+from conftest import bound_one_above, overcounting, record_pools
 from sumsets.core import FiniteIntSet, SetFamily, SumsetKind, canonical_json, make_set
 from sumsets.errors import EmptySpace, EngineMismatch, NotApplicable, TheoremViolation
 from sumsets import explorer
@@ -255,7 +254,7 @@ def test_inverse_conjecture_mode_equals_direct_mode():
     assert direct.classification_failures == inverse.classification_failures
 
 
-def test_scan_determinism_across_jobs():
+def test_scan_determinism_across_jobs(real_pool):
     for family, max_element, mode in (
         (POS, 13, "conj:C2_1"), (ZERO, 12, "verify:T3_3"),
     ):
@@ -264,16 +263,19 @@ def test_scan_determinism_across_jobs():
             report = scan(ScanConfig(4, max_element, family, parse_mode(mode), jobs=jobs))
             outputs.add((report.fingerprint(), repr(report.csv_rows())))
         assert len(outputs) == 1, mode
+    # jobs 2 and 4 of both modes ran in a pool
+    assert len(real_pool) == 4 and min(real_pool) >= 2
 
 
 @pytest.mark.parametrize("k, max_element", [(2, 60), (5, 12)])
-def test_record_heavy_scan_is_identical_in_a_real_pool(k, max_element):
+def test_record_heavy_scan_is_identical_in_a_real_pool(real_pool, k, max_element):
     # T2_1 records every set at h = 1; at k = 2 every block holds one set, so
     # the pool gets its blocks in chunks of many
     reports = [
         scan(ScanConfig(k, max_element, POS, parse_mode("verify:T2_1"), jobs=jobs))
         for jobs in (1, 2)
     ]
+    assert real_pool == [2]
     assert len(reports[0].equalities) >= reports[0].sets_scanned
     assert reports[0].fingerprint() == reports[1].fingerprint()
     assert reports[0].csv_rows() == reports[1].csv_rows()
@@ -306,31 +308,96 @@ def test_records_name_their_sets_canonically(family, modes):
                 assert [r["set"] for r in report.equalities if r["h"] == 1] == sets
 
 
-def test_scan_pool_is_capped_at_cpu_count(monkeypatch):
-    started = []
+class SerialPool:
+    """A stand-in for ``ProcessPoolExecutor`` that maps in the calling
+    process, so a test can see how many workers a scan asks for without
+    starting them."""
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
+    def __init__(self, max_workers):
+        pass
 
-        def __enter__(self):
-            return self
+    def __enter__(self):
+        return self
 
-        def __exit__(self, *exc):
-            return False
+    def __exit__(self, *exc):
+        return False
 
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
 
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    # scan imports the pool from concurrent.futures when it needs one
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+
+def usable_cpus(monkeypatch, cpus: int | None, machine: int = 8) -> None:
+    """A machine of ``machine`` CPUs whose affinity mask allows ``cpus`` of
+    them, or a platform with no affinity masks when ``cpus`` is None."""
+    monkeypatch.setattr(os, "cpu_count", lambda: machine)
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def test_scan_pool_is_capped_at_cpu_count(pool_at_any_size, monkeypatch):
+    usable_cpus(monkeypatch, 2, machine=2)
+    started = record_pools(monkeypatch, SerialPool)
     config = ScanConfig(4, 12, POS, parse_mode("conj:C2_1"), jobs=64)
     assert len(_partitions(config)) == 45
     wide = scan(config)
     assert started == [2]
     serial = scan(ScanConfig(4, 12, POS, parse_mode("conj:C2_1"), jobs=1))
     assert wide.fingerprint() == serial.fingerprint()
+
+
+@pytest.mark.parametrize("cpus, workers", [(1, []), (3, [3]), (None, [8])])
+def test_scan_pool_is_capped_at_the_usable_cpus(pool_at_any_size, monkeypatch, cpus, workers):
+    # under ``taskset -c 0`` os.cpu_count() still counts the machine's CPUs;
+    # the affinity mask is what the process may use
+    usable_cpus(monkeypatch, cpus)
+    started = record_pools(monkeypatch, SerialPool)
+    scan(ScanConfig(4, 12, POS, parse_mode("conj:C2_1"), jobs=64))
+    assert started == workers
+
+
+@pytest.mark.parametrize("mode, k, max_element, family, workers", [
+    # 77,553 set-folds: one worker per 2^16 of them, plus one
+    ("conj:C3_1", 6, 22, ZERO, [2]),
+    # 21,555 set-folds, the scan-verify benchmark's space, run in-process
+    ("verify:T2_1", 5, 16, POS, []),
+])
+def test_scan_pool_is_sized_by_the_work(monkeypatch, mode, k, max_element, family, workers):
+    usable_cpus(monkeypatch, 8)
+    started = record_pools(monkeypatch, SerialPool)
+    config = ScanConfig(k, max_element, family, parse_mode(mode), jobs=64)
+    assert len(_partitions(config)) > 8
+    scan(config)
+    assert started == workers
+
+
+def test_scan_pool_is_capped_at_the_blocks(pool_at_any_size, monkeypatch):
+    usable_cpus(monkeypatch, 8)
+    started = record_pools(monkeypatch, SerialPool)
+    config = ScanConfig(4, 5, POS, parse_mode("verify:T2_1"), jobs=64)
+    assert len(_partitions(config)) == 3
+    scan(config)
+    assert started == [3]
+
+
+def test_small_scan_at_two_jobs_leaves_the_process_pool_unloaded():
+    # the scan-verify benchmark's space is under 2^16 set-folds: it runs in
+    # the calling process, which never imports multiprocessing
+    child = (
+        "import sys\n"
+        "from sumsets import ScanConfig, SetFamily, parse_mode, scan\n"
+        "report = scan(ScanConfig(5, 16, SetFamily.POSITIVE, parse_mode('verify:T2_1'), jobs=2))\n"
+        "print(report.sets_scanned, [m for m in ('concurrent.futures.process', 'multiprocessing')"
+        " if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", child], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "4311 []\n"
 
 
 def test_import_leaves_the_process_pool_unloaded():
