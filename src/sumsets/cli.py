@@ -243,16 +243,18 @@ def _cmd_scan(args) -> int:
     except (TheoremViolation, EngineMismatch) as exc:
         print(f"theorem violation: {exc}", file=sys.stderr)
         return EXIT_THEOREM_VIOLATION
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(report.to_json())
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_HEADER)
             writer.writerows(report.csv_rows())
+    # one text for --out and --json, built after the CSV rows are freed
+    text = report.to_json() if args.out or args.json else None
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
     if args.json:
-        sys.stdout.write(report.to_json())
+        sys.stdout.write(text)
     else:
         print(f"mode {config.mode} k={config.k} family={config.family.value} "
               f"max={config.max_element}")

@@ -10,7 +10,8 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from math import gcd
-from operator import lt, neg
+from itertools import repeat
+from operator import itemgetter, lt, neg
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -198,10 +199,15 @@ def canonical_json(obj: object) -> str:
     The text is ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"`` byte
     for byte.  Strs, ints, nonempty lists and tuples, and nonempty dicts
     with str keys are written here directly, which skips the stdlib's
-    pure-Python indenting encoder; any other value (floats, bools, None,
-    empty containers, enum members, non-str keys) goes to ``json.dumps``,
-    whose newlines, never raw inside a JSON string, are re-indented to the
-    value's depth."""
+    pure-Python indenting encoder.  A list is written as a table when its
+    items are all strs, all ints, or all dicts with one set of str keys (in
+    any insertion order): strs and ints go through one C loop each, and the
+    dicts fill one ``%``-format string, built once from the sorted keys, with
+    a tuple per record drawn from one lazy column per key.  A column is
+    itself such a list, and a lone dict is a one-row table.  Any other value
+    (floats, bools, None, empty containers, enum members, non-str keys) goes
+    to ``json.dumps``, whose newlines, never raw inside a JSON string, are
+    re-indented to the value's depth."""
     return _json_text(obj, "\n") + "\n"
 
 
@@ -217,13 +223,37 @@ def _json_text(obj: object, pad: str) -> str:
     if cls is int:
         return int.__repr__(obj)
     if cls is dict and obj and all(type(key) is str for key in obj):
-        inner = pad + "  "
-        return "{" + inner + ("," + inner).join(
-            [f"{_json_str(key)}: {_json_text(obj[key], inner)}" for key in sorted(obj)]
-        ) + pad + "}"
+        return next(_records([obj], obj, pad))
     if (cls is list or cls is tuple) and obj:
         inner = pad + "  "
-        return "[" + inner + ("," + inner).join(
-            [_json_text(item, inner) for item in obj]
-        ) + pad + "]"
+        return "[" + inner + ("," + inner).join(_json_texts(obj, inner)) + pad + "]"
     return json.dumps(obj, indent=2, sort_keys=True).replace("\n", pad)
+
+
+def _json_texts(items: list | tuple, pad: str) -> Iterator[str]:
+    """The canonical texts of nonempty ``items``, each ending on ``pad``."""
+    kinds = set(map(type, items))
+    if len(kinds) == 1:
+        cls = kinds.pop()
+        if cls is str:
+            return map(_json_str, items)
+        if cls is int:  # bools are not ints here: True is written "true"
+            return map(int.__repr__, items)
+        keys = items[0].keys() if cls is dict else None
+        if keys and all(type(key) is str for key in keys) and all(
+            map(keys.__eq__, map(dict.keys, items))
+        ):
+            return _records(items, keys, pad)
+    return map(_json_text, items, repeat(pad))
+
+
+def _records(items: list | tuple, keys: Iterable[str], pad: str) -> Iterator[str]:
+    """The texts of dicts that all have the str keys ``keys``, each ending on
+    ``pad``: one format string filled from one lazy column per sorted key."""
+    inner = pad + "  "
+    keys = sorted(keys)
+    fmt = "{" + inner + ("," + inner).join(
+        [_json_str(key).replace("%", "%%") + ": %s" for key in keys]
+    ) + pad + "}"
+    columns = [_json_texts(list(map(itemgetter(key), items)), inner) for key in keys]
+    return map(fmt.__mod__, zip(*columns))

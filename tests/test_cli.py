@@ -424,6 +424,27 @@ def test_scan_json_output_round_trips(capsys):
     assert canonical_json(json.loads(out)) == out
 
 
+def test_scan_out_and_json_serialize_the_report_once(capsys, monkeypatch, tmp_path):
+    calls = []
+    to_json = explorer.ScanReport.to_json
+
+    def spy(report):
+        calls.append(report)
+        return to_json(report)
+
+    monkeypatch.setattr(explorer.ScanReport, "to_json", spy)
+    out_path = tmp_path / "report.json"
+    code, out, _ = run(
+        capsys,
+        "scan", "--mode", "verify:T2_1", "--k", "3", "--max", "9",
+        "--out", str(out_path), "--json",
+    )
+    assert code == 0
+    assert len(calls) == 1
+    assert out_path.read_text() == out
+    assert json.loads(out)["equalities"]
+
+
 def test_scan_family_defaults_to_the_target_family(capsys):
     # C3_1 is a contains-zero conjecture: no --family needed
     code, out, _ = run(capsys, "scan", "--mode", "conj:C3_1", "--k", "5",

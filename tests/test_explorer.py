@@ -233,18 +233,21 @@ def test_conjecture_scan_clean_space():
 
 
 def test_conjecture_scan_finds_inverse_counterexample():
-    report = scan(ScanConfig(5, 13, ZERO, parse_mode("conj:C3_1")))
-    assert report.conjecture_counterexamples == ()
-    assert len(report.classification_failures) == 1
-    failure = report.classification_failures[0]
-    assert failure["set"] == "0,1,2,4,6"
-    assert failure["h"] == 4
-    assert failure["cardinality"] == failure["bound"] == 21
-    assert failure["naive_cardinality"] == 21  # oracle-confirmed
-    assert not report.clean
-    assert [r for r in report.csv_rows() if r[0] == "classification_failure"] == [
-        ["classification_failure", "0,1,2,4,6", 4, 21, 21, "Interval0K"]
-    ]
+    # max=40 pins the exception ROADMAP item 5 cites: still the only failure
+    for max_element, sets in ((13, 699), (40, 85_771)):
+        report = scan(ScanConfig(5, max_element, ZERO, parse_mode("conj:C3_1")))
+        assert report.sets_scanned == sets
+        assert report.conjecture_counterexamples == ()
+        assert len(report.classification_failures) == 1
+        failure = report.classification_failures[0]
+        assert failure["set"] == "0,1,2,4,6"
+        assert failure["h"] == 4
+        assert failure["cardinality"] == failure["bound"] == 21
+        assert failure["naive_cardinality"] == 21  # oracle-confirmed
+        assert not report.clean
+        assert [r for r in report.csv_rows() if r[0] == "classification_failure"] == [
+            ["classification_failure", "0,1,2,4,6", 4, 21, 21, "Interval0K"]
+        ]
 
 
 def test_inverse_conjecture_mode_equals_direct_mode():
