@@ -7,6 +7,10 @@ restricted-sumset bound, which is checked against |h^A| rather than
 |h^+-A|).  A VIOLATION of a theorem-backed formula can only mean an engine
 bug and aborts; a conjectured formula's violation is re-verified with the
 naive oracle and, if confirmed, reported as a counterexample candidate.
+
+``confirm`` is that re-verification, and the only one: ``audit`` and every
+scan check call it before a cardinality is raised or reported, and it
+raises ``EngineMismatch`` when the oracle disagrees with the layered engine.
 """
 from __future__ import annotations
 
@@ -178,6 +182,14 @@ def _status(cardinality: int, bound: int) -> BoundStatus:
     return BoundStatus.STRICT
 
 
+def confirm(a: FiniteIntSet, h: int, kind: SumsetKind, card: int) -> int:
+    """The oracle's |h^A| of the kind, which must equal the layered ``card``."""
+    naive = sumset_naive(a, h, kind).cardinality
+    if naive != card:
+        raise EngineMismatch(f"engines disagree on {a}, h={h}: {card} vs {naive}")
+    return naive
+
+
 def audit(a: FiniteIntSet, h: int) -> BoundReport:
     """Compute |h^+-A| and |h^A| and grade every applicable formula.
 
@@ -201,12 +213,7 @@ def audit(a: FiniteIntSet, h: int) -> BoundReport:
         value = formula.value(a.k, h)
         status = _status(observed, value)
         if status is BoundStatus.VIOLATION:
-            confirmed = sumset_naive(a, h, formula.kind).cardinality
-            if confirmed != observed:
-                raise EngineMismatch(
-                    f"engines disagree on |{h}-fold {formula.kind.value}| of "
-                    f"{a}: layered {observed}, naive {confirmed}"
-                )
+            confirm(a, h, formula.kind, observed)
             if formula.theorem_backed:
                 raise TheoremViolation(
                     f"{formula.id} violated on {a}, h={h}: cardinality "

@@ -18,12 +18,13 @@ results are merged in enumeration order, so reports are identical at every
 parallelism level.
 
 ``scan`` resolves its plan once: the check every reported set goes
-through, the kind the walk folds, and the bound and limit at each scanned
-fold.  Each partition gets the plan with its prefix block.  The scan sizes
-its pool from its own work before it starts one: min(jobs, usable CPUs,
-blocks, 1 + set_folds // POOLED_SET_FOLDS) workers, where set_folds is the
-completeness count of sets times the scanned folds and the usable CPUs are
-those the process's affinity mask allows.  POOLED_SET_FOLDS = 2^16 lies
+through, the kind the walk folds, the bound formula, the expected extremal
+family, and the bound and limit at each scanned fold.  Each partition gets
+the plan with its prefix block.  The scan sizes its pool from its own work
+before it starts one: min(jobs, usable CPUs, blocks, 1 + set_folds //
+POOLED_SET_FOLDS) workers, where set_folds is the completeness count of
+sets times the scanned folds and the usable CPUs are those the process's
+affinity mask allows.  POOLED_SET_FOLDS = 2^16 lies
 inside the serial-vs-pool crossover that conjecture scans showed on a
 2-vCPU host (BENCH_14.json): below it a pool's start-up and the records it
 ships back cost more than the work it shares.  At one worker the blocks run in the
@@ -41,11 +42,15 @@ h straight from the parent's layers, and reports only the cards at or
 below the fold's limit, the only ones a check acts on: the bound, or none
 for an inverse check, since a family member above it breaks the converse.
 A record names its set by the parent's canonical text, built once per
-parent that has a record, plus ``str(x)``.  The checks read a set's
-element tuple: ``match_family`` compares it with the family's shape.  A
-``FiniteIntSet`` is built only for the oracle, in ``_confirm``: a bound
-violation, every conjecture equality, and an inverse classification
-failure.
+parent that has a record, plus ``str(x)``.
+
+Two checks act on the reported cards.  ``_check_verify`` serves every
+``verify`` mode: a direct theorem is an inverse theorem that names no
+family.  ``_check_conjecture`` serves every ``conj`` mode.  Both read a
+set's element tuple, and ``match_family`` compares it with the plan's
+family.  A ``FiniteIntSet`` is built only for the oracle, in
+``bounds.confirm``: a verify bound violation or classification failure,
+and every card a conjecture check sees.
 """
 from __future__ import annotations
 
@@ -60,13 +65,15 @@ from .core import FiniteIntSet, SetFamily, SumsetKind, canonical_json
 from .errors import (
     EmptySpace, EngineMismatch, KernelOverflow, NotApplicable, TheoremViolation,
 )
-# classify_extremal and sumset_layered stay bound here for bench/tracing.py,
-# which wraps them
+# classify_extremal, sumset_layered and sumset_naive stay bound here for
+# bench/tracing.py, which wraps them; the scan's oracle calls go through
+# bounds.confirm
 from .inverse import THEOREMS, InverseTheorem, classify_extremal, match_family
 from .kernel import (
     _require_layered_budget, advance, leaf_cards, sumset_layered, sumset_naive,
 )
-from .bounds import FORMULAS, BoundFormula
+from .bounds import FORMULAS, BoundFormula, confirm
+from .witness import FamilyName
 
 
 @dataclass(frozen=True)
@@ -150,21 +157,18 @@ class ScanReport:
         del d["config"]["jobs"]
         return canonical_json(d)
 
-    def csv_rows(self) -> list[list[object]]:
-        rows: list[list[object]] = []
-        for rec in self.equalities:
-            rows.append(
-                ["equality", rec["set"], rec["h"], rec["cardinality"], rec["bound"], rec.get("family") or ""]
-            )
-        for rec in self.classification_failures:
-            rows.append(
-                ["classification_failure", rec["set"], rec["h"], rec["cardinality"], rec["bound"], rec.get("expected_family") or ""]
-            )
-        for rec in self.conjecture_counterexamples:
-            rows.append(
-                ["counterexample", rec["set"], rec["h"], rec["cardinality"], rec["bound"], ""]
-            )
-        return rows
+    def csv_rows(self) -> Iterator[list[object]]:
+        """The rows under ``CSV_HEADER``, one per record, made as they are read."""
+        for records, row_type, family_field in (
+            (self.equalities, "equality", "family"),
+            (self.classification_failures, "classification_failure", "expected_family"),
+            (self.conjecture_counterexamples, "counterexample", None),  # no family
+        ):
+            for rec in records:
+                yield [
+                    row_type, rec["set"], rec["h"], rec["cardinality"], rec["bound"],
+                    rec.get(family_field) or "",
+                ]
 
 
 CSV_HEADER = ["type", "set", "h", "cardinality", "bound", "family"]
@@ -255,18 +259,18 @@ def count_normalized_sets(k: int, max_element: int, family: SetFamily) -> int:
 
 
 def resolve_h_values(config: ScanConfig) -> tuple[int, ...]:
-    """The folds a scan will run, either explicit or the mode's default."""
+    """The folds a scan will run in increasing order: the explicit ones, each
+    once, or the mode's default."""
     row, formula = _target(config.mode.target)
+    explicit = None if config.h_values is None else tuple(sorted(set(config.h_values)))
     if row is not None and row.fold != "interior":
         forced = row.folds(config.k)
-        if config.h_values is not None and tuple(config.h_values) != forced:
+        if explicit not in (None, forced):
             raise NotApplicable(
                 f"{row.id} fixes h = {forced[0]}, got {config.h_values}"
             )
         return forced
-    if config.h_values is not None:
-        return tuple(config.h_values)
-    return formula.folds(config.k)
+    return formula.folds(config.k) if explicit is None else explicit
 
 
 # A scan lists its prefix blocks, with one partial result each, and its
@@ -286,11 +290,15 @@ def _block_shape(config: ScanConfig) -> tuple[int, int]:
 class _ScanPlan:
     """What every partition of one scan shares, resolved once by
     ``_validate``: the scan, the check its sets go through, the kind its
-    walk folds, and at each scanned fold the bound and the limit, the
-    largest cardinality the leaf step reports to the check."""
+    walk folds and its oracle confirms, the bound formula's id, the
+    extremal family the target expects (None for a direct bound), and at
+    each scanned fold the bound and the limit, the largest cardinality the
+    leaf step reports to the check."""
     config: ScanConfig
     check: Callable[..., None]
     kind: SumsetKind
+    formula: str
+    family: FamilyName | None
     bounds: tuple[tuple[int, int], ...]
     limits: tuple[tuple[int, int | float], ...]
 
@@ -319,14 +327,13 @@ def _validate(config: ScanConfig) -> _ScanPlan:
         raise KernelOverflow(
             f"scan space splits into {blocks} prefix blocks, over 2^18; lower --max"
         )
-    if mode.action == "conj":
-        check = _check_conjecture
-    else:
-        check = _check_direct if row is None else _check_inverse
+    check = _check_conjecture if mode.action == "conj" else _check_verify
+    family = None if row is None else row.extremal_at(k)
     bounds = tuple((h, formula.value(k, h)) for h in h_values)
-    # a family member above its bound breaks the converse: no limit
-    limits = tuple((h, inf if check is _check_inverse else b) for h, b in bounds)
-    return _ScanPlan(config, check, formula.kind, bounds, limits)
+    # a family member above its bound breaks an inverse theorem: no limit
+    inverse = check is _check_verify and family is not None
+    limits = tuple((h, inf if inverse else b) for h, b in bounds)
+    return _ScanPlan(config, check, formula.kind, formula.id, family, bounds, limits)
 
 
 def _partitions(config: ScanConfig) -> list[tuple[int, ...]]:
@@ -340,7 +347,7 @@ def _scan_partition(args: tuple[_ScanPlan, tuple[int, ...]]) -> dict:
     """Worker: scan one prefix block. Returns plain lists for cheap merging."""
     plan, prefix = args
     config, check, kind = plan.config, plan.check, plan.kind
-    k, m, target = config.k, config.max_element, config.mode.target
+    k, m = config.k, config.max_element
     out = {"scanned": 0, "equalities": [], "failures": [], "counterexamples": []}
     bound_at = dict(plan.bounds)
     try:
@@ -350,18 +357,10 @@ def _scan_partition(args: tuple[_ScanPlan, tuple[int, ...]]) -> dict:
             for x, h, card in leaf_cards(layers, xs, m, kind, plan.limits):
                 if head is None:
                     head = "".join(f"{a}," for a in parent)
-                check(target, head + str(x), parent + (x,), h, card, bound_at[h], out)
+                check(plan, head + str(x), parent + (x,), h, card, bound_at[h], out)
     except (TheoremViolation, EngineMismatch) as exc:
         raise type(exc)(f"[partition {prefix}] {exc}") from None
     return out
-
-
-def _confirm(a: FiniteIntSet, h: int, kind: SumsetKind, card: int) -> int:
-    """The oracle's cardinality, which must equal the layered ``card``."""
-    naive = sumset_naive(a, h, kind).cardinality
-    if naive != card:
-        raise EngineMismatch(f"engines disagree on {a}, h={h}: {card} vs {naive}")
-    return naive
 
 
 def _record(text: str, h: int, card: int, bound: int, **extra) -> dict:
@@ -369,61 +368,50 @@ def _record(text: str, h: int, card: int, bound: int, **extra) -> dict:
     return {"set": text, "h": h, "cardinality": card, "bound": bound, **extra}
 
 
-def _check_direct(
-    target: str, text: str, elements: tuple[int, ...], h: int, card: int,
+def _check_verify(
+    plan: _ScanPlan, text: str, elements: tuple[int, ...], h: int, card: int,
     bound: int, out: dict,
 ) -> None:
     if card < bound:
-        _confirm(FiniteIntSet(elements), h, FORMULAS[target].kind, card)
-        raise TheoremViolation(f"{target} violated on {text}, h={h}: {card} < {bound}")
-    if card == bound:
-        out["equalities"].append(_record(text, h, card, bound))
-
-
-def _check_inverse(
-    target: str, text: str, elements: tuple[int, ...], h: int, card: int,
-    bound: int, out: dict,
-) -> None:
-    if card < bound:
-        _confirm(FiniteIntSet(elements), h, SumsetKind.RESTRICTED_SIGNED, card)
-        raise TheoremViolation(f"{target} bound violated on {text}: {card} < {bound}")
-    expected = THEOREMS[target].extremal_at(len(elements))
-    family = expected.value if match_family(elements, expected) is not None else None
-    if (card == bound) != (family is not None):
-        _confirm(FiniteIntSet(elements), h, SumsetKind.RESTRICTED_SIGNED, card)
+        confirm(FiniteIntSet(elements), h, plan.kind, card)
         raise TheoremViolation(
-            f"{target} classification failed on {text}: equality={card == bound} "
-            f"but family match={family!r} (cardinality {card}, "
-            f"bound {bound}, both engines agree)"
+            f"{plan.config.mode.target} violated on {text}, h={h}: {card} < {bound}"
+        )
+    if plan.family is None:  # a direct bound, whose limit lets only equality here
+        out["equalities"].append(_record(text, h, card, bound))
+        return
+    family = plan.family.value if match_family(elements, plan.family) is not None else None
+    if (card == bound) != (family is not None):
+        confirm(FiniteIntSet(elements), h, plan.kind, card)
+        raise TheoremViolation(
+            f"{plan.config.mode.target} classification failed on {text}: "
+            f"equality={card == bound} but family match={family!r} "
+            f"(cardinality {card}, bound {bound}, both engines agree)"
         )
     if family is not None:
         out["equalities"].append(_record(text, h, card, bound, family=family))
 
 
 def _check_conjecture(
-    target: str, text: str, elements: tuple[int, ...], h: int, card: int,
+    plan: _ScanPlan, text: str, elements: tuple[int, ...], h: int, card: int,
     bound: int, out: dict,
 ) -> None:
-    row = THEOREMS[target]
+    # the limit is the bound: every card here is a counterexample or an equality
+    naive = confirm(FiniteIntSet(elements), h, plan.kind, card)
     if card < bound:
-        naive = _confirm(FiniteIntSet(elements), h, SumsetKind.RESTRICTED_SIGNED, card)
         out["counterexamples"].append(
-            _record(text, h, card, bound, naive_cardinality=naive, conjecture=row.bound)
+            _record(text, h, card, bound, naive_cardinality=naive, conjecture=plan.formula)
         )
-    elif card == bound:
-        expected = row.extremal_at(len(elements))
-        matched = match_family(elements, expected) is not None
-        naive = _confirm(FiniteIntSet(elements), h, SumsetKind.RESTRICTED_SIGNED, card)
-        out["equalities"].append(
-            _record(text, h, card, bound, family=expected.value if matched else None)
+        return
+    expected = plan.family.value
+    matched = match_family(elements, plan.family) is not None
+    out["equalities"].append(
+        _record(text, h, card, bound, family=expected if matched else None)
+    )
+    if not matched:
+        out["failures"].append(
+            _record(text, h, card, bound, naive_cardinality=naive, expected_family=expected)
         )
-        if not matched:
-            out["failures"].append(
-                _record(
-                    text, h, card, bound,
-                    naive_cardinality=naive, expected_family=expected.value,
-                )
-            )
 
 
 def _merge(partials: Iterable[dict]) -> dict:

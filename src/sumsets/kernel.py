@@ -35,8 +35,10 @@ The two engines are deliberately unrelated in structure:
   test pins it to ``advance``.
 
 Agreement of the two engines on a value set is the package's primary
-correctness evidence; the explorer module re-checks every would-be
-counterexample with both.
+correctness evidence.  ``bounds.confirm`` is the one place that compares
+them on a reported cardinality: ``audit`` and the explorer's two scan
+checks, ``_check_verify`` and ``_check_conjecture``, call it before they
+raise or record one.
 """
 from __future__ import annotations
 

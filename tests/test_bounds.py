@@ -167,5 +167,5 @@ def test_audit_engine_mismatch_raises(monkeypatch):
     with pytest.raises(EngineMismatch) as exc:
         audit(make_set([1, 2, 4]), 2)
     assert str(exc.value) == (
-        "engines disagree on |2-fold restricted-signed| of 1,2,4: layered 10, naive 11"
+        "engines disagree on 1,2,4, h=2: 10 vs 11"
     )

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import bound_one_above, overcounting
-from sumsets import cli, explorer
+from sumsets import bounds, cli, explorer
 from sumsets.cli import main
 from sumsets.core import canonical_json
 from sumsets.witness import EQUAL, LESS, WitnessElement, WitnessFamily
@@ -401,7 +401,7 @@ def test_scan_counterexample_exit_3(capsys):
 
 
 def test_scan_engine_mismatch_exit_2(capsys, monkeypatch):
-    monkeypatch.setattr(explorer, "sumset_naive", overcounting(explorer.sumset_naive))
+    monkeypatch.setattr(bounds, "sumset_naive", overcounting(bounds.sumset_naive))
     code, _, err = run(
         capsys,
         "scan", "--mode", "conj:C2_1", "--k", "4", "--family", "positive",

@@ -11,8 +11,8 @@ import pytest
 from conftest import bound_one_above, overcounting, record_pools
 from sumsets.core import FiniteIntSet, SetFamily, SumsetKind, canonical_json, make_set
 from sumsets.errors import EmptySpace, EngineMismatch, NotApplicable, TheoremViolation
-from sumsets import explorer
-from sumsets.bounds import FORMULAS
+from sumsets import bounds, explorer
+from sumsets.bounds import FORMULAS, audit
 from sumsets.inverse import THEOREMS
 from sumsets.witness import FamilyName
 from sumsets.kernel import advance, leaf_cards, sumset_layered, sumset_naive
@@ -160,7 +160,7 @@ def test_verify_inverse_fails_a_family_member_above_the_bound(monkeypatch):
 def test_scan_engine_mismatch_raises(monkeypatch):
     # an oracle that disagrees with the walk must abort the scan, naming the
     # first set it confirms: the conjecture equality 1,3,5,7 at h = 3
-    monkeypatch.setattr(explorer, "sumset_naive", overcounting(sumset_naive))
+    monkeypatch.setattr(bounds, "sumset_naive", overcounting(sumset_naive))
     with pytest.raises(EngineMismatch) as exc:
         scan(ScanConfig(4, 10, POS, parse_mode("conj:C2_1")))
     assert str(exc.value) == (
@@ -168,13 +168,28 @@ def test_scan_engine_mismatch_raises(monkeypatch):
     )
 
 
+def test_audit_and_scan_confirm_through_one_oracle_step(monkeypatch):
+    # one patched oracle binding reaches both: they raise the same text
+    bound_one_above(monkeypatch, "C2_1")
+    monkeypatch.setattr(bounds, "sumset_naive", overcounting(sumset_naive))
+    with pytest.raises(EngineMismatch) as audited:
+        audit(make_set([1, 3, 5, 7]), 3)
+    with pytest.raises(EngineMismatch) as scanned:
+        scan(ScanConfig(4, 7, POS, parse_mode("conj:C2_1")))
+    assert str(audited.value) == "engines disagree on 1,3,5,7, h=3: 16 vs 17"
+    assert str(scanned.value) == f"[partition (1, 3)] {audited.value}"
+
+
 @pytest.mark.parametrize("mode, formula_id, k, family, violation, mismatch", [
     ("verify:T2_1", "T2_1", 2, POS, "T2_1 violated on 1,2, h=1: 4 < 5",
      "engines disagree on 1,2, h=1: 4 vs 5"),
     ("verify:T3_1", "T3_1", 3, ZERO, "T3_1 violated on 0,1,2, h=1: 5 < 6",
      "engines disagree on 0,1,2, h=1: 5 vs 6"),
-    ("verify:T2_2", "T2_1", 2, POS, "T2_2 bound violated on 1,2: 4 < 5",
+    ("verify:T2_2", "T2_1", 2, POS, "T2_2 violated on 1,2, h=2: 4 < 5",
      "engines disagree on 1,2, h=2: 4 vs 5"),
+    # |h^A|, not |h^±A|: the oracle must confirm the formula's own kind
+    ("verify:TA_Nathanson", "TA_Nathanson", 2, POS,
+     "TA_Nathanson violated on 1,2, h=1: 2 < 3", "engines disagree on 1,2, h=1: 2 vs 3"),
 ])
 def test_verify_bound_violation_raises_once_the_oracle_agrees(
     monkeypatch, mode, formula_id, k, family, violation, mismatch
@@ -185,7 +200,7 @@ def test_verify_bound_violation_raises_once_the_oracle_agrees(
         scan(config)
     assert str(exc.value) == f"[partition (1, 2)] {violation}"
     # the oracle checks the violating set before the scan raises
-    monkeypatch.setattr(explorer, "sumset_naive", overcounting(sumset_naive))
+    monkeypatch.setattr(bounds, "sumset_naive", overcounting(sumset_naive))
     with pytest.raises(EngineMismatch) as exc:
         scan(config)
     assert str(exc.value) == f"[partition (1, 2)] {mismatch}"
@@ -201,9 +216,9 @@ def test_conjecture_bound_counterexample_is_recorded(monkeypatch, mode):
         "set": "1,3,5,7", "h": 3, "cardinality": 16, "bound": 17,
         "naive_cardinality": 16, "conjecture": "C2_1",
     },)
-    assert report.csv_rows() == [["counterexample", "1,3,5,7", 3, 16, 17, ""]]
+    assert list(report.csv_rows()) == [["counterexample", "1,3,5,7", 3, 16, 17, ""]]
     assert not report.clean
-    monkeypatch.setattr(explorer, "sumset_naive", overcounting(sumset_naive))
+    monkeypatch.setattr(bounds, "sumset_naive", overcounting(sumset_naive))
     with pytest.raises(EngineMismatch, match="engines disagree on 1,3,5,7, h=3: 16 vs 17"):
         scan(config)
 
@@ -264,7 +279,7 @@ def test_scan_determinism_across_jobs(real_pool):
         outputs = set()
         for jobs in (1, 2, 4):
             report = scan(ScanConfig(4, max_element, family, parse_mode(mode), jobs=jobs))
-            outputs.add((report.fingerprint(), repr(report.csv_rows())))
+            outputs.add((report.fingerprint(), repr(list(report.csv_rows()))))
         assert len(outputs) == 1, mode
     # jobs 2 and 4 of both modes ran in a pool
     assert len(real_pool) == 4 and min(real_pool) >= 2
@@ -281,7 +296,7 @@ def test_record_heavy_scan_is_identical_in_a_real_pool(real_pool, k, max_element
     assert real_pool == [2]
     assert len(reports[0].equalities) >= reports[0].sets_scanned
     assert reports[0].fingerprint() == reports[1].fingerprint()
-    assert reports[0].csv_rows() == reports[1].csv_rows()
+    assert list(reports[0].csv_rows()) == list(reports[1].csv_rows())
 
 
 @pytest.mark.parametrize("family, modes", [
@@ -431,6 +446,26 @@ def test_explicit_h_values():
         scan(ScanConfig(5, 11, POS, parse_mode("verify:T2_2"), h_values=(3,)))
 
 
+def test_explicit_h_values_are_sorted_and_distinct():
+    # a repeated fold is scanned once, and the order of the folds given
+    # changes neither the records nor the fingerprint
+    conj = parse_mode("conj:C2_1")
+    once = scan(ScanConfig(5, 11, POS, conj, h_values=(3,)))
+    twice = scan(ScanConfig(5, 11, POS, conj, h_values=(3, 3)))
+    assert len(twice.equalities) == len(once.equalities) == 1
+    assert twice.fingerprint() == once.fingerprint()
+    assert twice.config.to_json_dict()["h"] == [3]
+    forward, backward = (
+        scan(ScanConfig(5, 11, POS, conj, h_values=folds)) for folds in ((3, 4), (4, 3))
+    )
+    assert backward.fingerprint() == forward.fingerprint()
+    assert backward.config.to_json_dict()["h"] == [3, 4]
+    # a fixed-fold mode takes its fold given twice
+    verify = parse_mode("verify:T2_2")
+    assert (scan(ScanConfig(4, 9, POS, verify, h_values=(2, 2))).fingerprint()
+            == scan(ScanConfig(4, 9, POS, verify)).fingerprint())
+
+
 def test_report_json_round_trip_and_csv():
     report = scan(ScanConfig(4, 12, POS, parse_mode("verify:T2_4")))
     text = report.to_json()
@@ -438,7 +473,7 @@ def test_report_json_round_trip_and_csv():
     payload = json.loads(text)
     assert payload["sets_scanned"] == report.sets_scanned
     assert payload["config"]["mode"] == "verify:T2_4"
-    rows = report.csv_rows()
+    rows = list(report.csv_rows())
     assert rows[0][0] == "equality"
     assert len(rows[0]) == len(CSV_HEADER)
 
