@@ -88,7 +88,7 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--jobs", type=_positive_int, default=1,
         help="worker processes N >= 1, at most min(N, blocks, usable CPUs, "
-        "1 + sets x folds // 2^16), since smaller scans ran slower in a "
+        "1 + sets x folds // 2^17), since smaller scans ran no faster in a "
         "pool; one worker runs in the calling process",
     )
     p.add_argument("--out", help="write the JSON report here")

@@ -24,10 +24,10 @@ the plan with its prefix block.  The scan sizes its pool from its own work
 before it starts one: min(jobs, usable CPUs, blocks, 1 + set_folds //
 POOLED_SET_FOLDS) workers, where set_folds is the completeness count of
 sets times the scanned folds and the usable CPUs are those the process's
-affinity mask allows.  POOLED_SET_FOLDS = 2^16 lies
-inside the serial-vs-pool crossover that conjecture scans showed on a
-2-vCPU host (BENCH_14.json): below it a pool's start-up and the records it
-ships back cost more than the work it shares.  At one worker the blocks run in the
+affinity mask allows.  POOLED_SET_FOLDS = 2^17 is where the pruned
+walk's serial-vs-pool crossover lay for conjecture scans on a 2-vCPU host
+(BENCH_17.json): below it a pool's start-up and the records it ships back
+cost as much as the work it shares or more.  At one worker the blocks run in the
 calling process and ``multiprocessing`` is never imported.  Otherwise
 the blocks go to a process pool in about four chunks per worker, so the
 pool makes a few round trips per scan, not one per block, and the results
@@ -44,6 +44,24 @@ for an inverse check, since a family member above it breaks the converse.
 A record names its set by the parent's canonical text, built once per
 parent that has a record, plus ``str(x)``.
 
+The walk prunes folds that can report nothing more.  Every set A below a
+node that still lacks ``left`` elements has |h^A| >= |L_{h-j}| of the
+node's layers for j = 0..min(left, h), so a fold whose window of layers
+already holds one above the fold's limit is dead below the node
+(``kernel.live_folds``).  The leaf step drops dead folds at every parent.
+Higher up the walk carries the live folds down to the children, and a
+node with none left is not walked below: its sets are counted as the
+gcd-1 completions, by Moebius over the divisors d of the gcd g of its
+nonzero elements, sum mu(d) * C(max // d - p // d, left) for its largest
+element p.  That count does not share the exact-gcd count of
+``count_normalized_sets``, so the completeness check still compares two
+derivations.  A check costs a bit count per layer of each window, so
+``_validate`` lists once per scan the levels where every fold could die,
+by |L_j| <= min(C(n, j) * 2^j, 2j * max + 1) at a node of n elements (a
+0 counted), and the walk checks only there.  The list only decides where
+the walk looks; it never changes a result.  An inverse check has no
+limit, so its walk never prunes.
+
 Two checks act on the reported cards.  ``_check_verify`` serves every
 ``verify`` mode: a direct theorem is an inverse theorem that names no
 family.  ``_check_conjecture`` serves every ``conj`` mode.  Both read a
@@ -59,7 +77,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb, gcd, inf
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Container, Iterable, Iterator, Sequence
 
 from .core import FiniteIntSet, SetFamily, SumsetKind, canonical_json
 from .errors import (
@@ -70,7 +88,7 @@ from .errors import (
 # bounds.confirm
 from .inverse import THEOREMS, InverseTheorem, classify_extremal, match_family
 from .kernel import (
-    _require_layered_budget, advance, leaf_cards, sumset_layered, sumset_naive,
+    _require_layered_budget, advance, leaf_cards, live_folds, sumset_layered, sumset_naive,
 )
 from .bounds import FORMULAS, BoundFormula, confirm
 from .witness import FamilyName
@@ -183,47 +201,80 @@ def enumerate_normalized_sets(
     Positive family: k-subsets of [1, max_element] with gcd 1.  Zero
     family: {0} plus a (k-1)-subset of [1, max_element] whose gcd is 1.
     """
-    for parent, _, xs in _walk(k, max_element, family, prefix):
+    for parent, _, xs, _, _ in _walk(k, max_element, family, prefix):
         for x in xs:
             yield FiniteIntSet(parent + (x,))
 
 
 def _walk(
     k: int, max_element: int, family: SetFamily, prefix: tuple[int, ...] = (),
-    depth: int = 0, kind: SumsetKind = SumsetKind.RESTRICTED_SIGNED,
-) -> Iterator[tuple[tuple[int, ...], list[int], Sequence[int]]]:
-    """The sets of ``enumerate_normalized_sets`` grouped by their parent, the
-    set less its last element: yields each parent's elements, its DP layers
-    0..depth of the kind in the frame m = max_element, and the last elements
-    of its sets in order."""
+    kind: SumsetKind = SumsetKind.RESTRICTED_SIGNED,
+    limits: Sequence[tuple[int, int | float]] = (), checks: Container[int] = (),
+) -> Iterator[tuple[
+    tuple[int, ...], list[int], Sequence[int], Sequence[tuple[int, int | float]], int
+]]:
+    """The sets of ``enumerate_normalized_sets`` grouped by where the walk
+    stops.  At a parent, the set less its last element, it yields the
+    parent's elements, its DP layers 0..max h of ``limits`` of the kind in
+    the frame m = max_element, the last elements of its sets in order, the
+    (h, limit) rows of ``limits`` still live there, and how many sets it
+    stands for.  A node that lacks ``left`` elements, for ``left`` in
+    ``checks``, keeps only the rows ``live_folds`` finds live and hands them
+    down to its children; with none left, its sets are yielded as their
+    count alone, with no last elements and no rows, and its subtree is not
+    walked."""
     nonzero_size, base = _space_shape(k, max_element, family)
     elements = base + prefix
     room = nonzero_size - len(prefix)
+    depth = max((h for h, _ in limits), default=0)
     layers = [1] + [0] * depth
     if not room:  # the root is a set: a full prefix, or the zero family's {0}
         advance(layers, elements[:-1], max_element, kind)
         if gcd(*prefix) < 2:  # gcd 1, or gcd() == 0 over no nonzero element
-            yield elements[:-1], layers, elements[-1:]
+            yield elements[:-1], layers, elements[-1:], limits, 1
         return
     advance(layers, elements, max_element, kind)  # the zero family's 0, the prefix
     # Depth first over an explicit stack, not a generator per element, so a
     # deep walk cannot reach the interpreter's recursion limit.  An entry is
-    # a node still to visit: its parent's elements, layers and gcd, how many
-    # elements the node still lacks, and the element it adds.
-    parent, g, left, stack = elements, gcd(*prefix), room, []
+    # a node still to visit: its parent's elements, layers, gcd and live
+    # rows, how many elements the node still lacks, and the element it adds.
+    parent, g, rows, left, stack = elements, gcd(*prefix), limits, room, []
     while True:
-        xs = range(parent[-1] + 1 if parent else 1, max_element - left + 2)
+        low = parent[-1] + 1 if parent else 1
+        xs = range(low, max_element - left + 2)
         if left == 1:
-            yield parent, layers, xs if g == 1 else [x for x in xs if gcd(g, x) == 1]
+            if g != 1:
+                xs = [x for x in xs if gcd(g, x) == 1]
+            yield parent, layers, xs, rows, len(xs)
+        elif left in checks and not (rows := live_folds(layers, left, rows)):
+            yield parent, layers, (), rows, _completions(g, low - 1, max_element, left)
         else:
-            stack.extend((parent, layers, g, left - 1, x) for x in reversed(xs))
+            stack.extend((parent, layers, g, rows, left - 1, x) for x in reversed(xs))
         if not stack:
             return
-        parent, layers, g, left, x = stack.pop()
+        parent, layers, g, rows, left, x = stack.pop()
         layers = layers.copy()
         if depth:
             advance(layers, (x,), max_element, kind)
         parent, g = parent + (x,), gcd(g, x)
+
+
+def _completions(g: int, p: int, max_element: int, left: int) -> int:
+    """How many sets X of ``left`` >= 1 elements of [p + 1, max_element]
+    have gcd(g, *X) = 1: by Moebius inversion over the divisors d of g, the
+    sum of mu(d) * C(max_element // d - p // d, left), where the binomial
+    counts the sets X of multiples of d.  Every d divides g = 0, and those
+    above max_element have no multiple in range."""
+    if g == 1:  # nearly every skipped node; 1 is its one divisor
+        return comb(max_element - p, left)
+    n = g or max_element
+    mu = [0, 1] + [0] * (n - 1)  # mu(1) = 1, and mu sums to 0 over the divisors of d > 1
+    for d in range(1, n // 2 + 1):
+        for e in range(2 * d, n + 1, d):
+            mu[e] -= mu[d]
+    return sum(
+        mu[d] * comb(max_element // d - p // d, left) for d in range(1, n + 1) if g % d == 0
+    )
 
 
 def _space_shape(
@@ -291,9 +342,10 @@ class _ScanPlan:
     """What every partition of one scan shares, resolved once by
     ``_validate``: the scan, the check its sets go through, the kind its
     walk folds and its oracle confirms, the bound formula's id, the
-    extremal family the target expects (None for a direct bound), and at
+    extremal family the target expects (None for a direct bound), at
     each scanned fold the bound and the limit, the largest cardinality the
-    leaf step reports to the check."""
+    leaf step reports to the check, and the walk levels, by elements still
+    lacking, where a node can lose every fold (``_check_levels``)."""
     config: ScanConfig
     check: Callable[..., None]
     kind: SumsetKind
@@ -301,6 +353,7 @@ class _ScanPlan:
     family: FamilyName | None
     bounds: tuple[tuple[int, int], ...]
     limits: tuple[tuple[int, int | float], ...]
+    checks: frozenset[int]
 
 
 def _validate(config: ScanConfig) -> _ScanPlan:
@@ -333,7 +386,27 @@ def _validate(config: ScanConfig) -> _ScanPlan:
     # a family member above its bound breaks an inverse theorem: no limit
     inverse = check is _check_verify and family is not None
     limits = tuple((h, inf if inverse else b) for h, b in bounds)
-    return _ScanPlan(config, check, formula.kind, formula.id, family, bounds, limits)
+    checks = _check_levels(k, config.max_element, limits)
+    return _ScanPlan(config, check, formula.kind, formula.id, family, bounds, limits, checks)
+
+
+def _check_levels(
+    k: int, max_element: int, limits: Sequence[tuple[int, int | float]]
+) -> frozenset[int]:
+    """The numbers of missing elements, 2..k-1, at which a walk node could
+    have no live fold, so that ``live_folds`` is worth its cost there.  A
+    node of n elements (a 0 counted) has |L_j| <= min(C(n, j) * 2^j,
+    2j * max_element + 1), and a level qualifies only if that bound lets
+    every fold's window pass its limit.  The levels only decide where the
+    walk looks: a level left out costs speed, never a result."""
+    depth = max(h for h, _ in limits)
+    levels = set()
+    for left in range(2, k):
+        n = k - left
+        most = [min(comb(n, j) * 2**j, 2 * j * max_element + 1) for j in range(depth + 1)]
+        if all(max(most[max(0, h - left):h + 1]) > limit for h, limit in limits):
+            levels.add(left)
+    return frozenset(levels)
 
 
 def _partitions(config: ScanConfig) -> list[tuple[int, ...]]:
@@ -350,11 +423,12 @@ def _scan_partition(args: tuple[_ScanPlan, tuple[int, ...]]) -> dict:
     k, m = config.k, config.max_element
     out = {"scanned": 0, "equalities": [], "failures": [], "counterexamples": []}
     bound_at = dict(plan.bounds)
+    walk = _walk(k, m, config.family, prefix, kind, plan.limits, plan.checks)
     try:
-        for parent, layers, xs in _walk(k, m, config.family, prefix, max(bound_at), kind):
-            out["scanned"] += len(xs)
+        for parent, layers, xs, rows, sets in walk:
+            out["scanned"] += sets
             head = None  # the parent's canonical text and a comma, once it is needed
-            for x, h, card in leaf_cards(layers, xs, m, kind, plan.limits):
+            for x, h, card in leaf_cards(layers, xs, m, kind, rows):
                 if head is None:
                     head = "".join(f"{a}," for a in parent)
                 check(plan, head + str(x), parent + (x,), h, card, bound_at[h], out)
@@ -425,12 +499,15 @@ def _merge(partials: Iterable[dict]) -> dict:
     return merged
 
 
-# Sets times folds per pool worker.  On a 2-vCPU host (BENCH_14.json), a
-# 2-worker pool against the calling process took 1.9x as long at 23,940
-# set-folds and 0.92x at 115,647 for conj:C2_1 k=6, and 1.26x at 25,308 and
-# 0.75x at 77,553 for conj:C3_1 k=6: starting the workers and shipping the
-# records back cost tens of thousands of set-folds.
-POOLED_SET_FOLDS = 2**16
+# Sets times folds per pool worker.  On a 2-vCPU host (BENCH_17.json,
+# medians of 31 runs over 3 rounds), a 2-worker pool against the calling
+# process took 0.99x as long at 77,553 set-folds and 0.98x at 124,968 for
+# conj:C3_1 k=6, and 1.16x at 76,230 and 1.09x at 129,255 for the
+# record-heavy verify:T2_1 k=5, but 0.80x at 193,308 (C3_1); conj:C2_1 k=6
+# took 0.85x at 115,647 and 0.65x at 222,432.  Since the walk prunes dead
+# folds, starting the workers and shipping the records back cost about
+# 10^5 set-folds.
+POOLED_SET_FOLDS = 2**17
 
 
 def _usable_cpus() -> int:

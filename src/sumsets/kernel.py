@@ -32,7 +32,12 @@ The two engines are deliberately unrelated in structure:
   into a copy of every layer, and reports only cardinalities at most a
   bound.  It takes the bounded-fold kinds, the only ones a scan walks,
   where x fills one unit: one shift per sign of layer h - 1.  A property
-  test pins it to ``advance``.
+  test pins it to ``advance``.  Before its x loop it drops each (h, bound)
+  row whose layer h or h - 1 of P already holds more than bound values,
+  since layer h of P + {x} holds a copy of each, and with no row left it
+  reads no x.  That is ``live_folds`` at one missing element: a set that
+  adds ``left`` elements to P has |h^A| >= |L_{h-j}(P)| for j up to
+  min(left, h), the window rule the explorer's walk prunes its subtrees by.
 
 Agreement of the two engines on a value set is the package's primary
 correctness evidence.  ``bounds.confirm`` is the one place that compares
@@ -244,21 +249,47 @@ def advance(layers: list[int], elements: Iterable[int], m: int, kind: SumsetKind
             layers[j] = acc
 
 
+def live_folds(
+    layers: list[int], left: int, bounds: Sequence[tuple[int, int | float]],
+) -> list[tuple[int, int | float]]:
+    """The (h, bound) rows of ``bounds`` that a set A = P + X can still meet,
+    for P with DP ``layers`` and X any ``left`` >= 1 further elements, in a
+    bounded-fold kind.  Layer h of A holds layer h - j of P shifted by the
+    sum of j elements of X, so |h^A| >= |L_{h-j}(P)| for j = 0..min(left, h):
+    a row whose window of layers max(0, h - left)..h holds a layer of more
+    than ``bound`` bits is dead for every such A."""
+    live = []
+    for row in bounds:
+        h, bound = row
+        # layer h first: in a scan it is the one most often already too wide
+        if layers[h].bit_count() <= bound:
+            for layer in layers[h - left if h > left else 0:h]:
+                if layer.bit_count() > bound:
+                    break
+            else:
+                live.append(row)
+    return live
+
+
 def leaf_cards(
     layers: list[int], xs: Iterable[int], m: int, kind: SumsetKind,
-    bounds: Sequence[tuple[int, int]],
+    bounds: Sequence[tuple[int, int | float]],
 ) -> Iterator[tuple[int, int, int]]:
     """The leaf step: (x, h, |h^(P + {x})|) for each x in ``xs`` and each
     (h, bound) in ``bounds`` with that cardinality at most bound, read from
     the ``layers`` of P as ``advance`` would fold x into a copy of them.
     The kind must be bounded-fold."""
-    # one unit of x: layer h gains layer h - 1 shifted by m + x (and m - x)
-    rows = [(h, bound, layers[h], layers[h - 1]) for h, bound in bounds]
+    # one unit of x: layer h gains layer h - 1 shifted by m + x (and m - x);
+    # a row that ``live_folds`` drops would report no x
+    rows = live_folds(layers, 1, bounds)
+    if not rows:
+        return
     signed_fold = kind.symmetric
     for x in xs:
         up, down = m + x, m - x
-        for h, bound, top, prev in rows:
-            layer = top | prev << up
+        for h, bound in rows:
+            prev = layers[h - 1]
+            layer = layers[h] | prev << up
             if signed_fold:
                 layer |= prev << down
             if (card := layer.bit_count()) <= bound:

@@ -3,15 +3,17 @@ import json
 import os
 import subprocess
 import sys
-from itertools import product
+from itertools import combinations, product
+from math import gcd
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from conftest import bound_one_above, overcounting, record_pools
 from sumsets.core import FiniteIntSet, SetFamily, SumsetKind, canonical_json, make_set
 from sumsets.errors import EmptySpace, EngineMismatch, NotApplicable, TheoremViolation
-from sumsets import bounds, explorer
+from sumsets import bounds, explorer, kernel
 from sumsets.bounds import FORMULAS, audit
 from sumsets.inverse import THEOREMS
 from sumsets.witness import FamilyName
@@ -19,6 +21,7 @@ from sumsets.kernel import advance, leaf_cards, sumset_layered, sumset_naive
 from sumsets.explorer import (
     CSV_HEADER,
     ScanConfig,
+    _completions,
     _partitions,
     _walk,
     count_normalized_sets,
@@ -74,9 +77,13 @@ def test_walk_layers_are_every_fold_of_every_set(family, kind):
     for k in range(1, 6):
         config = ScanConfig(k, 9, family, parse_mode("verify:T2_1"))
         walked = []
+        # with no bound in reach, the walk keeps every fold and the leaf
+        # step reports every fold
+        folds = range(1, k + 1)
+        limits = [(h, 10**9) for h in folds]
         for p in _partitions(config):
-            for parent, layers, xs in _walk(k, 9, family, p, k, kind):
-                folds = range(1, k + 1)
+            for parent, layers, xs, rows, sets in _walk(k, 9, family, p, kind, limits):
+                assert rows == limits and sets == len(xs)
                 cards = []
                 for x, h in product(xs, folds):
                     a = FiniteIntSet(parent + (x,))
@@ -87,11 +94,57 @@ def test_walk_layers_are_every_fold_of_every_set(family, kind):
                     assert card == sumset_naive(a, h, kind).cardinality, (a, h)
                     cards.append((x, h, card))
                 if kind.bounded_fold:  # the leaf step takes the kinds a scan walks
-                    # with no bound in reach, it reports every fold
-                    limits = [(h, 10**9) for h in folds]
                     assert list(leaf_cards(layers, xs, 9, kind, limits)) == cards
                 walked += [FiniteIntSet(parent + (x,)) for x in xs]
         assert walked == list(enumerate_normalized_sets(k, 9, family))
+
+
+def test_completions_count_the_gcd_one_sets_below_a_node():
+    # a skipped subtree's sets are counted by Moebius over the divisors of
+    # the node's gcd g; scans almost never skip a node with g > 1, so each g
+    # up to 12 is held against the sets themselves (g = 0: no nonzero element)
+    for g, max_element, left in product(range(13), range(1, 21), range(1, 5)):
+        for p in range(max_element + 1):
+            sets = combinations(range(p + 1, max_element + 1), left)
+            brute = sum(gcd(g, *x) == 1 for x in sets)
+            assert _completions(g, p, max_element, left) == brute, (g, p, max_element, left)
+
+
+def _spied_scan(config: ScanConfig) -> tuple[str, int, list]:
+    """A scan's fingerprint, its ``advance`` calls and the (set, h) pairs
+    its oracle confirms."""
+    with mock.patch.object(explorer, "advance", wraps=explorer.advance) as spy, \
+            mock.patch.object(explorer, "confirm", wraps=explorer.confirm) as confirms:
+        report = scan(config)
+    confirmed = [(call.args[0].canonical(), call.args[1]) for call in confirms.call_args_list]
+    return report.fingerprint(), spy.call_count, confirmed
+
+
+@pytest.mark.parametrize("mode, k, max_element, family, skips", [
+    ("conj:C2_1", 7, 12, POS, True),
+    ("conj:C2_1", 7, 14, POS, True),
+    ("conj:C2_1", 8, 13, POS, True),
+    ("conj:C2_1", 8, 14, POS, True),   # 2,481 advance calls against 3,424
+    ("conj:C3_1", 8, 13, ZERO, True),
+    ("verify:T2_1", 5, 12, POS, False),   # fold 1 never dies
+    ("verify:TA_Nathanson", 6, 12, POS, False),   # the restricted kind
+    ("verify:T2_4", 6, 14, POS, False),   # an inverse limit is infinite
+])
+def test_pruned_walk_reports_what_the_full_walk_does(
+    monkeypatch, mode, k, max_element, family, skips,
+):
+    config = ScanConfig(k, max_element, family, parse_mode(mode))
+    pruned, pruned_calls, pruned_confirms = _spied_scan(config)
+
+    def keep_every_fold(layers, left, bounds):
+        return list(bounds)
+
+    monkeypatch.setattr(kernel, "live_folds", keep_every_fold)  # the leaf step's
+    monkeypatch.setattr(explorer, "live_folds", keep_every_fold)  # the walk's
+    full, full_calls, full_confirms = _spied_scan(config)
+    assert pruned == full
+    assert pruned_confirms == full_confirms
+    assert (pruned_calls < full_calls) == skips, (pruned_calls, full_calls)
 
 
 def test_scans_walk_only_bounded_fold_kinds():
@@ -376,10 +429,12 @@ def test_scan_pool_is_capped_at_the_usable_cpus(pool_at_any_size, monkeypatch, c
 
 
 @pytest.mark.parametrize("mode, k, max_element, family, workers", [
-    # 77,553 set-folds: one worker per 2^16 of them, plus one
-    ("conj:C3_1", 6, 22, ZERO, [2]),
+    # 77,553 set-folds, where a pool ran no faster, run in-process
+    ("conj:C3_1", 6, 22, ZERO, []),
     # 21,555 set-folds, the scan-verify benchmark's space, run in-process
     ("verify:T2_1", 5, 16, POS, []),
+    # 193,308 set-folds: one worker per 2^17 of them, plus one
+    ("conj:C3_1", 6, 26, ZERO, [2]),
 ])
 def test_scan_pool_is_sized_by_the_work(monkeypatch, mode, k, max_element, family, workers):
     usable_cpus(monkeypatch, 8)
@@ -400,7 +455,7 @@ def test_scan_pool_is_capped_at_the_blocks(pool_at_any_size, monkeypatch):
 
 
 def test_small_scan_at_two_jobs_leaves_the_process_pool_unloaded():
-    # the scan-verify benchmark's space is under 2^16 set-folds: it runs in
+    # the scan-verify benchmark's space is under 2^17 set-folds: it runs in
     # the calling process, which never imports multiprocessing
     child = (
         "import sys\n"

@@ -16,6 +16,7 @@ from sumsets.kernel import (
     coefficient_space_size,
     enumerate_coefficients,
     leaf_cards,
+    live_folds,
     sumset_layered,
     sumset_naive,
 )
@@ -235,6 +236,30 @@ def test_leaf_step_is_advance_on_the_last_element(raw):
         assert at_bound == [(x, h, card) for h, card in cards]
         below = [(h, card - 1) for h, card in cards]
         assert list(leaf_cards(layers, [x], m, kind, below)) == []
+
+
+@given(
+    st.sets(st.integers(0, 30), min_size=1, max_size=5),
+    st.sets(st.integers(1, 20), min_size=1, max_size=3),
+)
+@example({1, 2}, {1})  # restricted: {1,2,3} has one 3-fold sum, {1,2} two 1-fold sums
+@settings(max_examples=60)
+def test_live_folds_keeps_every_fold_a_completion_can_meet(raw_p, steps):
+    """A set A = P + X with X above max P has |h^A| >= |L_{h-j}(P)| for
+    j = 0..min(|X|, h), so ``live_folds`` with left = |X| keeps every row
+    (h, |h^A|): its window of P's layers reaches no further down."""
+    p = sorted(raw_p)
+    xs = [p[-1] + step for step in sorted(steps)]
+    left, m = len(xs), xs[-1]
+    for kind in [kind for kind in KINDS if kind.bounded_fold]:
+        layers = [1] + [0] * (len(p) + left)
+        advance(layers, p, m, kind)
+        full = layers.copy()
+        advance(full, xs, m, kind)
+        for h in range(1, len(layers)):
+            card = full[h].bit_count()
+            assert all(card >= layers[h - j].bit_count() for j in range(min(left, h) + 1))
+            assert live_folds(layers, left, [(h, card)]) == [(h, card)], (kind, h)
 
 
 @given(small_sets)
