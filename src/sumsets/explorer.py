@@ -53,14 +53,20 @@ Higher up the walk carries the live folds down to the children, and a
 node with none left is not walked below: its sets are counted as the
 gcd-1 completions, by Moebius over the divisors d of the gcd g of its
 nonzero elements, sum mu(d) * C(max // d - p // d, left) for its largest
-element p.  That count does not share the exact-gcd count of
-``count_normalized_sets``, so the completeness check still compares two
-derivations.  A check costs a bit count per layer of each window, so
-``_validate`` lists once per scan the levels where every fold could die,
-by |L_j| <= min(C(n, j) * 2^j, 2j * max + 1) at a node of n elements (a
-0 counted), and the walk checks only there.  The list only decides where
-the walk looks; it never changes a result.  An inverse check has no
-limit, so its walk never prunes.
+element p.  A node two elements short of its sets tests its children,
+the leaf parents, from its own layers before it builds any
+(``kernel.live_children``), and builds only those with a live fold; the
+others' sets are its completions less the live children's.  These counts
+do not share the exact-gcd count of ``count_normalized_sets``, so the
+completeness check still compares two derivations.  A check costs a bit
+count per layer of each window, so ``_validate`` lists once per scan the
+levels, by elements still lacking, where every fold could die, by |L_j|
+<= min(C(n, j) * 2^j, 2j * max + 1) at a node of n elements (a 0
+counted; no 2^j for the restricted kind), and the walk checks only
+there; level 1, where a leaf parent could lose every fold, turns the
+leaf-parent test on.  The list only decides where the walk looks; it
+never changes a result.  An inverse check has no limit, so its walk
+never prunes.
 
 Two checks act on the reported cards.  ``_check_verify`` serves every
 ``verify`` mode: a direct theorem is an inverse theorem that names no
@@ -88,7 +94,8 @@ from .errors import (
 # bounds.confirm
 from .inverse import THEOREMS, InverseTheorem, classify_extremal, match_family
 from .kernel import (
-    _require_layered_budget, advance, leaf_cards, live_folds, sumset_layered, sumset_naive,
+    _require_layered_budget, advance, leaf_cards, live_children, live_folds, sumset_layered,
+    sumset_naive,
 )
 from .bounds import FORMULAS, BoundFormula, confirm
 from .witness import FamilyName
@@ -220,9 +227,11 @@ def _walk(
     (h, limit) rows of ``limits`` still live there, and how many sets it
     stands for.  A node that lacks ``left`` elements, for ``left`` in
     ``checks``, keeps only the rows ``live_folds`` finds live and hands them
-    down to its children; with none left, its sets are yielded as their
-    count alone, with no last elements and no rows, and its subtree is not
-    walked."""
+    down to its children; with none left, its subtree is not walked.  With
+    1 in ``checks``, a node that lacks two elements builds only the
+    children ``live_children`` finds live.  The sets of the nodes not
+    walked are counted, and the count is yielded alone, with no elements,
+    last elements or rows, when the walk ends."""
     nonzero_size, base = _space_shape(k, max_element, family)
     elements = base + prefix
     room = nonzero_size - len(prefix)
@@ -239,6 +248,7 @@ def _walk(
     # a node still to visit: its parent's elements, layers, gcd and live
     # rows, how many elements the node still lacks, and the element it adds.
     parent, g, rows, left, stack = elements, gcd(*prefix), limits, room, []
+    skipped = 0  # the sets of the nodes not walked
     while True:
         low = parent[-1] + 1 if parent else 1
         xs = range(low, max_element - left + 2)
@@ -247,10 +257,20 @@ def _walk(
                 xs = [x for x in xs if gcd(g, x) == 1]
             yield parent, layers, xs, rows, len(xs)
         elif left in checks and not (rows := live_folds(layers, left, rows)):
-            yield parent, layers, (), rows, _completions(g, low - 1, max_element, left)
+            skipped += _completions(g, low - 1, max_element, left)
         else:
+            if left == 2 and 1 in checks:
+                # only the leaf parents with a live row are built; the sets
+                # of the others are counted
+                live = live_children(layers, xs, max_element, kind, rows)
+                skipped += _completions(g, low - 1, max_element, 2) - sum(
+                    _completions(gcd(g, x), x, max_element, 1) for x in live
+                )
+                xs = live
             stack.extend((parent, layers, g, rows, left - 1, x) for x in reversed(xs))
         if not stack:
+            if skipped:
+                yield (), layers, (), (), skipped
             return
         parent, layers, g, rows, left, x = stack.pop()
         layers = layers.copy()
@@ -386,24 +406,27 @@ def _validate(config: ScanConfig) -> _ScanPlan:
     # a family member above its bound breaks an inverse theorem: no limit
     inverse = check is _check_verify and family is not None
     limits = tuple((h, inf if inverse else b) for h, b in bounds)
-    checks = _check_levels(k, config.max_element, limits)
+    checks = _check_levels(k, config.max_element, limits, formula.kind)
     return _ScanPlan(config, check, formula.kind, formula.id, family, bounds, limits, checks)
 
 
 def _check_levels(
-    k: int, max_element: int, limits: Sequence[tuple[int, int | float]]
+    k: int, max_element: int, limits: Sequence[tuple[int, int | float]], kind: SumsetKind,
 ) -> frozenset[int]:
-    """The numbers of missing elements, 2..k-1, at which a walk node could
-    have no live fold, so that ``live_folds`` is worth its cost there.  A
-    node of n elements (a 0 counted) has |L_j| <= min(C(n, j) * 2^j,
-    2j * max_element + 1), and a level qualifies only if that bound lets
-    every fold's window pass its limit.  The levels only decide where the
-    walk looks: a level left out costs speed, never a result."""
+    """The numbers of missing elements, 1..k-1, at which a walk node could
+    have no live fold, so that ``live_folds`` is worth its cost there; at 1,
+    a leaf parent could, so that ``live_children`` is worth its cost at the
+    nodes above them.  A node of n elements (a 0 counted) has |L_j| <=
+    min(C(n, j) * 2^j, 2j * max_element + 1), without the 2^j for a kind
+    with no signs, and a level qualifies only if that bound lets every
+    fold's window pass its limit.  The levels only decide where the walk
+    looks: a level left out costs speed, never a result."""
     depth = max(h for h, _ in limits)
+    signs = 2 if kind.symmetric else 1
     levels = set()
-    for left in range(2, k):
+    for left in range(1, k):
         n = k - left
-        most = [min(comb(n, j) * 2**j, 2 * j * max_element + 1) for j in range(depth + 1)]
+        most = [min(comb(n, j) * signs**j, 2 * j * max_element + 1) for j in range(depth + 1)]
         if all(max(most[max(0, h - left):h + 1]) > limit for h, limit in limits):
             levels.add(left)
     return frozenset(levels)

@@ -38,6 +38,11 @@ The two engines are deliberately unrelated in structure:
   reads no x.  That is ``live_folds`` at one missing element: a set that
   adds ``left`` elements to P has |h^A| >= |L_{h-j}(P)| for j up to
   min(left, h), the window rule the explorer's walk prunes its subtrees by.
+* ``live_children`` is the same rule one level up: from the layers of a
+  set P it finds the x for which ``live_folds`` at one missing element
+  keeps a row on P + {x}.  It makes only the child's layers h and h - 1,
+  L_j | L_{j-1} << (m + x) (| L_{j-1} << (m - x)), reads layer 0 as P's,
+  and stops at the first live row, so the walk builds only those children.
 
 Agreement of the two engines on a value set is the package's primary
 correctness evidence.  ``bounds.confirm`` is the one place that compares
@@ -268,6 +273,37 @@ def live_folds(
                     break
             else:
                 live.append(row)
+    return live
+
+
+def live_children(
+    layers: list[int], xs: Iterable[int], m: int, kind: SumsetKind,
+    bounds: Sequence[tuple[int, int | float]],
+) -> list[int]:
+    """The x in ``xs`` for which ``live_folds`` at one missing element keeps
+    a row of ``bounds`` on the layers of P + {x}, read from the ``layers``
+    of P as ``advance`` would fold x into a copy of them.  Only the child's
+    layers h and h - 1 of each row are made, and layer 0 is P's own.  The
+    kind must be bounded-fold."""
+    signed_fold = kind.symmetric
+    live = []
+    for x in xs:
+        up, down = m + x, m - x
+        for h, bound in bounds:
+            prev = layers[h - 1]
+            layer = layers[h] | prev << up
+            if signed_fold:
+                layer |= prev << down
+            if layer.bit_count() > bound:
+                continue
+            if h > 1:  # the child's layer h - 1; layer 0 takes no shift
+                low = layers[h - 2]
+                prev |= low << up
+                if signed_fold:
+                    prev |= low << down
+            if prev.bit_count() <= bound:
+                live.append(x)
+                break
     return live
 
 

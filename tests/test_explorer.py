@@ -121,6 +121,7 @@ def _spied_scan(config: ScanConfig) -> tuple[str, int, list]:
 
 
 @pytest.mark.parametrize("mode, k, max_element, family, skips", [
+    ("conj:C2_1", 6, 14, POS, True),   # scan-conj: 744 advance calls against 1,992
     ("conj:C2_1", 7, 12, POS, True),
     ("conj:C2_1", 7, 14, POS, True),
     ("conj:C2_1", 8, 13, POS, True),
@@ -139,12 +140,32 @@ def test_pruned_walk_reports_what_the_full_walk_does(
     def keep_every_fold(layers, left, bounds):
         return list(bounds)
 
+    def keep_every_child(layers, xs, m, kind, bounds):
+        return list(xs)
+
     monkeypatch.setattr(kernel, "live_folds", keep_every_fold)  # the leaf step's
     monkeypatch.setattr(explorer, "live_folds", keep_every_fold)  # the walk's
+    monkeypatch.setattr(explorer, "live_children", keep_every_child)  # the leaf parents'
     full, full_calls, full_confirms = _spied_scan(config)
     assert pruned == full
     assert pruned_confirms == full_confirms
     assert (pruned_calls < full_calls) == skips, (pruned_calls, full_calls)
+
+
+@pytest.mark.parametrize("mode, k, max_element, family, levels", [
+    ("conj:C2_1", 6, 14, POS, {1}),   # scan-conj: a leaf parent can lose every fold
+    ("conj:C2_1", 8, 14, POS, {1, 2, 3}),
+    ("verify:T2_1", 5, 16, POS, set()),   # scan-verify: fold 1 never dies
+    ("verify:T2_4", 6, 14, POS, set()),   # an inverse limit is infinite
+    # the restricted kind has at most C(n, j) values in layer j, not
+    # C(n, j) * 2^j, so no level passes every fold's limit
+    ("verify:TA_Nathanson", 5, 12, POS, set()),
+    ("verify:TA_Nathanson", 6, 12, ZERO, set()),
+    ("verify:TA_Nathanson", 7, 14, POS, set()),
+])
+def test_check_levels_mark_where_every_fold_could_die(mode, k, max_element, family, levels):
+    plan = explorer._validate(ScanConfig(k, max_element, family, parse_mode(mode)))
+    assert plan.checks == levels
 
 
 def test_scans_walk_only_bounded_fold_kinds():

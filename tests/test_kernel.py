@@ -16,6 +16,7 @@ from sumsets.kernel import (
     coefficient_space_size,
     enumerate_coefficients,
     leaf_cards,
+    live_children,
     live_folds,
     sumset_layered,
     sumset_naive,
@@ -260,6 +261,34 @@ def test_live_folds_keeps_every_fold_a_completion_can_meet(raw_p, steps):
             card = full[h].bit_count()
             assert all(card >= layers[h - j].bit_count() for j in range(min(left, h) + 1))
             assert live_folds(layers, left, [(h, card)]) == [(h, card)], (kind, h)
+
+
+@given(
+    st.sets(st.integers(0, 20), min_size=1, max_size=4),
+    st.sets(st.integers(1, 12), min_size=1, max_size=4),
+    st.dictionaries(st.integers(1, 5), st.integers(0, 40), min_size=1, max_size=3),
+)
+@example({1, 2}, {1}, {3: 1})  # restricted {1,2,3}: one 3-fold sum, three 2-fold sums
+@example({5}, {1}, {2: 1})  # restricted {5,6}: layer 1 of the child, not of P, has two
+@example({0, 1}, {1, 2}, {1: 3})  # h = 1: the window is the child's layers 0 and 1
+@settings(max_examples=80)
+def test_live_children_are_the_children_live_folds_keeps(raw_p, steps, raw_rows):
+    """x is a live child of P just when ``live_folds`` at one missing
+    element keeps a row on the layers ``advance`` makes for P + {x}."""
+    p = sorted(raw_p)
+    xs = [p[-1] + step for step in sorted(steps)]
+    m, depth = xs[-1], len(p) + 1
+    rows = sorted((h, bound) for h, bound in raw_rows.items() if h <= depth)
+    for kind in [kind for kind in KINDS if kind.bounded_fold]:
+        layers = [1] + [0] * depth
+        advance(layers, p, m, kind)
+        expected = []
+        for x in xs:
+            child = layers.copy()
+            advance(child, (x,), m, kind)
+            if live_folds(child, 1, rows):
+                expected.append(x)
+        assert live_children(layers, xs, m, kind, rows) == expected, kind
 
 
 @given(small_sets)
