@@ -227,6 +227,10 @@ def _cmd_scan(args) -> int:
         if path is not None and not _writable(path):
             print(f"usage error: {flag} {path!r} cannot be written", file=sys.stderr)
             return EXIT_USAGE
+    # one file for both would hold only the JSON, written after the CSV
+    if args.out and args.csv and os.path.realpath(args.out) == os.path.realpath(args.csv):
+        print(f"usage error: --out and --csv name one file, {args.out!r}", file=sys.stderr)
+        return EXIT_USAGE
     mode = parse_mode(args.mode)
     family = SetFamily(args.family or _target(mode.target)[1].family)
     config = ScanConfig(

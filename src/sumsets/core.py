@@ -192,22 +192,45 @@ def family_of(a: FiniteIntSet) -> SetFamily:
     )
 
 
+@dataclass(frozen=True)
+class Table:
+    """Records of one shape kept as columns: ``columns[i]`` holds every
+    record's value for ``keys[i]``, in record order.  ``canonical_json``
+    writes a table as the list of its records' dicts, straight from the
+    columns; ``dicts()`` builds those dicts."""
+
+    keys: tuple[str, ...]
+    columns: tuple[list, ...]
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def column(self, key: str) -> list:
+        return self.columns[self.keys.index(key)]
+
+    def dicts(self) -> tuple[dict, ...]:
+        return tuple(map(dict, map(zip, repeat(self.keys), zip(*self.columns))))
+
+
 def canonical_json(obj: object) -> str:
     """Single JSON serialization used everywhere, so that parsing a report
     and re-serializing it is byte-identical.
 
     The text is ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"`` byte
-    for byte.  Strs, ints, nonempty lists and tuples, and nonempty dicts
-    with str keys are written here directly, which skips the stdlib's
-    pure-Python indenting encoder.  A list is written as a table when its
-    items are all strs, all ints, or all dicts with one set of str keys (in
-    any insertion order): strs and ints go through one C loop each, and the
-    dicts fill one ``%``-format string, built once from the sorted keys, with
-    a tuple per record drawn from one lazy column per key.  A column is
-    itself such a list, and a lone dict is a one-row table.  Any other value
-    (floats, bools, None, empty containers, enum members, non-str keys) goes
-    to ``json.dumps``, whose newlines, never raw inside a JSON string, are
-    re-indented to the value's depth."""
+    for byte, with a ``Table`` written as the list of its records' dicts.
+    Strs, ints, nonempty lists and tuples, nonempty dicts with str keys and
+    tables are written here directly, which skips the stdlib's pure-Python
+    indenting encoder.  A list is written as a table when its items are all
+    strs, all ints, or all dicts with one set of str keys (in any insertion
+    order): strs and ints go through one C loop each, and the dicts are
+    split into one column per key.  A table of columns fills one
+    ``%``-format string, built once from the sorted keys, with a tuple per
+    record: a column of ints (not bools, which are written "true") fills a
+    ``%d`` slot, and any other column is itself written as a list, lazily.
+    A lone dict is a one-row table.  Any other value (floats, bools, None,
+    empty containers, enum members, non-str keys) goes to ``json.dumps``,
+    whose newlines, never raw inside a JSON string, are re-indented to the
+    value's depth."""
     return _json_text(obj, "\n") + "\n"
 
 
@@ -223,11 +246,17 @@ def _json_text(obj: object, pad: str) -> str:
     if cls is int:
         return int.__repr__(obj)
     if cls is dict and obj and all(type(key) is str for key in obj):
-        return next(_records([obj], obj, pad))
-    if (cls is list or cls is tuple) and obj:
-        inner = pad + "  "
-        return "[" + inner + ("," + inner).join(_json_texts(obj, inner)) + pad + "]"
-    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", pad)
+        return next(_records(obj, [[value] for value in obj.values()], pad))
+    inner = pad + "  "
+    if cls is Table and obj:
+        texts = _records(obj.keys, obj.columns, inner)
+    elif (cls is list or cls is tuple) and obj:
+        texts = _json_texts(obj, inner)
+    elif cls is Table:  # no records
+        return "[]"
+    else:
+        return json.dumps(obj, indent=2, sort_keys=True).replace("\n", pad)
+    return "[" + inner + ("," + inner).join(texts) + pad + "]"
 
 
 def _json_texts(items: list | tuple, pad: str) -> Iterator[str]:
@@ -243,17 +272,19 @@ def _json_texts(items: list | tuple, pad: str) -> Iterator[str]:
         if keys and all(type(key) is str for key in keys) and all(
             map(keys.__eq__, map(dict.keys, items))
         ):
-            return _records(items, keys, pad)
+            return _records(keys, [list(map(itemgetter(key), items)) for key in keys], pad)
     return map(_json_text, items, repeat(pad))
 
 
-def _records(items: list | tuple, keys: Iterable[str], pad: str) -> Iterator[str]:
-    """The texts of dicts that all have the str keys ``keys``, each ending on
-    ``pad``: one format string filled from one lazy column per sorted key."""
+def _records(keys: Iterable[str], columns: Iterable[list], pad: str) -> Iterator[str]:
+    """The texts of the records whose value for ``keys[i]`` is in
+    ``columns[i]``, each ending on ``pad``: one format string, with its
+    keys sorted, filled from the columns a record at a time."""
     inner = pad + "  "
-    keys = sorted(keys)
-    fmt = "{" + inner + ("," + inner).join(
-        [_json_str(key).replace("%", "%%") + ": %s" for key in keys]
-    ) + pad + "}"
-    columns = [_json_texts(list(map(itemgetter(key), items)), inner) for key in keys]
-    return map(fmt.__mod__, zip(*columns))
+    slots, values = [], []
+    for key, column in sorted(zip(keys, columns), key=itemgetter(0)):
+        ints = set(map(type, column)) == {int}
+        slots.append(_json_str(key).replace("%", "%%") + (": %d" if ints else ": %s"))
+        values.append(column if ints else _json_texts(column, inner))
+    fmt = "{" + inner + ("," + inner).join(slots) + pad + "}"
+    return map(fmt.__mod__, zip(*values))

@@ -19,19 +19,19 @@ parallelism level.
 
 ``scan`` resolves its plan once: the check every reported set goes
 through, the kind the walk folds, the bound formula, the expected extremal
-family, and the bound and limit at each scanned fold.  Each partition gets
-the plan with its prefix block.  The scan sizes its pool from its own work
-before it starts one: min(jobs, usable CPUs, blocks, 1 + set_folds //
-POOLED_SET_FOLDS) workers, where set_folds is the completeness count of
-sets times the scanned folds and the usable CPUs are those the process's
-affinity mask allows.  POOLED_SET_FOLDS = 2^17 is where the pruned
+family, and the bound and limit at each scanned fold.  A worker gets the
+plan with a run of prefix blocks, which it walks in order.  The scan sizes
+its pool from its own work before it starts one: min(jobs, usable CPUs,
+blocks, 1 + set_folds // POOLED_SET_FOLDS) workers, where set_folds is the
+completeness count of sets times the scanned folds and the usable CPUs are
+those the process's affinity mask allows.  POOLED_SET_FOLDS = 2^17 is where the pruned
 walk's serial-vs-pool crossover lay for conjecture scans on a 2-vCPU host
 (BENCH_17.json): below it a pool's start-up and the records it ships back
-cost as much as the work it shares or more.  At one worker the blocks run in the
-calling process and ``multiprocessing`` is never imported.  Otherwise
-the blocks go to a process pool in about four chunks per worker, so the
-pool makes a few round trips per scan, not one per block, and the results
-come back in block order.
+cost as much as the work it shares or more.  At one worker all blocks are
+one run in the calling process and ``multiprocessing`` is never imported.
+Otherwise the blocks go to a process pool in about four runs per worker,
+so the pool makes a few round trips per scan, not one per block, and the
+runs' results come back in block order.
 
 A partition is a depth-first walk over a tree whose nodes add one larger
 element to their parent's; a node copies its parent's DP layers and folds
@@ -42,7 +42,14 @@ h straight from the parent's layers, and reports only the cards at or
 below the fold's limit, the only ones a check acts on: the bound, or none
 for an inverse check, since a family member above it breaks the converse.
 A record names its set by the parent's canonical text, built once per
-parent that has a record, plus ``str(x)``.
+parent that has a record, plus ``str(x)``.  Records are kept as columns,
+one list per field of each record kind (``_FIELDS``), from the check that
+appends them through a worker's result, the merge and the ``ScanReport``,
+whose ``records`` hold them as ``core.Table``s.
+``canonical_json`` writes a table straight from its columns, and
+``csv_rows`` zips them into rows; no dict is built per record unless a
+caller reads ``equalities``, ``classification_failures`` or
+``conjecture_counterexamples``.
 
 The walk prunes folds that can report nothing more.  Every set A below a
 node that still lacks ``left`` elements has |h^A| >= |L_{h-j}| of the
@@ -68,24 +75,24 @@ leaf-parent test on.  The list only decides where the walk looks; it
 never changes a result.  An inverse check has no limit, so its walk
 never prunes.
 
-Two checks act on the reported cards.  ``_check_verify`` serves every
-``verify`` mode: a direct theorem is an inverse theorem that names no
-family.  ``_check_conjecture`` serves every ``conj`` mode.  Both read a
-set's element tuple, and ``match_family`` compares it with the plan's
-family.  A ``FiniteIntSet`` is built only for the oracle, in
-``bounds.confirm``: a verify bound violation or classification failure,
-and every card a conjecture check sees.
+Two checks act on the reported cards, one leaf parent's cards per call.
+``_check_verify`` serves every ``verify`` mode: a direct theorem is an
+inverse theorem that names no family.  ``_check_conjecture`` serves every
+``conj`` mode.  Both read a set's element tuple, and ``match_family``
+compares it with the plan's family.  A ``FiniteIntSet`` is built only for
+the oracle, in ``bounds.confirm``: a verify bound violation or
+classification failure, and every card a conjecture check sees.
 """
 from __future__ import annotations
 
 import os
 import time
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb, gcd, inf
 from typing import Callable, Container, Iterable, Iterator, Sequence
 
-from .core import FiniteIntSet, SetFamily, SumsetKind, canonical_json
+from .core import FiniteIntSet, SetFamily, SumsetKind, Table, canonical_json
 from .errors import (
     EmptySpace, EngineMismatch, KernelOverflow, NotApplicable, TheoremViolation,
 )
@@ -150,53 +157,82 @@ class ScanConfig:
 
 @dataclass(frozen=True)
 class ScanReport:
+    """A scan's outcome.  ``records`` maps each record kind of the JSON
+    report, ``equalities``, ``classification_failures`` and
+    ``conjecture_counterexamples``, to its records as a ``Table`` of
+    columns; the properties of the same names build their dicts."""
     config: ScanConfig
     sets_scanned: int
-    equalities: tuple[dict, ...]
-    classification_failures: tuple[dict, ...]
-    conjecture_counterexamples: tuple[dict, ...]
+    records: dict[str, Table]
     wall_time: float = field(compare=False)
 
     @property
-    def clean(self) -> bool:
-        return not self.classification_failures and not self.conjecture_counterexamples
+    def equalities(self) -> tuple[dict, ...]:
+        return self.records["equalities"].dicts()
 
-    def to_json_dict(self) -> dict:
+    @property
+    def classification_failures(self) -> tuple[dict, ...]:
+        return self.records["classification_failures"].dicts()
+
+    @property
+    def conjecture_counterexamples(self) -> tuple[dict, ...]:
+        return self.records["conjecture_counterexamples"].dicts()
+
+    @property
+    def clean(self) -> bool:
+        return not (
+            self.records["classification_failures"]
+            or self.records["conjecture_counterexamples"]
+        )
+
+    def _json_dict(self) -> dict:
         return {
             "config": self.config.to_json_dict(),
             "sets_scanned": self.sets_scanned,
-            "equalities": list(self.equalities),
-            "classification_failures": list(self.classification_failures),
-            "conjecture_counterexamples": list(self.conjecture_counterexamples),
+            **self.records,
             "wall_time": self.wall_time,
         }
 
     def to_json(self) -> str:
-        return canonical_json(self.to_json_dict())
+        return canonical_json(self._json_dict())
 
     def fingerprint(self) -> str:
         """Report content excluding wall time and the job count; equal
         across parallelism levels."""
-        d = self.to_json_dict()
+        d = self._json_dict()
         del d["wall_time"]
         del d["config"]["jobs"]
         return canonical_json(d)
 
     def csv_rows(self) -> Iterator[list[object]]:
-        """The rows under ``CSV_HEADER``, one per record, made as they are read."""
-        for records, row_type, family_field in (
-            (self.equalities, "equality", "family"),
-            (self.classification_failures, "classification_failure", "expected_family"),
-            (self.conjecture_counterexamples, "counterexample", None),  # no family
-        ):
-            for rec in records:
-                yield [
-                    row_type, rec["set"], rec["h"], rec["cardinality"], rec["bound"],
-                    rec.get(family_field) or "",
-                ]
+        """The rows under ``CSV_HEADER``, one per record, made from the
+        columns as they are read."""
+        for kind, row_type, family in _CSV_ROWS:
+            table = self.records[kind]
+            if family in table.keys:
+                families = [name or "" for name in table.column(family)]
+            else:
+                families = repeat("")
+            yield from map(list, zip(
+                repeat(row_type), *map(table.column, _RECORD), families
+            ))
 
 
 CSV_HEADER = ["type", "set", "h", "cardinality", "bound", "family"]
+# each record kind's CSV row type and the column its family cell is read from
+_CSV_ROWS = (
+    ("equalities", "equality", "family"),
+    ("classification_failures", "classification_failure", "expected_family"),
+    ("conjecture_counterexamples", "counterexample", None),  # no family
+)
+# the fields of each record kind, in the order of its columns; a direct
+# bound's equalities have no family
+_RECORD = ("set", "h", "cardinality", "bound")
+_FIELDS = {
+    "equalities": (*_RECORD, "family"),
+    "classification_failures": (*_RECORD, "naive_cardinality", "expected_family"),
+    "conjecture_counterexamples": (*_RECORD, "naive_cardinality", "conjecture"),
+}
 
 
 def enumerate_normalized_sets(
@@ -364,16 +400,18 @@ class _ScanPlan:
     walk folds and its oracle confirms, the bound formula's id, the
     extremal family the target expects (None for a direct bound), at
     each scanned fold the bound and the limit, the largest cardinality the
-    leaf step reports to the check, and the walk levels, by elements still
-    lacking, where a node can lose every fold (``_check_levels``)."""
+    leaf step reports to the check, the walk levels, by elements still
+    lacking, where a node can lose every fold (``_check_levels``), and the
+    fields of each record kind, in the order of its columns."""
     config: ScanConfig
     check: Callable[..., None]
     kind: SumsetKind
     formula: str
     family: FamilyName | None
-    bounds: tuple[tuple[int, int], ...]
+    bounds: dict[int, int]
     limits: tuple[tuple[int, int | float], ...]
     checks: frozenset[int]
+    fields: dict[str, tuple[str, ...]]
 
 
 def _validate(config: ScanConfig) -> _ScanPlan:
@@ -402,12 +440,15 @@ def _validate(config: ScanConfig) -> _ScanPlan:
         )
     check = _check_conjecture if mode.action == "conj" else _check_verify
     family = None if row is None else row.extremal_at(k)
-    bounds = tuple((h, formula.value(k, h)) for h in h_values)
+    bounds = {h: formula.value(k, h) for h in h_values}
     # a family member above its bound breaks an inverse theorem: no limit
     inverse = check is _check_verify and family is not None
-    limits = tuple((h, inf if inverse else b) for h, b in bounds)
+    limits = tuple((h, inf if inverse else b) for h, b in bounds.items())
     checks = _check_levels(k, config.max_element, limits, formula.kind)
-    return _ScanPlan(config, check, formula.kind, formula.id, family, bounds, limits, checks)
+    fields = _FIELDS if family is not None else {**_FIELDS, "equalities": _RECORD}
+    return _ScanPlan(
+        config, check, formula.kind, formula.id, family, bounds, limits, checks, fields
+    )
 
 
 def _check_levels(
@@ -439,87 +480,107 @@ def _partitions(config: ScanConfig) -> list[tuple[int, ...]]:
     return list(combinations(range(1, top + 1), plen)) if plen else [()]
 
 
-def _scan_partition(args: tuple[_ScanPlan, tuple[int, ...]]) -> dict:
-    """Worker: scan one prefix block. Returns plain lists for cheap merging."""
-    plan, prefix = args
+# the columns of each record kind, by the kind's name in the report
+_Columns = dict[str, tuple[list, ...]]
+
+
+def _scan_blocks(args: tuple[_ScanPlan, Sequence[tuple[int, ...]]]) -> tuple[int, _Columns]:
+    """Worker: scan a run of prefix blocks in order.  Returns how many sets
+    they hold and their records' columns, plain lists that pickle small and
+    merge by extending."""
+    plan, prefixes = args
     config, check, kind = plan.config, plan.check, plan.kind
     k, m = config.k, config.max_element
-    out = {"scanned": 0, "equalities": [], "failures": [], "counterexamples": []}
-    bound_at = dict(plan.bounds)
-    walk = _walk(k, m, config.family, prefix, kind, plan.limits, plan.checks)
+    scanned = 0
+    out = {name: tuple([] for _ in fields) for name, fields in plan.fields.items()}
     try:
-        for parent, layers, xs, rows, sets in walk:
-            out["scanned"] += sets
-            head = None  # the parent's canonical text and a comma, once it is needed
-            for x, h, card in leaf_cards(layers, xs, m, kind, rows):
-                if head is None:
-                    head = "".join(f"{a}," for a in parent)
-                check(plan, head + str(x), parent + (x,), h, card, bound_at[h], out)
+        for prefix in prefixes:
+            walk = _walk(k, m, config.family, prefix, kind, plan.limits, plan.checks)
+            for parent, layers, xs, rows, sets in walk:
+                scanned += sets
+                check(plan, parent, leaf_cards(layers, xs, m, kind, rows), out)
     except (TheoremViolation, EngineMismatch) as exc:
         raise type(exc)(f"[partition {prefix}] {exc}") from None
-    return out
+    return scanned, out
 
 
-def _record(text: str, h: int, card: int, bound: int, **extra) -> dict:
-    """A report record; ``text`` is the set's canonical form."""
-    return {"set": text, "h": h, "cardinality": card, "bound": bound, **extra}
+def _append(columns: tuple[list, ...], *record: object) -> None:
+    """Add one record to the columns of its kind."""
+    for column, value in zip(columns, record):
+        column.append(value)
 
 
 def _check_verify(
-    plan: _ScanPlan, text: str, elements: tuple[int, ...], h: int, card: int,
-    bound: int, out: dict,
+    plan: _ScanPlan, parent: tuple[int, ...], cards: Iterable[tuple[int, int, int]],
+    out: _Columns,
 ) -> None:
-    if card < bound:
-        confirm(FiniteIntSet(elements), h, plan.kind, card)
-        raise TheoremViolation(
-            f"{plan.config.mode.target} violated on {text}, h={h}: {card} < {bound}"
-        )
-    if plan.family is None:  # a direct bound, whose limit lets only equality here
-        out["equalities"].append(_record(text, h, card, bound))
-        return
-    family = plan.family.value if match_family(elements, plan.family) is not None else None
-    if (card == bound) != (family is not None):
-        confirm(FiniteIntSet(elements), h, plan.kind, card)
-        raise TheoremViolation(
-            f"{plan.config.mode.target} classification failed on {text}: "
-            f"equality={card == bound} but family match={family!r} "
-            f"(cardinality {card}, bound {bound}, both engines agree)"
-        )
-    if family is not None:
-        out["equalities"].append(_record(text, h, card, bound, family=family))
+    bound_at, family = plan.bounds, plan.family
+    equalities = out["equalities"]
+    sets, hs, cardinalities, bounds = equalities[:4]
+    head = None  # the parent's canonical text and a comma, once a set needs it
+    for x, h, card in cards:
+        if head is None:
+            head = "".join(f"{a}," for a in parent)
+        text, bound = head + str(x), bound_at[h]
+        if card < bound:
+            confirm(FiniteIntSet(parent + (x,)), h, plan.kind, card)
+            raise TheoremViolation(
+                f"{plan.config.mode.target} violated on {text}, h={h}: {card} < {bound}"
+            )
+        if family is None:  # a direct bound, whose limit lets only equality here
+            # one record per set at h = 1: appended column by column, with no call
+            sets.append(text)
+            hs.append(h)
+            cardinalities.append(card)
+            bounds.append(bound)
+            continue
+        matched = match_family(parent + (x,), family) is not None
+        if (card == bound) != matched:
+            confirm(FiniteIntSet(parent + (x,)), h, plan.kind, card)
+            raise TheoremViolation(
+                f"{plan.config.mode.target} classification failed on {text}: "
+                f"equality={card == bound} but family match="
+                f"{family.value if matched else None!r} "
+                f"(cardinality {card}, bound {bound}, both engines agree)"
+            )
+        if matched:
+            _append(equalities, text, h, card, bound, family.value)
 
 
 def _check_conjecture(
-    plan: _ScanPlan, text: str, elements: tuple[int, ...], h: int, card: int,
-    bound: int, out: dict,
+    plan: _ScanPlan, parent: tuple[int, ...], cards: Iterable[tuple[int, int, int]],
+    out: _Columns,
 ) -> None:
-    # the limit is the bound: every card here is a counterexample or an equality
-    naive = confirm(FiniteIntSet(elements), h, plan.kind, card)
-    if card < bound:
-        out["counterexamples"].append(
-            _record(text, h, card, bound, naive_cardinality=naive, conjecture=plan.formula)
-        )
-        return
+    head = None  # the parent's canonical text and a comma, once a set needs it
     expected = plan.family.value
-    matched = match_family(elements, plan.family) is not None
-    out["equalities"].append(
-        _record(text, h, card, bound, family=expected if matched else None)
-    )
-    if not matched:
-        out["failures"].append(
-            _record(text, h, card, bound, naive_cardinality=naive, expected_family=expected)
-        )
+    # the limit is the bound: every card here is a counterexample or an equality
+    for x, h, card in cards:
+        if head is None:
+            head = "".join(f"{a}," for a in parent)
+        text, elements, bound = head + str(x), parent + (x,), plan.bounds[h]
+        naive = confirm(FiniteIntSet(elements), h, plan.kind, card)
+        if card < bound:
+            _append(
+                out["conjecture_counterexamples"], text, h, card, bound, naive, plan.formula
+            )
+            continue
+        matched = match_family(elements, plan.family) is not None
+        _append(out["equalities"], text, h, card, bound, expected if matched else None)
+        if not matched:
+            _append(out["classification_failures"], text, h, card, bound, naive, expected)
 
 
-def _merge(partials: Iterable[dict]) -> dict:
-    """The partition results joined in partition order, which is enumeration
-    order; each result is dropped once it is merged."""
-    merged = {"scanned": 0, "equalities": [], "failures": [], "counterexamples": []}
-    for p in partials:
-        merged["scanned"] += p["scanned"]
-        for key in ("equalities", "failures", "counterexamples"):
-            merged[key].extend(p[key])
-    return merged
+def _merge(results: Iterator[tuple[int, _Columns]]) -> tuple[int, _Columns]:
+    """The results of runs of blocks joined in block order, which is
+    enumeration order: the first one's columns extended by the others',
+    each dropped once it is merged."""
+    scanned, merged = next(results)
+    for sets, out in results:
+        scanned += sets
+        for name, columns in out.items():
+            for column, more in zip(merged[name], columns):
+                column.extend(more)
+    return scanned, merged
 
 
 # Sets times folds per pool worker.  On a 2-vCPU host (BENCH_17.json,
@@ -529,7 +590,10 @@ def _merge(partials: Iterable[dict]) -> dict:
 # record-heavy verify:T2_1 k=5, but 0.80x at 193,308 (C3_1); conj:C2_1 k=6
 # took 0.85x at 115,647 and 0.65x at 222,432.  Since the walk prunes dead
 # folds, starting the workers and shipping the records back cost about
-# 10^5 set-folds.
+# 10^5 set-folds.  With records shipped as columns (BENCH_19.json, medians
+# of 99 runs over 9 rounds), verify:T2_1 k=5 took 0.86x at 76,230 and
+# 129,255 and 0.72x at 208,280, while conj:C3_1 k=6 still took 1.20x at
+# 77,553 (33 runs), so the constant stays where the conjecture scans cross.
 POOLED_SET_FOLDS = 2**17
 
 
@@ -548,24 +612,22 @@ def scan(config: ScanConfig) -> ScanReport:
     plan = _validate(config)
     expected = count_normalized_sets(config.k, config.max_element, config.family)
     parts = _partitions(config)
-    args = [(plan, p) for p in parts]
     work = 1 + expected * len(plan.bounds) // POOLED_SET_FOLDS
     workers = min(max(1, config.jobs), _usable_cpus(), len(parts), work)
     if workers == 1:
-        merged = _merge(map(_scan_partition, args))
+        scanned, merged = _scan_blocks((plan, parts))
     else:
         # imported here: the pool pulls in multiprocessing, pickle and
         # sockets, which a serial scan or a plain ``import sumsets`` never uses
         from concurrent.futures import ProcessPoolExecutor
 
-        # about four chunks per worker: few round trips, and a slow chunk
-        # still leaves the others work to share; map keeps the blocks' order
+        # about four runs of blocks per worker: few round trips, and a slow
+        # run still leaves the others work to share; map keeps their order
+        size = max(1, len(parts) // (4 * workers))
+        runs = [(plan, parts[i:i + size]) for i in range(0, len(parts), size)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            merged = _merge(pool.map(
-                _scan_partition, args, chunksize=max(1, len(args) // (4 * workers))
-            ))
+            scanned, merged = _merge(pool.map(_scan_blocks, runs))
 
-    scanned = merged["scanned"]
     if scanned != expected:
         raise TheoremViolation(
             f"partition completeness broken: scanned {scanned}, closed form "
@@ -574,8 +636,6 @@ def scan(config: ScanConfig) -> ScanReport:
     return ScanReport(
         config=config,
         sets_scanned=scanned,
-        equalities=tuple(merged["equalities"]),
-        classification_failures=tuple(merged["failures"]),
-        conjecture_counterexamples=tuple(merged["counterexamples"]),
+        records={name: Table(plan.fields[name], merged[name]) for name in merged},
         wall_time=time.perf_counter() - start,
     )

@@ -370,6 +370,22 @@ def test_scan_unwritable_report_path_is_a_usage_error(capsys, monkeypatch, tmp_p
         assert flag in err and str(path) in err
 
 
+def test_scan_out_and_csv_naming_one_file_is_a_usage_error(capsys, monkeypatch, tmp_path):
+    def no_scan(config):
+        raise AssertionError("scanned before checking the report paths")
+
+    monkeypatch.setattr(cli, "scan", no_scan)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    for out_path, csv_path in (("r.json", "./r.json"), ("r.json", "sub/../r.json"),
+                               (str(tmp_path / "r.json"), "r.json")):
+        code, out, err = run(capsys, "scan", "--mode", "verify:T2_1", "--k", "2",
+                             "--max", "3", "--out", out_path, "--csv", csv_path)
+        assert code == 64 and out == ""
+        assert err == f"usage error: --out and --csv name one file, {out_path!r}\n"
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_scan_clean_exit_0(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     csv_path = tmp_path / "report.csv"

@@ -10,6 +10,7 @@ from sumsets.core import (
     SetFamily,
     SumsetKind,
     SumsetResult,
+    Table,
     canonical_json,
     dilate,
     family_of,
@@ -195,6 +196,20 @@ def test_canonical_json_is_the_stdlib_text(obj):
     # the direct writer must reproduce the stdlib's indented, sorted text
     # byte for byte, on the values it writes itself and on those it hands on
     assert canonical_json(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=100)
+@given(json_tables(json_values), st.integers(0, 2))
+def test_canonical_json_writes_a_table_of_columns_as_its_dicts(records, depth):
+    # columns of ints, bools, None, enums and mixed values, at any depth
+    keys = tuple(records[0])
+    table = Table(keys, tuple([rec[key] for rec in records] for key in keys))
+    assert table.dicts() == tuple(records) and len(table) == len(records)
+    empty = Table(keys, tuple([] for _ in keys))
+    obj, expected = table, records
+    for _ in range(depth):
+        obj, expected = {"t": obj, "e": empty}, {"t": expected, "e": []}
+    assert canonical_json(obj) == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
 
 def test_canonical_json_keeps_table_columns_lazy():

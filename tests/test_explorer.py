@@ -297,6 +297,47 @@ def test_conjecture_bound_counterexample_is_recorded(monkeypatch, mode):
         scan(config)
 
 
+RECORD_KINDS = (  # a report's record kind, its CSV row type and its family field
+    ("equalities", "equality", "family"),
+    ("classification_failures", "classification_failure", "expected_family"),
+    ("conjecture_counterexamples", "counterexample", None),
+)
+
+
+@pytest.mark.parametrize("mode, k, max_element, family, raised", [
+    ("verify:T2_1", 5, 12, POS, None),   # direct: no family column
+    ("verify:T2_4", 5, 14, POS, None),   # inverse: a family column
+    ("conj:C3_1", 5, 13, ZERO, None),    # a None family and one failure
+    ("conj:C2_1", 4, 7, POS, "C2_1"),    # a counterexample
+])
+def test_report_columns_agree_with_the_dict_view(monkeypatch, mode, k, max_element,
+                                                 family, raised):
+    # the report keeps its records as columns; its JSON and CSV must be what
+    # the records' dicts give through the stdlib and the CSV row rule
+    if raised:
+        bound_one_above(monkeypatch, raised)
+    report = scan(ScanConfig(k, max_element, family, parse_mode(mode)))
+    view = {kind: list(getattr(report, kind)) for kind, _, _ in RECORD_KINDS}
+    assert all(type(rec) is dict for records in view.values() for rec in records)
+    assert any(view.values())
+    if mode == "conj:C3_1":
+        assert [rec["family"] for rec in view["equalities"]].count(None) == 1
+        assert len(view["classification_failures"]) == 1
+    if raised:
+        assert len(view["conjecture_counterexamples"]) == 1
+    content = {"config": report.config.to_json_dict(), "sets_scanned": report.sets_scanned,
+               **view, "wall_time": report.wall_time}
+    assert report.to_json() == json.dumps(content, indent=2, sort_keys=True) + "\n"
+    del content["wall_time"], content["config"]["jobs"]
+    assert report.fingerprint() == json.dumps(content, indent=2, sort_keys=True) + "\n"
+    assert list(report.csv_rows()) == [
+        [row_type, rec["set"], rec["h"], rec["cardinality"], rec["bound"],
+         rec.get(field) or ""]
+        for kind, row_type, field in RECORD_KINDS
+        for rec in view[kind]
+    ]
+
+
 def test_partition_completeness_failure_raises(monkeypatch):
     monkeypatch.setattr(
         explorer, "count_normalized_sets",
