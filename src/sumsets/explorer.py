@@ -24,28 +24,28 @@ plan with a run of prefix blocks, which it walks in order.  The scan sizes
 its pool from its own work before it starts one: min(jobs, usable CPUs,
 blocks, 1 + set_folds // POOLED_SET_FOLDS) workers, where set_folds is the
 completeness count of sets times the scanned folds and the usable CPUs are
-those the process's affinity mask allows.  POOLED_SET_FOLDS = 2^17 is where the pruned
-walk's serial-vs-pool crossover lay for conjecture scans on a 2-vCPU host
-(BENCH_17.json): below it a pool's start-up and the records it ships back
-cost as much as the work it shares or more.  At one worker all blocks are
-one run in the calling process and ``multiprocessing`` is never imported.
-Otherwise the blocks go to a process pool in about four runs per worker,
-so the pool makes a few round trips per scan, not one per block, and the
-runs' results come back in block order.
+those the process's affinity mask allows; below POOLED_SET_FOLDS a pool's
+start-up and the records it ships back cost as much as the work it
+shares or more.  At one worker all blocks are one run in the calling
+process and ``multiprocessing`` is never imported.  Otherwise the blocks
+go to a process pool in about four runs per worker, so the pool makes a
+few round trips per scan, not one per block, and the runs' results come
+back in block order.
 
 A partition is a depth-first walk over a tree whose nodes add one larger
 element to their parent's; a node copies its parent's DP layers and folds
-its element in with ``kernel.advance``.  A node one element short of its
-sets is their parent, and the walk stops there: the leaf step
-``kernel.leaf_cards`` reads |h^A| for every set A = P + {x} and scanned fold
-h straight from the parent's layers, and reports only the cards at or
-below the fold's limit, the only ones a check acts on: the bound, or none
-for an inverse check, since a family member above it breaks the converse.
-A record names its set by the parent's canonical text, built once per
-parent that has a record, plus ``str(x)``.  Records are kept as columns,
-one list per field of each record kind (``_FIELDS``), from the check that
-appends them through a worker's result, the merge and the ``ScanReport``,
-whose ``records`` hold them as ``core.Table``s.
+its element in with ``kernel.advance``.  The walk stops at a node Q two
+elements short of its sets, as does a root that lacks one element or
+none, with its last elements as y and x.  There the leaf step
+``kernel.leaf_cards`` reads |h^A| for every set A = Q + {y, x} and
+scanned fold h from Q's layers, and reports only the cards at or below
+the fold's limit, the only ones a check acts on: the bound, or none for
+an inverse check, since a family member above it breaks the converse.  A
+record names its set by Q's canonical text and a comma, built once per
+stop with a record, y's once per y, and ``str(x)``.  Records are kept as
+columns, one list per field of each record kind (``_FIELDS``), from the
+check that appends them through a worker's result, the merge and the
+``ScanReport``, whose ``records`` hold them as ``core.Table``s.
 ``canonical_json`` writes a table straight from its columns, and
 ``csv_rows`` zips them into rows; no dict is built per record unless a
 caller reads ``equalities``, ``classification_failures`` or
@@ -55,27 +55,24 @@ The walk prunes folds that can report nothing more.  Every set A below a
 node that still lacks ``left`` elements has |h^A| >= |L_{h-j}| of the
 node's layers for j = 0..min(left, h), so a fold whose window of layers
 already holds one above the fold's limit is dead below the node
-(``kernel.live_folds``).  The leaf step drops dead folds at every parent.
-Higher up the walk carries the live folds down to the children, and a
-node with none left is not walked below: its sets are counted as the
-gcd-1 completions, by Moebius over the divisors d of the gcd g of its
-nonzero elements, sum mu(d) * C(max // d - p // d, left) for its largest
-element p.  A node two elements short of its sets tests its children,
-the leaf parents, from its own layers before it builds any
-(``kernel.live_children``), and builds only those with a live fold; the
-others' sets are its completions less the live children's.  These counts
-do not share the exact-gcd count of ``count_normalized_sets``, so the
-completeness check still compares two derivations.  A check costs a bit
-count per layer of each window, so ``_validate`` lists once per scan the
-levels, by elements still lacking, where every fold could die, by |L_j|
-<= min(C(n, j) * 2^j, 2j * max + 1) at a node of n elements (a 0
-counted; no 2^j for the restricted kind), and the walk checks only
-there; level 1, where a leaf parent could lose every fold, turns the
-leaf-parent test on.  The list only decides where the walk looks; it
-never changes a result.  An inverse check has no limit, so its walk
-never prunes.
+(``kernel.live_folds``).  The leaf step drops the dead folds of each
+Q + {y} from its layers h and h - 1 (``kernel.live_rows``) and reads no x
+of a y with none left.  Higher up the walk carries the live folds down,
+and a node with none left is not walked below.  The sets of such a node,
+and of a stop, are counted as the gcd-1 completions, by Moebius over the
+divisors d of the gcd g of its nonzero elements, sum mu(d) *
+C(max // d - p // d, left) for its largest element p, from one table of
+mu per run of blocks.  These counts do not share the exact-gcd count of
+``count_normalized_sets``, so the completeness check still compares two
+derivations.  A check costs a bit count per layer of each window, so
+``_validate`` lists once per scan the levels 2..k-1, by elements still
+lacking, where every fold could die, by |L_j| <= min(C(n, j) * 2^j,
+2j * max + 1) at a node of n elements (a 0 counted; no 2^j for the
+restricted kind), and the walk checks only there.  The list only decides
+where the walk looks; it never changes a result.  An inverse check has
+no limit, so its walk never prunes.
 
-Two checks act on the reported cards, one leaf parent's cards per call.
+Two checks act on the reported cards, one stop's cards per call.
 ``_check_verify`` serves every ``verify`` mode: a direct theorem is an
 inverse theorem that names no family.  ``_check_conjecture`` serves every
 ``conj`` mode.  Both read a set's element tuple, and ``match_family``
@@ -101,8 +98,7 @@ from .errors import (
 # bounds.confirm
 from .inverse import THEOREMS, InverseTheorem, classify_extremal, match_family
 from .kernel import (
-    _require_layered_budget, advance, leaf_cards, live_children, live_folds, sumset_layered,
-    sumset_naive,
+    _require_layered_budget, advance, leaf_cards, live_folds, sumset_layered, sumset_naive,
 )
 from .bounds import FORMULAS, BoundFormula, confirm
 from .witness import FamilyName
@@ -244,39 +240,51 @@ def enumerate_normalized_sets(
     Positive family: k-subsets of [1, max_element] with gcd 1.  Zero
     family: {0} plus a (k-1)-subset of [1, max_element] whose gcd is 1.
     """
-    for parent, _, xs, _, _ in _walk(k, max_element, family, prefix):
-        for x in xs:
-            yield FiniteIntSet(parent + (x,))
+    for parent, _, g, ys, xs, _, _ in _walk(k, max_element, family, prefix):
+        for i, y in enumerate(ys):
+            for x in xs[i:]:
+                if gcd(g, y, x) == 1:  # y = x reads a one-element set
+                    yield FiniteIntSet(parent + ((y, x) if y < x else (x,)))
 
 
 def _walk(
     k: int, max_element: int, family: SetFamily, prefix: tuple[int, ...] = (),
     kind: SumsetKind = SumsetKind.RESTRICTED_SIGNED,
     limits: Sequence[tuple[int, int | float]] = (), checks: Container[int] = (),
+    mu: Sequence[int] = (),
 ) -> Iterator[tuple[
-    tuple[int, ...], list[int], Sequence[int], Sequence[tuple[int, int | float]], int
+    tuple[int, ...], list[int], int, Sequence[int], Sequence[int],
+    Sequence[tuple[int, int | float]], int,
 ]]:
     """The sets of ``enumerate_normalized_sets`` grouped by where the walk
-    stops.  At a parent, the set less its last element, it yields the
-    parent's elements, its DP layers 0..max h of ``limits`` of the kind in
-    the frame m = max_element, the last elements of its sets in order, the
-    (h, limit) rows of ``limits`` still live there, and how many sets it
-    stands for.  A node that lacks ``left`` elements, for ``left`` in
-    ``checks``, keeps only the rows ``live_folds`` finds live and hands them
-    down to its children; with none left, its subtree is not walked.  With
-    1 in ``checks``, a node that lacks two elements builds only the
-    children ``live_children`` finds live.  The sets of the nodes not
-    walked are counted, and the count is yielded alone, with no elements,
-    last elements or rows, when the walk ends."""
+    stops, at a node Q two elements short of them: Q + {y, x} for the i-th
+    y of ``ys``, an x of ``xs[i:]`` and gcd(g, y, x) = 1.  A stop yields Q,
+    its DP layers 0..max h of ``limits`` of the kind in the frame
+    m = max_element, g, ys, xs, the (h, limit) rows still live there and
+    its count of sets.  A root that lacks one element or none stops with its
+    last elements as y and x, and a one-element set {a} with y = x = a: a
+    folded twice is exact at h = 1, its only fold.  A node lacking ``left``
+    elements, for ``left`` in ``checks``, hands down only the rows
+    ``live_folds`` keeps; with none, its subtree is not walked, and the sets
+    of all such nodes are counted with the Moebius table ``mu`` and
+    yielded alone when the walk ends."""
     nonzero_size, base = _space_shape(k, max_element, family)
     elements = base + prefix
     room = nonzero_size - len(prefix)
     depth = max((h for h, _ in limits), default=0)
     layers = [1] + [0] * depth
-    if not room:  # the root is a set: a full prefix, or the zero family's {0}
-        advance(layers, elements[:-1], max_element, kind)
-        if gcd(*prefix) < 2:  # gcd 1, or gcd() == 0 over no nonzero element
-            yield elements[:-1], layers, elements[-1:], limits, 1
+    if room < 2:  # the root lacks one element or none
+        if not elements:  # of the positive sets {x}, only {1} has gcd 1
+            elements, room = (1,), 0
+        if room:
+            parent, ys, g = elements[:-1], elements[-1:], gcd(*elements)
+            xs = range(ys[0] + 1, max_element + 1)
+        elif gcd(*prefix) < 2:  # a set: gcd 1, or gcd() == 0 over no nonzero element
+            parent, ys, xs, g = elements[:-2], elements[-2:-1] or elements, elements[-1:], 1
+        else:
+            return
+        advance(layers, parent, max_element, kind)
+        yield parent, layers, g, ys, xs, limits, _completions(g, ys[0], max_element, room, mu)
         return
     advance(layers, elements, max_element, kind)  # the zero family's 0, the prefix
     # Depth first over an explicit stack, not a generator per element, so a
@@ -287,26 +295,18 @@ def _walk(
     skipped = 0  # the sets of the nodes not walked
     while True:
         low = parent[-1] + 1 if parent else 1
-        xs = range(low, max_element - left + 2)
-        if left == 1:
-            if g != 1:
-                xs = [x for x in xs if gcd(g, x) == 1]
-            yield parent, layers, xs, rows, len(xs)
-        elif left in checks and not (rows := live_folds(layers, left, rows)):
-            skipped += _completions(g, low - 1, max_element, left)
+        if left in checks and not (rows := live_folds(layers, left, rows)):
+            skipped += _completions(g, low - 1, max_element, left, mu)
+        elif left == 2:
+            yield parent, layers, g, range(low, max_element), range(
+                low + 1, max_element + 1
+            ), rows, _completions(g, low - 1, max_element, 2, mu)
         else:
-            if left == 2 and 1 in checks:
-                # only the leaf parents with a live row are built; the sets
-                # of the others are counted
-                live = live_children(layers, xs, max_element, kind, rows)
-                skipped += _completions(g, low - 1, max_element, 2) - sum(
-                    _completions(gcd(g, x), x, max_element, 1) for x in live
-                )
-                xs = live
+            xs = range(low, max_element - left + 2)
             stack.extend((parent, layers, g, rows, left - 1, x) for x in reversed(xs))
         if not stack:
             if skipped:
-                yield (), layers, (), (), skipped
+                yield (), layers, 1, (), (), (), skipped
             return
         parent, layers, g, rows, left, x = stack.pop()
         layers = layers.copy()
@@ -315,21 +315,27 @@ def _walk(
         parent, g = parent + (x,), gcd(g, x)
 
 
-def _completions(g: int, p: int, max_element: int, left: int) -> int:
-    """How many sets X of ``left`` >= 1 elements of [p + 1, max_element]
+def _mobius(n: int) -> list[int]:
+    """mu(d) for d = 0..n, with mu(0) = 0."""
+    mu = [0, 1] + [0] * (n - 1)  # mu(1) = 1, and mu sums to 0 over the divisors of d > 1
+    for d in range(1, n // 2 + 1):
+        mu[2 * d::d] = [e - mu[d] for e in mu[2 * d::d]]
+    return mu
+
+
+def _completions(g: int, p: int, max_element: int, left: int, mu: Sequence[int] = ()) -> int:
+    """How many sets X of ``left`` elements of [p + 1, max_element]
     have gcd(g, *X) = 1: by Moebius inversion over the divisors d of g, the
     sum of mu(d) * C(max_element // d - p // d, left), where the binomial
     counts the sets X of multiples of d.  Every d divides g = 0, and those
-    above max_element have no multiple in range."""
-    if g == 1:  # nearly every skipped node; 1 is its one divisor
+    above max_element have no multiple in range.  ``mu`` is ``_mobius`` of
+    max_element, built here when not given."""
+    if g == 1:  # nearly every node, and every root set; 1 is its one divisor
         return comb(max_element - p, left)
-    n = g or max_element
-    mu = [0, 1] + [0] * (n - 1)  # mu(1) = 1, and mu sums to 0 over the divisors of d > 1
-    for d in range(1, n // 2 + 1):
-        for e in range(2 * d, n + 1, d):
-            mu[e] -= mu[d]
+    mu = mu or _mobius(max_element)
     return sum(
-        mu[d] * comb(max_element // d - p // d, left) for d in range(1, n + 1) if g % d == 0
+        mu[d] * comb(max_element // d - p // d, left)
+        for d in range(1, min(g or max_element, max_element) + 1) if g % d == 0
     )
 
 
@@ -454,10 +460,9 @@ def _validate(config: ScanConfig) -> _ScanPlan:
 def _check_levels(
     k: int, max_element: int, limits: Sequence[tuple[int, int | float]], kind: SumsetKind,
 ) -> frozenset[int]:
-    """The numbers of missing elements, 1..k-1, at which a walk node could
-    have no live fold, so that ``live_folds`` is worth its cost there; at 1,
-    a leaf parent could, so that ``live_children`` is worth its cost at the
-    nodes above them.  A node of n elements (a 0 counted) has |L_j| <=
+    """The numbers of missing elements, 2..k-1, at which a walk node could
+    have no live fold, so that ``live_folds`` is worth its cost there (the
+    leaf step tests every y).  A node of n elements (a 0 counted) has |L_j| <=
     min(C(n, j) * 2^j, 2j * max_element + 1), without the 2^j for a kind
     with no signs, and a level qualifies only if that bound lets every
     fold's window pass its limit.  The levels only decide where the walk
@@ -465,7 +470,7 @@ def _check_levels(
     depth = max(h for h, _ in limits)
     signs = 2 if kind.symmetric else 1
     levels = set()
-    for left in range(1, k):
+    for left in range(2, k):
         n = k - left
         most = [min(comb(n, j) * signs**j, 2 * j * max_element + 1) for j in range(depth + 1)]
         if all(max(most[max(0, h - left):h + 1]) > limit for h, limit in limits):
@@ -493,12 +498,14 @@ def _scan_blocks(args: tuple[_ScanPlan, Sequence[tuple[int, ...]]]) -> tuple[int
     k, m = config.k, config.max_element
     scanned = 0
     out = {name: tuple([] for _ in fields) for name, fields in plan.fields.items()}
+    mu = _mobius(m)
     try:
         for prefix in prefixes:
-            walk = _walk(k, m, config.family, prefix, kind, plan.limits, plan.checks)
-            for parent, layers, xs, rows, sets in walk:
+            walk = _walk(k, m, config.family, prefix, kind, plan.limits, plan.checks, mu)
+            for parent, layers, g, ys, xs, rows, sets in walk:
                 scanned += sets
-                check(plan, parent, leaf_cards(layers, xs, m, kind, rows), out)
+                if cards := leaf_cards(layers, g, ys, xs, m, kind, rows):
+                    check(plan, parent, cards, out)
     except (TheoremViolation, EngineMismatch) as exc:
         raise type(exc)(f"[partition {prefix}] {exc}") from None
     return scanned, out
@@ -511,19 +518,20 @@ def _append(columns: tuple[list, ...], *record: object) -> None:
 
 
 def _check_verify(
-    plan: _ScanPlan, parent: tuple[int, ...], cards: Iterable[tuple[int, int, int]],
+    plan: _ScanPlan, parent: tuple[int, ...], cards: Iterable[tuple[int, int, int, int]],
     out: _Columns,
 ) -> None:
     bound_at, family = plan.bounds, plan.family
     equalities = out["equalities"]
     sets, hs, cardinalities, bounds = equalities[:4]
-    head = None  # the parent's canonical text and a comma, once a set needs it
-    for x, h, card in cards:
-        if head is None:
-            head = "".join(f"{a}," for a in parent)
-        text, bound = head + str(x), bound_at[h]
+    head, last = "".join(f"{a}," for a in parent), None
+    for y, x, h, card in cards:
+        if y != last:  # the text of Q + {y} and a comma, and its elements
+            last = y
+            ytext, ypart = (f"{head}{y},", parent + (y,)) if y < x else (head, parent)
+        text, bound = ytext + str(x), bound_at[h]
         if card < bound:
-            confirm(FiniteIntSet(parent + (x,)), h, plan.kind, card)
+            confirm(FiniteIntSet(ypart + (x,)), h, plan.kind, card)
             raise TheoremViolation(
                 f"{plan.config.mode.target} violated on {text}, h={h}: {card} < {bound}"
             )
@@ -534,9 +542,9 @@ def _check_verify(
             cardinalities.append(card)
             bounds.append(bound)
             continue
-        matched = match_family(parent + (x,), family) is not None
+        matched = match_family(ypart + (x,), family) is not None
         if (card == bound) != matched:
-            confirm(FiniteIntSet(parent + (x,)), h, plan.kind, card)
+            confirm(FiniteIntSet(ypart + (x,)), h, plan.kind, card)
             raise TheoremViolation(
                 f"{plan.config.mode.target} classification failed on {text}: "
                 f"equality={card == bound} but family match="
@@ -548,16 +556,17 @@ def _check_verify(
 
 
 def _check_conjecture(
-    plan: _ScanPlan, parent: tuple[int, ...], cards: Iterable[tuple[int, int, int]],
+    plan: _ScanPlan, parent: tuple[int, ...], cards: Iterable[tuple[int, int, int, int]],
     out: _Columns,
 ) -> None:
-    head = None  # the parent's canonical text and a comma, once a set needs it
     expected = plan.family.value
+    head, last = "".join(f"{a}," for a in parent), None
     # the limit is the bound: every card here is a counterexample or an equality
-    for x, h, card in cards:
-        if head is None:
-            head = "".join(f"{a}," for a in parent)
-        text, elements, bound = head + str(x), parent + (x,), plan.bounds[h]
+    for y, x, h, card in cards:
+        if y != last:  # the text of Q + {y} and a comma, and its elements
+            last = y
+            ytext, ypart = (f"{head}{y},", parent + (y,)) if y < x else (head, parent)
+        text, elements, bound = ytext + str(x), ypart + (x,), plan.bounds[h]
         naive = confirm(FiniteIntSet(elements), h, plan.kind, card)
         if card < bound:
             _append(
@@ -594,6 +603,10 @@ def _merge(results: Iterator[tuple[int, _Columns]]) -> tuple[int, _Columns]:
 # of 99 runs over 9 rounds), verify:T2_1 k=5 took 0.86x at 76,230 and
 # 129,255 and 0.72x at 208,280, while conj:C3_1 k=6 still took 1.20x at
 # 77,553 (33 runs), so the constant stays where the conjecture scans cross.
+# With the walk stopping two elements short (BENCH_20.json, medians of 11
+# runs), the pool took 1.74x, 0.89x and 0.75x at those verify sizes, 1.13x
+# and 0.91x at those C3_1 sizes, and 1.13x and 0.75x for conj:C2_1 k=6 at
+# 55,437 and 222,432: the crossover still lies between 78k and 125k.
 POOLED_SET_FOLDS = 2**17
 
 

@@ -27,22 +27,18 @@ The two engines are deliberately unrelated in structure:
   scales the values back by d, since h^(d*A) = d * h^A; the explorer's scan
   folds one element per set-tree node (m = its largest element).  The
   engine's budget is still on the raw max|a|.  It is the fast path.
-* ``leaf_cards`` is the scan's leaf step: from the layers of a set P it
-  reads |h^(P + {x})| for many last elements x without folding each x
-  into a copy of every layer, and reports only cardinalities at most a
-  bound.  It takes the bounded-fold kinds, the only ones a scan walks,
-  where x fills one unit: one shift per sign of layer h - 1.  A property
-  test pins it to ``advance``.  Before its x loop it drops each (h, bound)
-  row whose layer h or h - 1 of P already holds more than bound values,
-  since layer h of P + {x} holds a copy of each, and with no row left it
-  reads no x.  That is ``live_folds`` at one missing element: a set that
-  adds ``left`` elements to P has |h^A| >= |L_{h-j}(P)| for j up to
-  min(left, h), the window rule the explorer's walk prunes its subtrees by.
-* ``live_children`` is the same rule one level up: from the layers of a
-  set P it finds the x for which ``live_folds`` at one missing element
-  keeps a row on P + {x}.  It makes only the child's layers h and h - 1,
-  L_j | L_{j-1} << (m + x) (| L_{j-1} << (m - x)), reads layer 0 as P's,
-  and stops at the first live row, so the walk builds only those children.
+* ``leaf_cards`` is the scan's leaf step: from the layers of a set Q it
+  reads |h^(Q + {y, x})| for many pairs y < x of last elements without
+  folding either into a copy of every layer, and reports only
+  cardinalities at most a bound.  It takes the bounded-fold kinds, the
+  only ones a scan walks, where an element fills one unit: one shift per
+  sign of the layer below.  For each y, ``live_rows`` makes only the
+  layers h and h - 1 of Q + {y}, and drops each (h, bound) row where
+  either holds more than bound values, since layer h of Q + {y, x} holds
+  a copy of each.  That is ``live_folds``, the window rule the explorer's
+  walk prunes its subtrees by, at one missing element.  For each x the
+  step ORs the shifts of layer h - 1 into layer h.  A property test pins
+  it to ``advance``.
 
 Agreement of the two engines on a value set is the package's primary
 correctness evidence.  ``bounds.confirm`` is the one place that compares
@@ -276,60 +272,56 @@ def live_folds(
     return live
 
 
-def live_children(
-    layers: list[int], xs: Iterable[int], m: int, kind: SumsetKind,
+def live_rows(
+    layers: list[int], ys: Iterable[int], m: int, kind: SumsetKind,
     bounds: Sequence[tuple[int, int | float]],
-) -> list[int]:
-    """The x in ``xs`` for which ``live_folds`` at one missing element keeps
-    a row of ``bounds`` on the layers of P + {x}, read from the ``layers``
-    of P as ``advance`` would fold x into a copy of them.  Only the child's
-    layers h and h - 1 of each row are made, and layer 0 is P's own.  The
-    kind must be bounded-fold."""
+) -> list[tuple[int, int, list[tuple[int, int | float, int, int]]]]:
+    """(i, y, rows) for the i-th y of ``ys`` and the rows of ``bounds`` that
+    ``live_folds`` at one missing element keeps on Q + {y}, if any, each
+    with the layers h and h - 1 of Q + {y} made from the ``layers`` of Q."""
+    # L_j | L_{j-1} << (m + y) (| L_{j-1} << (m - y)), layer 0 taking no
+    # shift; an x adds a copy of each to layer h, so a row where either holds
+    # more than bound values reports no x
     signed_fold = kind.symmetric
     live = []
-    for x in xs:
-        up, down = m + x, m - x
+    for i, y in enumerate(ys):
+        up, down = m + y, m - y
+        rows = []
         for h, bound in bounds:
             prev = layers[h - 1]
-            layer = layers[h] | prev << up
-            if signed_fold:
-                layer |= prev << down
+            layer = layers[h] | prev << up | (prev << down if signed_fold else 0)
             if layer.bit_count() > bound:
                 continue
-            if h > 1:  # the child's layer h - 1; layer 0 takes no shift
+            if h > 1:
                 low = layers[h - 2]
-                prev |= low << up
-                if signed_fold:
-                    prev |= low << down
+                prev |= low << up | (low << down if signed_fold else 0)
             if prev.bit_count() <= bound:
-                live.append(x)
-                break
+                rows.append((h, bound, layer, prev))
+        if rows:
+            live.append((i, y, rows))
     return live
 
 
 def leaf_cards(
-    layers: list[int], xs: Iterable[int], m: int, kind: SumsetKind,
-    bounds: Sequence[tuple[int, int | float]],
-) -> Iterator[tuple[int, int, int]]:
-    """The leaf step: (x, h, |h^(P + {x})|) for each x in ``xs`` and each
-    (h, bound) in ``bounds`` with that cardinality at most bound, read from
-    the ``layers`` of P as ``advance`` would fold x into a copy of them.
-    The kind must be bounded-fold."""
-    # one unit of x: layer h gains layer h - 1 shifted by m + x (and m - x);
-    # a row that ``live_folds`` drops would report no x
-    rows = live_folds(layers, 1, bounds)
-    if not rows:
-        return
+    layers: list[int], g: int, ys: Sequence[int], xs: Sequence[int], m: int,
+    kind: SumsetKind, bounds: Sequence[tuple[int, int | float]],
+) -> list[tuple[int, int, int, int]]:
+    """The leaf step: (y, x, h, |h^(Q + {y, x})|) for the i-th y of ``ys``,
+    each x of ``xs[i:]`` with gcd(g, y, x) = 1 and each (h, bound) in
+    ``bounds`` with that cardinality at most bound, in that order, read
+    from the ``layers`` of Q as ``advance`` would fold y and then x into a
+    copy of them, in a bounded-fold kind."""
     signed_fold = kind.symmetric
-    for x in xs:
-        up, down = m + x, m - x
-        for h, bound in rows:
-            prev = layers[h - 1]
-            layer = layers[h] | prev << up
-            if signed_fold:
-                layer |= prev << down
-            if (card := layer.bit_count()) <= bound:
-                yield x, h, card
+    cards = []
+    for i, y, rows in live_rows(layers, ys, m, kind, bounds):
+        gy = gcd(g, y)
+        for x in xs[i:] if gy == 1 else [x for x in xs[i:] if gcd(gy, x) == 1]:
+            up, down = m + x, m - x
+            for h, bound, layer, prev in rows:
+                card = (layer | prev << up | (prev << down if signed_fold else 0)).bit_count()
+                if card <= bound:
+                    cards.append((y, x, h, card))
+    return cards
 
 
 # _layered_values reads a mask's set bits this many bytes at a time

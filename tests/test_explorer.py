@@ -70,10 +70,11 @@ def test_closed_form_count_matches_enumeration(k, max_element, family):
 @pytest.mark.parametrize("family", [POS, ZERO])
 @pytest.mark.parametrize("kind", list(SumsetKind))
 def test_walk_layers_are_every_fold_of_every_set(family, kind):
-    # the leaf step on a parent's layers gives every fold of each of its
-    # sets, whatever prefix the walk began from (at k=3 positive a prefix is
-    # already a parent, at k=2 contains-zero a root is already a set), and
-    # the blocks tile the enumeration in order
+    # the leaf step on the layers of a node two elements short gives every
+    # fold of each of its sets, whatever prefix the walk began from (at k=3
+    # positive a root lacks one element, at k=2 contains-zero a root is
+    # already a set, and at k=1 the set {1} or {0} is read as y = x), and the
+    # blocks tile the enumeration in order
     for k in range(1, 6):
         config = ScanConfig(k, 9, family, parse_mode("verify:T2_1"))
         walked = []
@@ -82,20 +83,26 @@ def test_walk_layers_are_every_fold_of_every_set(family, kind):
         folds = range(1, k + 1)
         limits = [(h, 10**9) for h in folds]
         for p in _partitions(config):
-            for parent, layers, xs, rows, sets in _walk(k, 9, family, p, kind, limits):
-                assert rows == limits and sets == len(xs)
-                cards = []
-                for x, h in product(xs, folds):
-                    a = FiniteIntSet(parent + (x,))
-                    leaf = layers.copy()
-                    advance(leaf, (x,), 9, kind)
-                    card = leaf[h].bit_count()
-                    assert card == sumset_layered(a, h, kind).cardinality, (a, h)
-                    assert card == sumset_naive(a, h, kind).cardinality, (a, h)
-                    cards.append((x, h, card))
+            for parent, layers, g, ys, xs, rows, sets in _walk(k, 9, family, p, kind, limits):
+                assert rows == limits
+                cards, stop = [], []
+                for i, y in enumerate(ys):
+                    for x in xs[i:]:
+                        if gcd(g, y, x) != 1:
+                            continue
+                        a = FiniteIntSet(parent + ((y, x) if y < x else (x,)))
+                        leaf = layers.copy()
+                        advance(leaf, (y, x), 9, kind)
+                        for h in folds:
+                            card = leaf[h].bit_count()
+                            assert card == sumset_layered(a, h, kind).cardinality, (a, h)
+                            assert card == sumset_naive(a, h, kind).cardinality, (a, h)
+                            cards.append((y, x, h, card))
+                        stop.append(a)
+                assert sets == len(stop)
                 if kind.bounded_fold:  # the leaf step takes the kinds a scan walks
-                    assert list(leaf_cards(layers, xs, 9, kind, limits)) == cards
-                walked += [FiniteIntSet(parent + (x,)) for x in xs]
+                    assert leaf_cards(layers, g, ys, xs, 9, kind, limits) == cards
+                walked += stop
         assert walked == list(enumerate_normalized_sets(k, 9, family))
 
 
@@ -111,22 +118,33 @@ def test_completions_count_the_gcd_one_sets_below_a_node():
 
 
 def _spied_scan(config: ScanConfig) -> tuple[str, int, list]:
-    """A scan's fingerprint, its ``advance`` calls and the (set, h) pairs
-    its oracle confirms."""
+    """A scan's fingerprint, its work (``advance`` calls plus the y for
+    which the leaf step reads any x, the leaf parents it reads) and the
+    (set, h) pairs its oracle confirms."""
+    live_rows, read = kernel.live_rows, []  # the leaf step's filter, or a stand-in
+
+    def counted(*args):
+        live = live_rows(*args)
+        read.append(len(live))
+        return live
+
     with mock.patch.object(explorer, "advance", wraps=explorer.advance) as spy, \
-            mock.patch.object(explorer, "confirm", wraps=explorer.confirm) as confirms:
+            mock.patch.object(explorer, "confirm", wraps=explorer.confirm) as confirms, \
+            mock.patch.object(kernel, "live_rows", counted):
         report = scan(config)
     confirmed = [(call.args[0].canonical(), call.args[1]) for call in confirms.call_args_list]
-    return report.fingerprint(), spy.call_count, confirmed
+    return report.fingerprint(), spy.call_count + sum(read), confirmed
 
 
 @pytest.mark.parametrize("mode, k, max_element, family, skips", [
-    ("conj:C2_1", 6, 14, POS, True),   # scan-conj: 744 advance calls against 1,992
+    # scan-conj: 705 advance calls and 39 leaf parents read against 705 and 1,287
+    ("conj:C2_1", 6, 14, POS, True),
     ("conj:C2_1", 7, 12, POS, True),
     ("conj:C2_1", 7, 14, POS, True),
     ("conj:C2_1", 8, 13, POS, True),
-    ("conj:C2_1", 8, 14, POS, True),   # 2,481 advance calls against 3,424
+    ("conj:C2_1", 8, 14, POS, True),   # 1,723 against 3,424
     ("conj:C3_1", 8, 13, ZERO, True),
+    ("conj:C2_1", 10, 15, POS, True),   # the walk skips subtrees: 2,970 advance calls against 2,996
     ("verify:T2_1", 5, 12, POS, False),   # fold 1 never dies
     ("verify:TA_Nathanson", 6, 12, POS, False),   # the restricted kind
     ("verify:T2_4", 6, 14, POS, False),   # an inverse limit is infinite
@@ -135,26 +153,30 @@ def test_pruned_walk_reports_what_the_full_walk_does(
     monkeypatch, mode, k, max_element, family, skips,
 ):
     config = ScanConfig(k, max_element, family, parse_mode(mode))
-    pruned, pruned_calls, pruned_confirms = _spied_scan(config)
+    pruned, pruned_work, pruned_confirms = _spied_scan(config)
 
     def keep_every_fold(layers, left, bounds):
         return list(bounds)
 
-    def keep_every_child(layers, xs, m, kind, bounds):
-        return list(xs)
+    def keep_every_row(layers, ys, m, kind, bounds):
+        live = []
+        for i, y in enumerate(ys):
+            child = layers.copy()
+            advance(child, (y,), m, kind)
+            live.append((i, y, [(h, bound, child[h], child[h - 1]) for h, bound in bounds]))
+        return live
 
-    monkeypatch.setattr(kernel, "live_folds", keep_every_fold)  # the leaf step's
     monkeypatch.setattr(explorer, "live_folds", keep_every_fold)  # the walk's
-    monkeypatch.setattr(explorer, "live_children", keep_every_child)  # the leaf parents'
-    full, full_calls, full_confirms = _spied_scan(config)
+    monkeypatch.setattr(kernel, "live_rows", keep_every_row)  # the leaf step's, per y
+    full, full_work, full_confirms = _spied_scan(config)
     assert pruned == full
     assert pruned_confirms == full_confirms
-    assert (pruned_calls < full_calls) == skips, (pruned_calls, full_calls)
+    assert (pruned_work < full_work) == skips, (pruned_work, full_work)
 
 
 @pytest.mark.parametrize("mode, k, max_element, family, levels", [
-    ("conj:C2_1", 6, 14, POS, {1}),   # scan-conj: a leaf parent can lose every fold
-    ("conj:C2_1", 8, 14, POS, {1, 2, 3}),
+    ("conj:C2_1", 6, 14, POS, set()),   # scan-conj: only the leaf step's per-y test
+    ("conj:C2_1", 8, 14, POS, {2, 3}),
     ("verify:T2_1", 5, 16, POS, set()),   # scan-verify: fold 1 never dies
     ("verify:T2_4", 6, 14, POS, set()),   # an inverse limit is infinite
     # the restricted kind has at most C(n, j) values in layer j, not

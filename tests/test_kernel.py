@@ -16,7 +16,6 @@ from sumsets.kernel import (
     coefficient_space_size,
     enumerate_coefficients,
     leaf_cards,
-    live_children,
     live_folds,
     sumset_layered,
     sumset_naive,
@@ -219,24 +218,44 @@ def test_engines_agree_on_masks_wider_than_a_read_slice(raw):
             assert sumset_layered(a, h, kind).values == sumset_naive(a, h, kind).values
 
 
-@given(small_sets)
-def test_leaf_step_is_advance_on_the_last_element(raw):
-    """The leaf step reads layer h of A from the layers of A less one
-    element, exactly as ``advance`` folds that element in, and reports a
-    fold just when its cardinality is at most the bound."""
-    a = make_set(raw)
-    m = a.max_magnitude
-    *parent, x = a.elements
+@given(
+    st.sets(st.integers(0, 20), max_size=4),
+    st.sets(st.integers(1, 12), min_size=2, max_size=5),
+    st.integers(0, 6),
+    st.dictionaries(st.integers(1, 6), st.integers(0, 40), min_size=1, max_size=3),
+)
+@example({1, 2}, {1, 2}, 1, {1: 40})  # h = 1: a last element's own two values
+@example({1, 2}, {1, 2}, 1, {4: 40})  # h = k: every element of {1, 2, 3, 4}
+@example(set(), {1, 2, 3}, 0, {1: 40})  # contains-zero: y = 0 and g = 0, so only x = 1
+@example({1}, {1, 3, 4}, 2, {2: 40})  # g = 2: y = 2 keeps x = 5 and drops x = 4
+@example({3, 5}, {1, 2, 3}, 1, {1: 0, 2: 1})  # rows that kill every y
+@example({5}, {1, 2}, 1, {2: 1})  # restricted {5, 6}: layer 1 of Q + {y}, not of Q, has two
+@settings(max_examples=80)
+def test_leaf_step_is_advance_on_the_last_two_elements(raw_q, steps, g, raw_rows):
+    """For the i-th y of ys and each x of xs[i:] with gcd(g, y, x) = 1, the
+    leaf step reads layer h of Q + {y, x} from the layers of Q exactly as
+    ``advance`` folds y and then x in, and reports a fold just when its
+    cardinality is at most the row's bound."""
+    q = sorted(raw_q)
+    # the candidates lie above Q; with Q empty the first may be 0
+    candidates = [(q[-1] if q else -1) + step for step in sorted(steps)]
+    ys, xs = candidates[:-1], candidates[1:]
+    m, depth = candidates[-1], len(q) + 2
+    rows = sorted((h, bound) for h, bound in raw_rows.items() if h <= depth)
     for kind in [kind for kind in KINDS if kind.bounded_fold]:  # the kinds a scan walks
-        layers = [1] + [0] * a.k
-        advance(layers, parent, m, kind)
-        full = layers.copy()
-        advance(full, (x,), m, kind)
-        cards = [(h, full[h].bit_count()) for h in range(1, a.k + 1)]
-        at_bound = list(leaf_cards(layers, [x], m, kind, cards))
-        assert at_bound == [(x, h, card) for h, card in cards]
-        below = [(h, card - 1) for h, card in cards]
-        assert list(leaf_cards(layers, [x], m, kind, below)) == []
+        layers = [1] + [0] * depth
+        advance(layers, q, m, kind)
+        expected = []
+        for i, y in enumerate(ys):
+            for x in xs[i:]:
+                if gcd(g, y, x) == 1:
+                    full = layers.copy()
+                    advance(full, (y, x), m, kind)
+                    expected += [
+                        (y, x, h, full[h].bit_count())
+                        for h, bound in rows if full[h].bit_count() <= bound
+                    ]
+        assert leaf_cards(layers, g, ys, xs, m, kind, rows) == expected, kind
 
 
 @given(
@@ -261,34 +280,6 @@ def test_live_folds_keeps_every_fold_a_completion_can_meet(raw_p, steps):
             card = full[h].bit_count()
             assert all(card >= layers[h - j].bit_count() for j in range(min(left, h) + 1))
             assert live_folds(layers, left, [(h, card)]) == [(h, card)], (kind, h)
-
-
-@given(
-    st.sets(st.integers(0, 20), min_size=1, max_size=4),
-    st.sets(st.integers(1, 12), min_size=1, max_size=4),
-    st.dictionaries(st.integers(1, 5), st.integers(0, 40), min_size=1, max_size=3),
-)
-@example({1, 2}, {1}, {3: 1})  # restricted {1,2,3}: one 3-fold sum, three 2-fold sums
-@example({5}, {1}, {2: 1})  # restricted {5,6}: layer 1 of the child, not of P, has two
-@example({0, 1}, {1, 2}, {1: 3})  # h = 1: the window is the child's layers 0 and 1
-@settings(max_examples=80)
-def test_live_children_are_the_children_live_folds_keeps(raw_p, steps, raw_rows):
-    """x is a live child of P just when ``live_folds`` at one missing
-    element keeps a row on the layers ``advance`` makes for P + {x}."""
-    p = sorted(raw_p)
-    xs = [p[-1] + step for step in sorted(steps)]
-    m, depth = xs[-1], len(p) + 1
-    rows = sorted((h, bound) for h, bound in raw_rows.items() if h <= depth)
-    for kind in [kind for kind in KINDS if kind.bounded_fold]:
-        layers = [1] + [0] * depth
-        advance(layers, p, m, kind)
-        expected = []
-        for x in xs:
-            child = layers.copy()
-            advance(child, (x,), m, kind)
-            if live_folds(child, 1, rows):
-                expected.append(x)
-        assert live_children(layers, xs, m, kind, rows) == expected, kind
 
 
 @given(small_sets)
