@@ -17,6 +17,7 @@ from sumsets.kernel import (
     enumerate_coefficients,
     leaf_cards,
     live_folds,
+    live_rows,
     sumset_layered,
     sumset_naive,
 )
@@ -218,6 +219,27 @@ def test_engines_agree_on_masks_wider_than_a_read_slice(raw):
             assert sumset_layered(a, h, kind).values == sumset_naive(a, h, kind).values
 
 
+@given(small_sets)
+def test_leaf_step_is_advance_on_the_last_element(raw):
+    """The leaf step reads layer h of A from the layers of A less its last
+    two elements y and x, exactly as ``advance`` folds them in, and reports
+    a fold just when its cardinality is at most the bound; a one-element
+    set {a} is read as y = x = a, exact at its only fold."""
+    a = make_set(raw)
+    m = a.max_magnitude
+    *parent, y, x = a.elements if a.k > 1 else a.elements * 2
+    for kind in [kind for kind in KINDS if kind.bounded_fold]:  # the kinds a scan walks
+        layers = [1] + [0] * a.k
+        advance(layers, parent, m, kind)
+        full = [1] + [0] * a.k
+        advance(full, a.elements, m, kind)
+        cards = [(h, full[h].bit_count()) for h in range(1, a.k + 1)]
+        at_bound = leaf_cards(layers, 1, [y], [x], m, kind, cards)
+        assert at_bound == [(y, x, h, card) for h, card in cards], kind
+        below = [(h, card - 1) for h, card in cards]
+        assert leaf_cards(layers, 1, [y], [x], m, kind, below) == [], kind
+
+
 @given(
     st.sets(st.integers(0, 20), max_size=4),
     st.sets(st.integers(1, 12), min_size=2, max_size=5),
@@ -280,6 +302,39 @@ def test_live_folds_keeps_every_fold_a_completion_can_meet(raw_p, steps):
             card = full[h].bit_count()
             assert all(card >= layers[h - j].bit_count() for j in range(min(left, h) + 1))
             assert live_folds(layers, left, [(h, card)]) == [(h, card)], (kind, h)
+
+
+@given(
+    st.sets(st.integers(0, 20), min_size=1, max_size=4),
+    st.sets(st.integers(1, 12), min_size=1, max_size=4),
+    st.dictionaries(st.integers(1, 5), st.integers(0, 40), min_size=1, max_size=3),
+)
+@example({1, 2}, {1}, {3: 1})  # restricted {1,2,3}: one 3-fold sum, three 2-fold sums
+@example({5}, {1}, {2: 1})  # restricted {5,6}: layer 1 of the child, not of P, has two
+@example({0, 1}, {1, 2}, {1: 3})  # h = 1: the window is the child's layers 0 and 1
+@example({1}, {1}, {2: 2})  # restricted {1, 2}: layer 1 holds exactly the bound, kept
+@settings(max_examples=80)
+def test_live_children_are_the_children_live_folds_keeps(raw_p, steps, raw_rows):
+    """The i-th y is a live child of P in ``live_rows`` just when
+    ``live_folds`` at one missing element keeps a row on the layers
+    ``advance`` makes for P + {y}; it comes with those rows and that
+    child's layers h and h - 1."""
+    p = sorted(raw_p)
+    ys = [p[-1] + step for step in sorted(steps)]
+    m, depth = ys[-1], len(p) + 1
+    rows = sorted((h, bound) for h, bound in raw_rows.items() if h <= depth)
+    for kind in [kind for kind in KINDS if kind.bounded_fold]:
+        layers = [1] + [0] * depth
+        advance(layers, p, m, kind)
+        expected = []
+        for i, y in enumerate(ys):
+            child = layers.copy()
+            advance(child, (y,), m, kind)
+            if kept := live_folds(child, 1, rows):
+                expected.append(
+                    (i, y, [(h, bound, child[h], child[h - 1]) for h, bound in kept])
+                )
+        assert live_rows(layers, ys, m, kind, rows) == expected, kind
 
 
 @given(small_sets)
