@@ -28,8 +28,8 @@ for kind in SumsetKind:
           f"{coefficient_space_size(a.k, h, kind)} coefficient vectors")
 
 print("\nThe coefficient vectors behind the restricted-signed case:")
-for cv in enumerate_coefficients(a.k, h, SumsetKind.RESTRICTED_SIGNED):
-    print(f"  {cv.coefficients} -> {cv.apply(a)}")
+for vector in enumerate_coefficients(a.k, h, SumsetKind.RESTRICTED_SIGNED):
+    print(f"  {vector} -> {sum(c * x for c, x in zip(vector, a))}")
 
 # sumsets commute with dilation: computing on 7*A just scales the values
 b = dilate(a, 7)

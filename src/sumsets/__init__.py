@@ -11,7 +11,6 @@ for counterexamples to the open conjectures.
 """
 
 from .core import (
-    CoefficientVector,
     FiniteIntSet,
     SetFamily,
     SumsetKind,
@@ -19,7 +18,6 @@ from .core import (
     dilate,
     family_of,
     make_set,
-    normalize_dilation,
     parse_set_literal,
 )
 from .errors import (
@@ -34,7 +32,6 @@ from .errors import (
     InvalidSetLiteral,
     KernelOverflow,
     NotApplicable,
-    NotNormalizable,
     SumsetError,
     TheoremViolation,
 )

@@ -2,7 +2,8 @@
 
 Exit codes: 0 clean, 2 theorem violation (an engine bug surfaced by a
 verify scan), 3 conjecture counterexample found, 64 usage error, 65 domain
-error from the library.
+error from the library, 141 stdout closed by its reader (as a shell
+reports SIGPIPE).
 """
 from __future__ import annotations
 
@@ -30,6 +31,7 @@ EXIT_THEOREM_VIOLATION = 2
 EXIT_COUNTEREXAMPLE = 3
 EXIT_USAGE = 64
 EXIT_DOMAIN = 65
+EXIT_BROKEN_PIPE = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -301,7 +303,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early, as ``| head`` does; stdout now points at
+        # devnull so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except InvalidSetLiteral as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -9,18 +9,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from math import gcd
 from itertools import repeat
 from operator import itemgetter, lt, neg
 from typing import Iterable, Iterator
 
-from .errors import (
-    DomainViolation,
-    InvalidDilation,
-    InvalidSet,
-    InvalidSetLiteral,
-    NotNormalizable,
-)
+from .errors import DomainViolation, InvalidDilation, InvalidSet, InvalidSetLiteral
 
 # The naive engine rejects inputs whose h * max|a_i| exceeds this.  Python
 # ints do not overflow, so the reason is output: past it, sums can outgrow
@@ -95,16 +88,6 @@ class FiniteIntSet:
 
 
 @dataclass(frozen=True)
-class CoefficientVector:
-    """One choice of coefficients (lambda_0, ..., lambda_{k-1})."""
-
-    coefficients: tuple[int, ...]
-
-    def apply(self, a: FiniteIntSet) -> int:
-        return sum(c * x for c, x in zip(self.coefficients, a.elements))
-
-
-@dataclass(frozen=True)
 class SumsetResult:
     """A computed sumset: sorted distinct values and their kind."""
 
@@ -164,23 +147,6 @@ def dilate(a: FiniteIntSet, alpha: int) -> FiniteIntSet:
     return FiniteIntSet(tuple(scaled))
 
 
-def normalize_dilation(a: FiniteIntSet) -> tuple[int, FiniteIntSet]:
-    """Factor a nonnegative set as d * A' with gcd of A' nonzero part 1.
-
-    Returns (d, A').  Only defined for sets of nonnegative integers with at
-    least one positive element; anything else raises NotNormalizable.
-    """
-    if a.elements[0] < 0:
-        raise NotNormalizable(f"set {a} has negative elements")
-    nonzero = [x for x in a.elements if x != 0]
-    if not nonzero:
-        raise NotNormalizable("set {0} has no positive element to normalize")
-    d = 0
-    for x in nonzero:
-        d = gcd(d, x)
-    return d, FiniteIntSet(tuple(x // d for x in a.elements))
-
-
 def family_of(a: FiniteIntSet) -> SetFamily:
     """Classify a set into the positive / zero-containing input families."""
     if a.elements[0] > 0:
@@ -220,17 +186,15 @@ def canonical_json(obj: object) -> str:
     for byte, with a ``Table`` written as the list of its records' dicts.
     Strs, ints, nonempty lists and tuples, nonempty dicts with str keys and
     tables are written here directly, which skips the stdlib's pure-Python
-    indenting encoder.  A list is written as a table when its items are all
-    strs, all ints, or all dicts with one set of str keys (in any insertion
-    order): strs and ints go through one C loop each, and the dicts are
-    split into one column per key.  A table of columns fills one
-    ``%``-format string, built once from the sorted keys, with a tuple per
-    record: a column of ints (not bools, which are written "true") fills a
-    ``%d`` slot, and any other column is itself written as a list, lazily.
-    A lone dict is a one-row table.  Any other value (floats, bools, None,
-    empty containers, enum members, non-str keys) goes to ``json.dumps``,
-    whose newlines, never raw inside a JSON string, are re-indented to the
-    value's depth."""
+    indenting encoder.  A list of only strs or only ints goes through one C
+    loop; any other list is written an item at a time.  A table of columns
+    fills one ``%``-format string, built once from the sorted keys, with a
+    tuple per record: a column of ints (not bools, which are written
+    "true") fills a ``%d`` slot, and any other column is itself written as
+    a list, lazily.  A lone dict is a one-row table.  Any other value
+    (floats, bools, None, empty containers, enum members, non-str keys)
+    goes to ``json.dumps``, whose newlines, never raw inside a JSON string,
+    are re-indented to the value's depth."""
     return _json_text(obj, "\n") + "\n"
 
 
@@ -262,17 +226,10 @@ def _json_text(obj: object, pad: str) -> str:
 def _json_texts(items: list | tuple, pad: str) -> Iterator[str]:
     """The canonical texts of nonempty ``items``, each ending on ``pad``."""
     kinds = set(map(type, items))
-    if len(kinds) == 1:
-        cls = kinds.pop()
-        if cls is str:
-            return map(_json_str, items)
-        if cls is int:  # bools are not ints here: True is written "true"
-            return map(int.__repr__, items)
-        keys = items[0].keys() if cls is dict else None
-        if keys and all(type(key) is str for key in keys) and all(
-            map(keys.__eq__, map(dict.keys, items))
-        ):
-            return _records(keys, [list(map(itemgetter(key), items)) for key in keys], pad)
+    if kinds == {str}:
+        return map(_json_str, items)
+    if kinds == {int}:  # bools are not ints here: True is written "true"
+        return map(int.__repr__, items)
     return map(_json_text, items, repeat(pad))
 
 

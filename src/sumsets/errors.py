@@ -17,11 +17,6 @@ class InvalidDilation(SumsetError):
     """Raised for dilation by zero, which would collapse the set."""
 
 
-class NotNormalizable(SumsetError):
-    """Raised when gcd-normalization is requested for a set outside its
-    domain (negative elements, or no positive element at all)."""
-
-
 class InvalidFold(SumsetError):
     """Raised when the fold count h is out of range for the sumset kind."""
 

@@ -239,43 +239,45 @@ def enumerate_normalized_sets(
 
     Positive family: k-subsets of [1, max_element] with gcd 1.  Zero
     family: {0} plus a (k-1)-subset of [1, max_element] whose gcd is 1.
+    The sets are listed by ``combinations`` and filtered by gcd, with no
+    DP: the second derivation of the space, which the walk and its
+    Moebius counts are tested against.
     """
-    for parent, _, g, ys, xs, _, _ in _walk(k, max_element, family, prefix):
-        for i, y in enumerate(ys):
-            for x in xs[i:]:
-                if gcd(g, y, x) == 1:  # y = x reads a one-element set
-                    yield FiniteIntSet(parent + ((y, x) if y < x else (x,)))
+    nonzero_size, base = _space_shape(k, max_element, family)
+    size = nonzero_size - len(prefix)
+    low = prefix[-1] + 1 if prefix else 1
+    # combinations() would hold the whole range even when size is 0
+    for rest in combinations(range(low, max_element + 1) if size else (), size):
+        if gcd(*prefix, *rest) < 2:  # gcd 1, or gcd() == 0 for {0}
+            yield FiniteIntSet(base + prefix + rest)
 
 
 def _walk(
-    k: int, max_element: int, family: SetFamily, prefix: tuple[int, ...] = (),
-    kind: SumsetKind = SumsetKind.RESTRICTED_SIGNED,
-    limits: Sequence[tuple[int, int | float]] = (), checks: Container[int] = (),
-    mu: Sequence[int] = (),
+    k: int, max_element: int, family: SetFamily, prefix: tuple[int, ...],
+    kind: SumsetKind, limits: Sequence[tuple[int, int | float]],
+    checks: Container[int] = (), mu: Sequence[int] = (),
 ) -> Iterator[tuple[
     tuple[int, ...], list[int], int, Sequence[int], Sequence[int],
     Sequence[tuple[int, int | float]], int,
 ]]:
-    """The sets of ``enumerate_normalized_sets`` grouped by where the walk
-    stops, at a node Q two elements short of them: Q + {y, x} for the i-th
-    y of ``ys``, an x of ``xs[i:]`` and gcd(g, y, x) = 1.  A stop yields Q,
-    its DP layers 0..max h of ``limits`` of the kind in the frame
-    m = max_element, g, ys, xs, the (h, limit) rows still live there and
-    its count of sets.  A root that lacks one element or none stops with its
-    last elements as y and x, and a one-element set {a} with y = x = a: a
-    folded twice is exact at h = 1, its only fold.  A node lacking ``left``
-    elements, for ``left`` in ``checks``, hands down only the rows
-    ``live_folds`` keeps; with none, its subtree is not walked, and the sets
-    of all such nodes are counted with the Moebius table ``mu`` and
-    yielded alone when the walk ends."""
+    """The normalized k-sets whose nonzero part starts with ``prefix``, a
+    block of ``_partitions``, grouped by where the walk stops, at a node Q
+    two elements short of them: Q + {y, x} for the i-th y of ``ys``, an x
+    of ``xs[i:]`` and gcd(g, y, x) = 1.  A stop yields Q, its DP layers
+    0..max h of ``limits`` of the kind in the frame m = max_element, g,
+    ys, xs, the (h, limit) rows still live there and its count of sets.  A
+    root that lacks one element or none stops with its last elements as y
+    and x, and a one-element set {a} with y = x = a: a folded twice is
+    exact at h = 1, its only fold.  A node lacking ``left`` elements, for
+    ``left`` in ``checks``, hands down only the rows ``live_folds`` keeps;
+    with none, its subtree is not walked, and the sets of all such nodes
+    are counted with the Moebius table ``mu`` and yielded alone when the
+    walk ends."""
     nonzero_size, base = _space_shape(k, max_element, family)
     elements = base + prefix
     room = nonzero_size - len(prefix)
-    depth = max((h for h, _ in limits), default=0)
-    layers = [1] + [0] * depth
+    layers = [1] + [0] * max(h for h, _ in limits)
     if room < 2:  # the root lacks one element or none
-        if not elements:  # of the positive sets {x}, only {1} has gcd 1
-            elements, room = (1,), 0
         if room:
             parent, ys, g = elements[:-1], elements[-1:], gcd(*elements)
             xs = range(ys[0] + 1, max_element + 1)
@@ -310,8 +312,7 @@ def _walk(
             return
         parent, layers, g, rows, left, x = stack.pop()
         layers = layers.copy()
-        if depth:
-            advance(layers, (x,), max_element, kind)
+        advance(layers, (x,), max_element, kind)
         parent, g = parent + (x,), gcd(g, x)
 
 

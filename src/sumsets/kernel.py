@@ -39,6 +39,12 @@ The two engines are deliberately unrelated in structure:
   walk prunes its subtrees by, at one missing element.  For each x the
   step ORs the shifts of layer h - 1 into layer h.  A property test pins
   it to ``advance``.
+* ``enumerate_coefficients`` lists the coefficient vectors themselves, as
+  plain tuples.  No engine uses it: it is the literal definition above, a
+  third derivation both engines are tested against, and demo 01 prints
+  its vectors.  It is lazy and keeps its own stack, so it runs through the
+  vectors of a k = 1100 set without holding them or recursing once per
+  element.
 
 Agreement of the two engines on a value set is the package's primary
 correctness evidence.  ``bounds.confirm`` is the one place that compares
@@ -53,13 +59,7 @@ from math import comb, gcd
 from operator import add
 from typing import Iterable, Iterator, Sequence
 
-from .core import (
-    MAX_SAFE_MAGNITUDE,
-    CoefficientVector,
-    FiniteIntSet,
-    SumsetKind,
-    SumsetResult,
-)
+from .core import MAX_SAFE_MAGNITUDE, FiniteIntSet, SumsetKind, SumsetResult
 from .errors import InvalidFold, KernelOverflow
 
 
@@ -120,11 +120,9 @@ def _require_oracle_budget(k: int, h: int, kind: SumsetKind) -> None:
         )
 
 
-def enumerate_coefficients(
-    k: int, h: int, kind: SumsetKind
-) -> Iterator[CoefficientVector]:
-    """Yield every coefficient vector of the kind with weight exactly h,
-    each once, in lexicographic order over coefficient tuples."""
+def enumerate_coefficients(k: int, h: int, kind: SumsetKind) -> Iterator[tuple[int, ...]]:
+    """Yield every coefficient vector (lambda_0, ..., lambda_{k-1}) of the
+    kind with weight exactly h, each once, in lexicographic order."""
     require_fold(k, h, kind)
 
     def candidates(pos: int, remaining: int) -> Iterator[int]:
@@ -135,7 +133,7 @@ def enumerate_coefficients(
             return iter((-1, 0, 1) if kind.symmetric else (0, 1))
         return iter(range(-remaining if kind.symmetric else 0, remaining + 1))
 
-    def walk() -> Iterator[CoefficientVector]:
+    def walk() -> Iterator[tuple[int, ...]]:
         # stack[i] holds the untried coefficients for position i, so a long
         # set does not recurse once per element; vec holds the choices for
         # the positions below the top and zeros from there on
@@ -152,7 +150,7 @@ def enumerate_coefficients(
                     vec[pos - 1] = 0
             elif remaining == abs(c):  # every later coefficient is 0
                 vec[pos] = c
-                yield CoefficientVector(tuple(vec))
+                yield tuple(vec)
                 vec[pos] = 0
             elif pos + 1 < k:
                 vec[pos] = c

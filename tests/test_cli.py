@@ -228,6 +228,31 @@ def test_scan_frame_budget_refused_before_partitioning(capsys):
     assert code == 65 and "bits" in err
 
 
+@pytest.mark.parametrize("argv", [
+    # 16 kB of values: the pipe breaks inside print
+    ["compute", "--set", "1,2,4,8,16,32,64,128,256,512,1024", "--h", "5"],
+    # two short lines, still buffered when the command returns
+    ["compute", "--set", "1,3,5", "--h", "2"],
+])
+def test_closed_stdout_exits_141_without_a_traceback(argv):
+    # `| head -c 10` once head has exited: stdout is a pipe with no reader,
+    # so the first write fails; the CLI exits with the code a shell reports
+    # for SIGPIPE, not with a BrokenPipeError traceback
+    child = "import sys; from sumsets.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", child, *argv], env=env, stdout=write,
+            stderr=subprocess.PIPE, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
+
+
 def test_scan_space_budget_refused_before_allocating():
     # 3*10^8 passes the frame budget; listing its prefix blocks, or sieving
     # to 3*10^8, would exhaust a 400 MB address space (MemoryError, exit 1)

@@ -15,16 +15,9 @@ from sumsets.core import (
     dilate,
     family_of,
     make_set,
-    normalize_dilation,
     parse_set_literal,
 )
-from sumsets.errors import (
-    DomainViolation,
-    InvalidDilation,
-    InvalidSet,
-    InvalidSetLiteral,
-    NotNormalizable,
-)
+from sumsets.errors import DomainViolation, InvalidDilation, InvalidSet, InvalidSetLiteral
 
 int_sets = st.sets(st.integers(-200, 200), min_size=1, max_size=8)
 
@@ -89,19 +82,6 @@ def test_dilate_by_zero_rejected():
         dilate(make_set([1, 3]), 0)
 
 
-def test_normalize_dilation_examples():
-    assert normalize_dilation(make_set([2, 6, 10])) == (2, make_set([1, 3, 5]))
-    assert normalize_dilation(make_set([0, 3, 6, 9])) == (3, make_set([0, 1, 2, 3]))
-    assert normalize_dilation(make_set([1, 4, 9])) == (1, make_set([1, 4, 9]))
-
-
-def test_normalize_dilation_rejects_negative_and_zero_only():
-    with pytest.raises(NotNormalizable):
-        normalize_dilation(make_set([-2, 4]))
-    with pytest.raises(NotNormalizable):
-        normalize_dilation(make_set([0]))
-
-
 @given(int_sets, st.integers(-10, 10).filter(lambda a: a != 0))
 def test_dilation_preserves_cardinality(raw, alpha):
     a = make_set(raw)
@@ -116,14 +96,6 @@ def test_dilation_preserves_cardinality(raw, alpha):
 def test_dilation_composes(raw, alpha, beta):
     a = make_set(raw)
     assert dilate(dilate(a, alpha), beta) == dilate(a, alpha * beta)
-
-
-@given(st.sets(st.integers(0, 300), min_size=1, max_size=8).filter(lambda s: any(s)))
-def test_normalize_dilation_idempotent(raw):
-    d, primitive = normalize_dilation(make_set(raw))
-    assert dilate(primitive, d) == make_set(raw)
-    d2, again = normalize_dilation(primitive)
-    assert d2 == 1 and again == primitive
 
 
 def test_canonical_serialization_round_trip():

@@ -73,37 +73,42 @@ def test_walk_layers_are_every_fold_of_every_set(family, kind):
     # the leaf step on the layers of a node two elements short gives every
     # fold of each of its sets, whatever prefix the walk began from (at k=3
     # positive a root lacks one element, at k=2 contains-zero a root is
-    # already a set, and at k=1 the set {1} or {0} is read as y = x), and the
-    # blocks tile the enumeration in order
+    # already a set, and at k=1 the set {1} or {0} is read as y = x), and
+    # the blocks tile the enumeration, which lists the sets by combinations
+    # and gcd, in order.  The smallest spaces, max = n and n + 1 for n
+    # nonzero elements, make every root lack one element or none.
     for k in range(1, 6):
-        config = ScanConfig(k, 9, family, parse_mode("verify:T2_1"))
-        walked = []
-        # with no bound in reach, the walk keeps every fold and the leaf
-        # step reports every fold
-        folds = range(1, k + 1)
-        limits = [(h, 10**9) for h in folds]
-        for p in _partitions(config):
-            for parent, layers, g, ys, xs, rows, sets in _walk(k, 9, family, p, kind, limits):
-                assert rows == limits
-                cards, stop = [], []
-                for i, y in enumerate(ys):
-                    for x in xs[i:]:
-                        if gcd(g, y, x) != 1:
-                            continue
-                        a = FiniteIntSet(parent + ((y, x) if y < x else (x,)))
-                        leaf = layers.copy()
-                        advance(leaf, (y, x), 9, kind)
-                        for h in folds:
-                            card = leaf[h].bit_count()
-                            assert card == sumset_layered(a, h, kind).cardinality, (a, h)
-                            assert card == sumset_naive(a, h, kind).cardinality, (a, h)
-                            cards.append((y, x, h, card))
-                        stop.append(a)
-                assert sets == len(stop)
-                if kind.bounded_fold:  # the leaf step takes the kinds a scan walks
-                    assert leaf_cards(layers, g, ys, xs, 9, kind, limits) == cards
-                walked += stop
-        assert walked == list(enumerate_normalized_sets(k, 9, family))
+        n = k - 1 if family is ZERO else k
+        for max_element in (n, n + 1, 9):
+            config = ScanConfig(k, max_element, family, parse_mode("verify:T2_1"))
+            walked = []
+            # with no bound in reach, the walk keeps every fold and the leaf
+            # step reports every fold
+            folds = range(1, k + 1)
+            limits = [(h, 10**9) for h in folds]
+            for p in _partitions(config):
+                walk = _walk(k, max_element, family, p, kind, limits)
+                for parent, layers, g, ys, xs, rows, sets in walk:
+                    assert rows == limits
+                    cards, stop = [], []
+                    for i, y in enumerate(ys):
+                        for x in xs[i:]:
+                            if gcd(g, y, x) != 1:
+                                continue
+                            a = FiniteIntSet(parent + ((y, x) if y < x else (x,)))
+                            leaf = layers.copy()
+                            advance(leaf, (y, x), max_element, kind)
+                            for h in folds:
+                                card = leaf[h].bit_count()
+                                assert card == sumset_layered(a, h, kind).cardinality, (a, h)
+                                assert card == sumset_naive(a, h, kind).cardinality, (a, h)
+                                cards.append((y, x, h, card))
+                            stop.append(a)
+                    assert sets == len(stop)
+                    if kind.bounded_fold:  # the leaf step takes the kinds a scan walks
+                        assert leaf_cards(layers, g, ys, xs, max_element, kind, limits) == cards
+                    walked += stop
+            assert walked == list(enumerate_normalized_sets(k, max_element, family)), max_element
 
 
 def test_completions_count_the_gcd_one_sets_below_a_node():
