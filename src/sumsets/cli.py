@@ -111,7 +111,7 @@ def _positive_int(text: str) -> int:
 
 def _parse_h_range(text: str | None, k: int) -> tuple[int, ...] | None:
     """A fold or inclusive fold range, checked against 1..k before the
-    range is built."""
+    range is built; one that runs backwards is malformed."""
     if text is None:
         return None
     lo, sep, hi = text.partition("-")
@@ -119,6 +119,8 @@ def _parse_h_range(text: str | None, k: int) -> tuple[int, ...] | None:
         lo, hi = (int(lo), int(hi)) if sep else (int(text), int(text))
     except ValueError:
         raise InvalidSetLiteral(f"malformed fold range: {text!r}") from None
+    if lo > hi:
+        raise InvalidSetLiteral(f"malformed fold range: {text!r} runs backwards")
     if not 1 <= lo <= hi <= k:
         raise NotApplicable(f"fold range {text!r} is not within 1..{k}")
     return tuple(range(lo, hi + 1))
@@ -265,7 +267,8 @@ def _cmd_scan(args) -> int:
         print(f"mode {config.mode} k={config.k} family={config.family.value} "
               f"max={config.max_element}")
         print(f"sets_scanned {report.sets_scanned}")
-        print(f"equalities {len(report.equalities)}")
+        # each record kind's dicts are built once, for its loop
+        print(f"equalities {len(report.records['equalities'])}")
         for rec in report.equalities:
             fam = rec.get("family")
             print(f"  {rec['set']} h={rec['h']} cardinality={rec['cardinality']}"

@@ -34,15 +34,17 @@ back in block order.
 
 A partition is a depth-first walk over a tree whose nodes add one larger
 element to their parent's; a node copies its parent's DP layers and folds
-its element in with ``kernel.advance``.  The walk stops at a node Q two
-elements short of its sets, as does a root that lacks one element or
-none, with its last elements as y and x.  There the leaf step
+its element in with ``kernel.advance``.  The walk yields each node P
+three elements short of its sets once, with one count of its sets, and
+the worker folds each next element z into a copy of P's layers in a
+loop, with no stack entry or yield per z.  A root that lacks two elements
+or fewer is yielded as Q, with no z.  For each Q = P + {z} the leaf step
 ``kernel.leaf_cards`` reads |h^A| for every set A = Q + {y, x} and
 scanned fold h from Q's layers, and reports only the cards at or below
 the fold's limit, the only ones a check acts on: the bound, or none for
 an inverse check, since a family member above it breaks the converse.  A
 record names its set by Q's canonical text and a comma, built once per
-stop with a record, y's once per y, and ``str(x)``.  Records are kept as
+Q with a record, y's once per y, and ``str(x)``.  Records are kept as
 columns, one list per field of each record kind (``_FIELDS``), from the
 check that appends them through a worker's result, the merge and the
 ``ScanReport``, whose ``records`` hold them as ``core.Table``s.
@@ -58,21 +60,23 @@ already holds one above the fold's limit is dead below the node
 (``kernel.live_folds``).  The leaf step drops the dead folds of each
 Q + {y} from its layers h and h - 1 (``kernel.live_rows``) and reads no x
 of a y with none left.  Higher up the walk carries the live folds down,
-and a node with none left is not walked below.  The sets of such a node,
-and of a stop, are counted as the gcd-1 completions, by Moebius over the
-divisors d of the gcd g of its nonzero elements, sum mu(d) *
-C(max // d - p // d, left) for its largest element p, from one table of
-mu per run of blocks.  These counts do not share the exact-gcd count of
-``count_normalized_sets``, so the completeness check still compares two
-derivations.  A check costs a bit count per layer of each window, so
-``_validate`` lists once per scan the levels 2..k-1, by elements still
-lacking, where every fold could die, by |L_j| <= min(C(n, j) * 2^j,
-2j * max + 1) at a node of n elements (a 0 counted; no 2^j for the
-restricted kind), and the walk checks only there.  The list only decides
+and a node with none left is not walked below; the z loop drops the dead
+folds of each P + {z} the same way and skips a z with none left.  The
+sets of a node not walked, and of a stop, every z included, are counted
+as the gcd-1 completions, by Moebius over the divisors d of the gcd g of
+its nonzero elements, sum mu(d) * C(max // d - p // d, left) for its
+largest element p, from one table of mu per run of blocks.  These counts
+do not share the exact-gcd count of ``count_normalized_sets``, so the
+completeness check still compares two derivations.  A check costs a bit
+count per layer of each window, so ``_validate`` lists once per scan the
+levels 2..k-1, by elements still lacking, where every fold could die, by
+|L_j| <= min(C(n, j) * 2^j, 2j * max + 1) at a node of n elements (a 0
+counted; no 2^j for the restricted kind), and the walk checks only
+there.  The list only decides
 where the walk looks; it never changes a result.  An inverse check has
 no limit, so its walk never prunes.
 
-Two checks act on the reported cards, one stop's cards per call.
+Two checks act on the reported cards, the cards of one Q per call.
 ``_check_verify`` serves every ``verify`` mode: a direct theorem is an
 inverse theorem that names no family.  ``_check_conjecture`` serves every
 ``conj`` mode.  Both read a set's element tuple, and ``match_family``
@@ -257,22 +261,25 @@ def _walk(
     kind: SumsetKind, limits: Sequence[tuple[int, int | float]],
     checks: Container[int] = (), mu: Sequence[int] = (),
 ) -> Iterator[tuple[
-    tuple[int, ...], list[int], int, Sequence[int], Sequence[int],
+    tuple[int, ...], list[int], int, Sequence[int], Sequence[int], Sequence[int],
     Sequence[tuple[int, int | float]], int,
 ]]:
     """The normalized k-sets whose nonzero part starts with ``prefix``, a
-    block of ``_partitions``, grouped by where the walk stops, at a node Q
-    two elements short of them: Q + {y, x} for the i-th y of ``ys``, an x
-    of ``xs[i:]`` and gcd(g, y, x) = 1.  A stop yields Q, its DP layers
-    0..max h of ``limits`` of the kind in the frame m = max_element, g,
-    ys, xs, the (h, limit) rows still live there and its count of sets.  A
-    root that lacks one element or none stops with its last elements as y
-    and x, and a one-element set {a} with y = x = a: a folded twice is
-    exact at h = 1, its only fold.  A node lacking ``left`` elements, for
-    ``left`` in ``checks``, hands down only the rows ``live_folds`` keeps;
-    with none, its subtree is not walked, and the sets of all such nodes
-    are counted with the Moebius table ``mu`` and yielded alone when the
-    walk ends."""
+    block of ``_partitions``, grouped by where the walk stops, at a node P
+    three elements short of them: P + {z, y, x} for the i-th z of ``zs``,
+    the j-th y of ``ys[i:]``, an x of ``xs[i + j:]`` and gcd(g, z, y, x)
+    = 1.  A stop yields P, its DP layers 0..max h of ``limits`` of the kind
+    in the frame m = max_element, g, zs, ys, xs, the (h, limit) rows still
+    live there and one count of the sets of every z.  A root that lacks two
+    elements or fewer stops with no z, as a node Q two elements short of
+    its sets Q + {y, x}: a root lacking one element or none with its last
+    elements as y and x, and a one-element set {a} with y = x = a: a
+    folded twice is exact at h = 1, its only fold.  A node lacking
+    ``left`` elements, for ``left`` in ``checks``, hands down only the
+    rows ``live_folds`` keeps (for 2, only at a root; ``_scan_blocks``
+    tests each z); with none, its subtree is not walked, and the sets of
+    all such nodes are counted with the Moebius table ``mu`` and yielded
+    alone when the walk ends."""
     nonzero_size, base = _space_shape(k, max_element, family)
     elements = base + prefix
     room = nonzero_size - len(prefix)
@@ -286,7 +293,9 @@ def _walk(
         else:
             return
         advance(layers, parent, max_element, kind)
-        yield parent, layers, g, ys, xs, limits, _completions(g, ys[0], max_element, room, mu)
+        yield parent, layers, g, (), ys, xs, limits, _completions(
+            g, ys[0], max_element, room, mu
+        )
         return
     advance(layers, elements, max_element, kind)  # the zero family's 0, the prefix
     # Depth first over an explicit stack, not a generator per element, so a
@@ -299,8 +308,14 @@ def _walk(
         low = parent[-1] + 1 if parent else 1
         if left in checks and not (rows := live_folds(layers, left, rows)):
             skipped += _completions(g, low - 1, max_element, left, mu)
-        elif left == 2:
-            yield parent, layers, g, range(low, max_element), range(
+        elif left == 3:
+            yield parent, layers, g, range(low, max_element - 1), range(
+                low + 1, max_element
+            ), range(low + 2, max_element + 1), rows, _completions(
+                g, low - 1, max_element, 3, mu
+            )
+        elif left == 2:  # only a root lacks two
+            yield parent, layers, g, (), range(low, max_element), range(
                 low + 1, max_element + 1
             ), rows, _completions(g, low - 1, max_element, 2, mu)
         else:
@@ -308,7 +323,7 @@ def _walk(
             stack.extend((parent, layers, g, rows, left - 1, x) for x in reversed(xs))
         if not stack:
             if skipped:
-                yield (), layers, 1, (), (), (), skipped
+                yield (), layers, 1, (), (), (), (), skipped
             return
         parent, layers, g, rows, left, x = stack.pop()
         layers = layers.copy()
@@ -493,20 +508,35 @@ _Columns = dict[str, tuple[list, ...]]
 def _scan_blocks(args: tuple[_ScanPlan, Sequence[tuple[int, ...]]]) -> tuple[int, _Columns]:
     """Worker: scan a run of prefix blocks in order.  Returns how many sets
     they hold and their records' columns, plain lists that pickle small and
-    merge by extending."""
+    merge by extending.  At a stop three elements short it folds each z
+    into a copy of the stop's layers, keeps the rows ``live_folds`` keeps
+    there when two missing elements is a checked level, and hands the
+    layers of P + {z} to the leaf step; a stop with no z goes to the leaf
+    step as it is."""
     plan, prefixes = args
     config, check, kind = plan.config, plan.check, plan.kind
     k, m = config.k, config.max_element
     scanned = 0
     out = {name: tuple([] for _ in fields) for name, fields in plan.fields.items()}
     mu = _mobius(m)
+    z_level = 2 in plan.checks
     try:
         for prefix in prefixes:
             walk = _walk(k, m, config.family, prefix, kind, plan.limits, plan.checks, mu)
-            for parent, layers, g, ys, xs, rows, sets in walk:
+            for parent, layers, g, zs, ys, xs, rows, sets in walk:
                 scanned += sets
-                if cards := leaf_cards(layers, g, ys, xs, m, kind, rows):
-                    check(plan, parent, cards, out)
+                if not zs:
+                    if cards := leaf_cards(layers, g, ys, xs, m, kind, rows):
+                        check(plan, parent, cards, out)
+                    continue
+                for i, z in enumerate(zs):
+                    child = layers.copy()
+                    advance(child, (z,), m, kind)
+                    live = live_folds(child, 2, rows) if z_level else rows
+                    if live and (cards := leaf_cards(
+                        child, gcd(g, z), ys[i:], xs[i:], m, kind, live
+                    )):
+                        check(plan, parent + (z,), cards, out)
     except (TheoremViolation, EngineMismatch) as exc:
         raise type(exc)(f"[partition {prefix}] {exc}") from None
     return scanned, out
@@ -593,21 +623,14 @@ def _merge(results: Iterator[tuple[int, _Columns]]) -> tuple[int, _Columns]:
     return scanned, merged
 
 
-# Sets times folds per pool worker.  On a 2-vCPU host (BENCH_17.json,
-# medians of 31 runs over 3 rounds), a 2-worker pool against the calling
-# process took 0.99x as long at 77,553 set-folds and 0.98x at 124,968 for
-# conj:C3_1 k=6, and 1.16x at 76,230 and 1.09x at 129,255 for the
-# record-heavy verify:T2_1 k=5, but 0.80x at 193,308 (C3_1); conj:C2_1 k=6
-# took 0.85x at 115,647 and 0.65x at 222,432.  Since the walk prunes dead
-# folds, starting the workers and shipping the records back cost about
-# 10^5 set-folds.  With records shipped as columns (BENCH_19.json, medians
-# of 99 runs over 9 rounds), verify:T2_1 k=5 took 0.86x at 76,230 and
-# 129,255 and 0.72x at 208,280, while conj:C3_1 k=6 still took 1.20x at
-# 77,553 (33 runs), so the constant stays where the conjecture scans cross.
-# With the walk stopping two elements short (BENCH_20.json, medians of 11
-# runs), the pool took 1.74x, 0.89x and 0.75x at those verify sizes, 1.13x
-# and 0.91x at those C3_1 sizes, and 1.13x and 0.75x for conj:C2_1 k=6 at
-# 55,437 and 222,432: the crossover still lies between 78k and 125k.
+# Sets times folds per pool worker: below it a pool's start-up and the
+# records it ships back cost about as much as the work it shares.  On a
+# 2-vCPU host, with the walk stopping three elements short (BENCH_22.json,
+# medians of 21 alternating runs in each of two rounds), a 2-worker pool
+# took 1.06-1.26x as long as the calling process at 55k-78k set-folds
+# (verify:T2_1 k=5, conj:C3_1 and conj:C2_1 k=6), 0.84-1.02x at 115k-130k
+# and 0.73-0.86x from 193k up: the crossover still lies between 78k and
+# 130k, where BENCH_17.json, BENCH_19.json and BENCH_20.json put it.
 POOLED_SET_FOLDS = 2**17
 
 

@@ -25,7 +25,9 @@ The two engines are deliberately unrelated in structure:
   is the one transition: it folds elements in, j from h down to 1 in
   place; the engine folds all of A / d for d = gcd(A) (m = max|a| / d) and
   scales the values back by d, since h^(d*A) = d * h^A; the explorer's scan
-  folds one element per set-tree node (m = its largest element).  The
+  folds one element per set-tree node down to the nodes three elements
+  short of its sets, then each next element z into a copy of such a
+  node's layers, one z at a time (m = the scan's largest element).  The
   engine's budget is still on the raw max|a|.  It is the fast path.
 * ``leaf_cards`` is the scan's leaf step: from the layers of a set Q it
   reads |h^(Q + {y, x})| for many pairs y < x of last elements without

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import bound_one_above, overcounting
-from sumsets import bounds, cli, explorer
+from sumsets import bounds, cli, core, explorer
 from sumsets.cli import main
 from sumsets.core import canonical_json
 from sumsets.witness import EQUAL, LESS, WitnessElement, WitnessFamily
@@ -219,6 +219,17 @@ def test_scan_fold_range_checked_before_it_is_built(capsys):
     code, _, err = run(capsys, "scan", "--mode", "verify:T2_1", "--k", "4",
                        "--max", "20", "--h", "1-99999999999999999999")
     assert code == 65 and "within 1..4" in err
+
+
+@pytest.mark.parametrize("fold, code, message", [
+    # a range that runs backwards is malformed, not out of range
+    ("5-3", 64, "usage error: malformed fold range: '5-3' runs backwards"),
+    ("2-9", 65, "error: fold range '2-9' is not within 1..6"),
+])
+def test_scan_fold_range_errors(capsys, fold, code, message):
+    result, _, err = run(capsys, "scan", "--mode", "verify:T2_1", "--k", "6",
+                         "--max", "20", "--h", fold)
+    assert (result, err) == (code, message + "\n")
 
 
 def test_scan_frame_budget_refused_before_partitioning(capsys):
@@ -521,6 +532,30 @@ def test_scan_fold_range(capsys):
     assert report["equalities"] == [
         {"set": "1,2,3,4,5", "h": 5, "cardinality": 16, "bound": 16}
     ]
+
+
+@pytest.mark.parametrize("argv, counterexample, equalities", [
+    # equalities, one of them with no family, and a classification failure
+    (["--mode", "conj:C3_1", "--k", "5", "--max", "13"], None, 3),
+    # a bound counterexample where the equality was
+    (["--mode", "conj:C2_1", "--k", "4", "--max", "7"], "C2_1", 0),
+])
+def test_scan_text_builds_each_record_kind_once(capsys, monkeypatch, argv, counterexample,
+                                                equalities):
+    if counterexample:
+        bound_one_above(monkeypatch, counterexample)
+    built = []
+    dicts = core.Table.dicts
+
+    def spy(table):
+        built.append(table.keys)
+        return dicts(table)
+
+    monkeypatch.setattr(core.Table, "dicts", spy)
+    code, out, _ = run(capsys, "scan", *argv)
+    assert code == 3
+    assert len(built) == len(set(built)) == 3, built
+    assert out.splitlines()[2] == f"equalities {equalities}"
 
 
 def test_scan_bound_counterexample_exit_3(capsys, monkeypatch):

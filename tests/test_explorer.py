@@ -69,46 +69,79 @@ def test_closed_form_count_matches_enumeration(k, max_element, family):
 
 @pytest.mark.parametrize("family", [POS, ZERO])
 @pytest.mark.parametrize("kind", list(SumsetKind))
-def test_walk_layers_are_every_fold_of_every_set(family, kind):
-    # the leaf step on the layers of a node two elements short gives every
-    # fold of each of its sets, whatever prefix the walk began from (at k=3
-    # positive a root lacks one element, at k=2 contains-zero a root is
-    # already a set, and at k=1 the set {1} or {0} is read as y = x), and
-    # the blocks tile the enumeration, which lists the sets by combinations
-    # and gcd, in order.  The smallest spaces, max = n and n + 1 for n
-    # nonzero elements, make every root lack one element or none.
-    for k in range(1, 6):
-        n = k - 1 if family is ZERO else k
-        for max_element in (n, n + 1, 9):
+def test_walk_layers_are_every_fold_of_every_set(monkeypatch, family, kind):
+    # a stop three elements short hands the leaf step, for each z, the
+    # layers of P + {z}, and the leaf step on them gives every fold of each
+    # of its sets, whatever prefix the walk began from; a root lacking two
+    # elements or fewer goes to the leaf step with no z (at k=4 positive a
+    # root lacks two, at k=3 one, at k=2 contains-zero a root is already a
+    # set, and at k=1 the set {1} or {0} is read as y = x).  The blocks tile
+    # the enumeration, which lists the sets by combinations and gcd, in
+    # order.  max runs over the smallest spaces of each k, k to k + 2, and 9.
+    handed = []  # what the scan's own z loop hands the leaf step
+
+    def spy(layers, g, ys, xs, m, kind, bounds):
+        handed.append((layers.copy(), g, tuple(ys), tuple(xs), list(bounds)))
+        return []
+
+    monkeypatch.setattr(explorer, "leaf_cards", spy)
+    for k in range(1, 7):
+        for max_element in sorted({k, k + 1, k + 2, 9}):
             config = ScanConfig(k, max_element, family, parse_mode("verify:T2_1"))
-            walked = []
+            walked, expected = [], []
             # with no bound in reach, the walk keeps every fold and the leaf
             # step reports every fold
             folds = range(1, k + 1)
             limits = [(h, 10**9) for h in folds]
+
+            def folded(elements):
+                layers = [1] + [0] * k
+                advance(layers, elements, max_element, kind)
+                return layers
+
             for p in _partitions(config):
                 walk = _walk(k, max_element, family, p, kind, limits)
-                for parent, layers, g, ys, xs, rows, sets in walk:
+                for parent, layers, g, zs, ys, xs, rows, sets in walk:
                     assert rows == limits
-                    cards, stop = [], []
-                    for i, y in enumerate(ys):
-                        for x in xs[i:]:
-                            if gcd(g, y, x) != 1:
-                                continue
-                            a = FiniteIntSet(parent + ((y, x) if y < x else (x,)))
-                            leaf = layers.copy()
-                            advance(leaf, (y, x), max_element, kind)
-                            for h in folds:
-                                card = leaf[h].bit_count()
-                                assert card == sumset_layered(a, h, kind).cardinality, (a, h)
-                                assert card == sumset_naive(a, h, kind).cardinality, (a, h)
-                                cards.append((y, x, h, card))
-                            stop.append(a)
+                    assert layers == folded(parent)
+                    # each z of the stop, or the stop itself when it has none
+                    leaves = [(parent, layers, g, ys, xs)] if not zs else [
+                        (parent + (z,), folded(parent + (z,)), gcd(g, z), ys[i:], xs[i:])
+                        for i, z in enumerate(zs)
+                    ]
+                    stop = []
+                    for q, leaf_layers, gq, leaf_ys, leaf_xs in leaves:
+                        expected.append(
+                            (leaf_layers, gq, tuple(leaf_ys), tuple(leaf_xs), limits)
+                        )
+                        cards = []
+                        for j, y in enumerate(leaf_ys):
+                            for x in leaf_xs[j:]:
+                                if gcd(gq, y, x) != 1:
+                                    continue
+                                a = FiniteIntSet(q + ((y, x) if y < x else (x,)))
+                                leaf = leaf_layers.copy()
+                                advance(leaf, (y, x), max_element, kind)
+                                for h in folds:
+                                    card = leaf[h].bit_count()
+                                    assert card == sumset_layered(a, h, kind).cardinality, (a, h)
+                                    assert card == sumset_naive(a, h, kind).cardinality, (a, h)
+                                    cards.append((y, x, h, card))
+                                stop.append(a)
+                        if kind.bounded_fold:  # the leaf step takes the kinds a scan walks
+                            assert leaf_cards(
+                                leaf_layers, gq, leaf_ys, leaf_xs, max_element, kind, limits
+                            ) == cards
                     assert sets == len(stop)
-                    if kind.bounded_fold:  # the leaf step takes the kinds a scan walks
-                        assert leaf_cards(layers, g, ys, xs, max_element, kind, limits) == cards
                     walked += stop
             assert walked == list(enumerate_normalized_sets(k, max_element, family)), max_element
+            plan = explorer._ScanPlan(
+                config, None, kind, "", None, {}, tuple(limits), frozenset(), explorer._FIELDS
+            )
+            handed.clear()
+            scanned, _ = explorer._scan_blocks((plan, _partitions(config)))
+            assert scanned == len(walked)
+            assert handed == expected, (k, max_element)
 
 
 def test_completions_count_the_gcd_one_sets_below_a_node():
@@ -122,23 +155,32 @@ def test_completions_count_the_gcd_one_sets_below_a_node():
             assert _completions(g, p, max_element, left) == brute, (g, p, max_element, left)
 
 
-def _spied_scan(config: ScanConfig) -> tuple[str, int, list]:
+def _spied_scan(config: ScanConfig) -> tuple[str, int, list, int]:
     """A scan's fingerprint, its work (``advance`` calls plus the y for
-    which the leaf step reads any x, the leaf parents it reads) and the
-    (set, h) pairs its oracle confirms."""
+    which the leaf step reads any x, the leaf parents it reads), the
+    (set, h) pairs its oracle confirms and the z whose leaf step the z
+    loop's filter drops."""
     live_rows, read = kernel.live_rows, []  # the leaf step's filter, or a stand-in
+    live_folds, dropped = explorer.live_folds, []  # the walk's filter, or a stand-in
 
     def counted(*args):
         live = live_rows(*args)
         read.append(len(live))
         return live
 
+    def z_filter(layers, left, bounds):
+        live = live_folds(layers, left, bounds)
+        if left == 2 and not live:
+            dropped.append(layers)
+        return live
+
     with mock.patch.object(explorer, "advance", wraps=explorer.advance) as spy, \
             mock.patch.object(explorer, "confirm", wraps=explorer.confirm) as confirms, \
+            mock.patch.object(explorer, "live_folds", z_filter), \
             mock.patch.object(kernel, "live_rows", counted):
         report = scan(config)
     confirmed = [(call.args[0].canonical(), call.args[1]) for call in confirms.call_args_list]
-    return report.fingerprint(), spy.call_count + sum(read), confirmed
+    return report.fingerprint(), spy.call_count + sum(read), confirmed, len(dropped)
 
 
 @pytest.mark.parametrize("mode, k, max_element, family, skips", [
@@ -147,8 +189,9 @@ def _spied_scan(config: ScanConfig) -> tuple[str, int, list]:
     ("conj:C2_1", 7, 12, POS, True),
     ("conj:C2_1", 7, 14, POS, True),
     ("conj:C2_1", 8, 13, POS, True),
-    ("conj:C2_1", 8, 14, POS, True),   # 1,723 against 3,424
-    ("conj:C3_1", 8, 13, ZERO, True),
+    ("conj:C2_1", 8, 14, POS, True),   # levels {2, 3}; 1,723 against 3,424
+    ("conj:C3_1", 7, 14, ZERO, True),   # level 2 alone
+    ("conj:C3_1", 8, 13, ZERO, True),   # levels {2, 3}
     ("conj:C2_1", 10, 15, POS, True),   # the walk skips subtrees: 2,970 advance calls against 2,996
     ("verify:T2_1", 5, 12, POS, False),   # fold 1 never dies
     ("verify:TA_Nathanson", 6, 12, POS, False),   # the restricted kind
@@ -158,7 +201,7 @@ def test_pruned_walk_reports_what_the_full_walk_does(
     monkeypatch, mode, k, max_element, family, skips,
 ):
     config = ScanConfig(k, max_element, family, parse_mode(mode))
-    pruned, pruned_work, pruned_confirms = _spied_scan(config)
+    pruned, pruned_work, pruned_confirms, pruned_drops = _spied_scan(config)
 
     def keep_every_fold(layers, left, bounds):
         return list(bounds)
@@ -171,12 +214,17 @@ def test_pruned_walk_reports_what_the_full_walk_does(
             live.append((i, y, [(h, bound, child[h], child[h - 1]) for h, bound in bounds]))
         return live
 
-    monkeypatch.setattr(explorer, "live_folds", keep_every_fold)  # the walk's
-    monkeypatch.setattr(kernel, "live_rows", keep_every_row)  # the leaf step's, per y
-    full, full_work, full_confirms = _spied_scan(config)
+    # the walk's and the z loop's filter, then the leaf step's, per y
+    monkeypatch.setattr(explorer, "live_folds", keep_every_fold)
+    monkeypatch.setattr(kernel, "live_rows", keep_every_row)
+    full, full_work, full_confirms, full_drops = _spied_scan(config)
     assert pruned == full
     assert pruned_confirms == full_confirms
     assert (pruned_work < full_work) == skips, (pruned_work, full_work)
+    # the z loop filters only where two missing elements is a checked level,
+    # and in these spaces it drops some z there
+    assert (pruned_drops > 0) == (2 in explorer._validate(config).checks)
+    assert full_drops == 0
 
 
 @pytest.mark.parametrize("mode, k, max_element, family, levels", [
