@@ -33,14 +33,16 @@ few round trips per scan, not one per block, and the runs' results come
 back in block order.
 
 A partition is a depth-first walk over a tree whose nodes add one larger
-element to their parent's; a node copies its parent's DP layers and folds
-its element in with ``kernel.advance``.  The walk yields each node P
-three elements short of its sets once, with one count of its sets, and
-the worker folds each next element z into a copy of P's layers in a
-loop, with no stack entry or yield per z.  A root that lacks two elements
-or fewer is yielded as Q, with no z.  For each Q = P + {z} the leaf step
-``kernel.leaf_cards`` reads |h^A| for every set A = Q + {y, x} and
-scanned fold h from Q's layers, and reports only the cards at or below
+element to their parent's.  A node holds its DP layers stacked in one int
+of a ``kernel.Frame`` (m = max_element, depth = the largest scanned
+fold): ``kernel.fold`` makes it from its parent's int with a few shifts,
+and the parent's int is left as it was, so no node copies anything.  The
+walk yields each node P three elements short of its sets once, with one
+count of its sets, and the worker folds each next element z into P's int
+in a loop, with no stack entry or yield per z.  A root that lacks two
+elements or fewer is yielded as Q, with no z.  For each Q = P + {z} the
+leaf step ``kernel.leaf_cards`` reads |h^A| for every set A = Q + {y, x}
+and scanned fold h from Q's int, and reports only the cards at or below
 the fold's limit, the only ones a check acts on: the bound, or none for
 an inverse check, since a family member above it breaks the converse.  A
 record names its set by Q's canonical text and a comma, built once per
@@ -102,7 +104,8 @@ from .errors import (
 # bounds.confirm
 from .inverse import THEOREMS, InverseTheorem, classify_extremal, match_family
 from .kernel import (
-    _require_layered_budget, advance, leaf_cards, live_folds, sumset_layered, sumset_naive,
+    Frame, _require_layered_budget, fold, leaf_cards, live_folds, sumset_layered,
+    sumset_naive,
 )
 from .bounds import FORMULAS, BoundFormula, confirm
 from .witness import FamilyName
@@ -257,33 +260,34 @@ def enumerate_normalized_sets(
 
 
 def _walk(
-    k: int, max_element: int, family: SetFamily, prefix: tuple[int, ...],
-    kind: SumsetKind, limits: Sequence[tuple[int, int | float]],
+    k: int, family: SetFamily, prefix: tuple[int, ...], frame: Frame,
+    limits: Sequence[tuple[int, int | float]],
     checks: Container[int] = (), mu: Sequence[int] = (),
 ) -> Iterator[tuple[
-    tuple[int, ...], list[int], int, Sequence[int], Sequence[int], Sequence[int],
+    tuple[int, ...], int, int, Sequence[int], Sequence[int], Sequence[int],
     Sequence[tuple[int, int | float]], int,
 ]]:
     """The normalized k-sets whose nonzero part starts with ``prefix``, a
     block of ``_partitions``, grouped by where the walk stops, at a node P
     three elements short of them: P + {z, y, x} for the i-th z of ``zs``,
     the j-th y of ``ys[i:]``, an x of ``xs[i + j:]`` and gcd(g, z, y, x)
-    = 1.  A stop yields P, its DP layers 0..max h of ``limits`` of the kind
-    in the frame m = max_element, g, zs, ys, xs, the (h, limit) rows still
-    live there and one count of the sets of every z.  A root that lacks two
-    elements or fewer stops with no z, as a node Q two elements short of
-    its sets Q + {y, x}: a root lacking one element or none with its last
-    elements as y and x, and a one-element set {a} with y = x = a: a
-    folded twice is exact at h = 1, its only fold.  A node lacking
+    = 1.  A stop yields P, its DP layers stacked in one int of the
+    ``frame``, whose m is the largest element, g, zs, ys, xs, the (h, limit)
+    rows still live there and one count of the sets of every z.  A root
+    that lacks two elements or fewer stops with no z, as a node Q two
+    elements short of its sets Q + {y, x}: a root lacking one element or
+    none with its last elements as y and x, and a one-element set {a} with
+    y = x = a: a folded twice is exact at h = 1, its only fold.  A node lacking
     ``left`` elements, for ``left`` in ``checks``, hands down only the
     rows ``live_folds`` keeps (for 2, only at a root; ``_scan_blocks``
     tests each z); with none, its subtree is not walked, and the sets of
     all such nodes are counted with the Moebius table ``mu`` and yielded
     alone when the walk ends."""
+    max_element = frame.m
     nonzero_size, base = _space_shape(k, max_element, family)
     elements = base + prefix
     room = nonzero_size - len(prefix)
-    layers = [1] + [0] * max(h for h, _ in limits)
+    stacked = 1  # value 0 in layer 0
     if room < 2:  # the root lacks one element or none
         if room:
             parent, ys, g = elements[:-1], elements[-1:], gcd(*elements)
@@ -292,43 +296,44 @@ def _walk(
             parent, ys, xs, g = elements[:-2], elements[-2:-1] or elements, elements[-1:], 1
         else:
             return
-        advance(layers, parent, max_element, kind)
-        yield parent, layers, g, (), ys, xs, limits, _completions(
+        for a in parent:
+            stacked = fold(stacked, a, frame)
+        yield parent, stacked, g, (), ys, xs, limits, _completions(
             g, ys[0], max_element, room, mu
         )
         return
-    advance(layers, elements, max_element, kind)  # the zero family's 0, the prefix
+    for a in elements:  # the zero family's 0, the prefix
+        stacked = fold(stacked, a, frame)
     # Depth first over an explicit stack, not a generator per element, so a
     # deep walk cannot reach the interpreter's recursion limit.  An entry is
-    # a node still to visit: its parent's elements, layers, gcd and live
-    # rows, how many elements the node still lacks, and the element it adds.
+    # a node still to visit: its parent's elements, stacked layers, gcd and
+    # live rows, how many elements the node still lacks, and the element it
+    # adds.
     parent, g, rows, left, stack = elements, gcd(*prefix), limits, room, []
     skipped = 0  # the sets of the nodes not walked
     while True:
         low = parent[-1] + 1 if parent else 1
-        if left in checks and not (rows := live_folds(layers, left, rows)):
+        if left in checks and not (rows := live_folds(stacked, left, frame, rows)):
             skipped += _completions(g, low - 1, max_element, left, mu)
         elif left == 3:
-            yield parent, layers, g, range(low, max_element - 1), range(
+            yield parent, stacked, g, range(low, max_element - 1), range(
                 low + 1, max_element
             ), range(low + 2, max_element + 1), rows, _completions(
                 g, low - 1, max_element, 3, mu
             )
         elif left == 2:  # only a root lacks two
-            yield parent, layers, g, (), range(low, max_element), range(
+            yield parent, stacked, g, (), range(low, max_element), range(
                 low + 1, max_element + 1
             ), rows, _completions(g, low - 1, max_element, 2, mu)
         else:
             xs = range(low, max_element - left + 2)
-            stack.extend((parent, layers, g, rows, left - 1, x) for x in reversed(xs))
+            stack.extend((parent, stacked, g, rows, left - 1, x) for x in reversed(xs))
         if not stack:
             if skipped:
-                yield (), layers, 1, (), (), (), (), skipped
+                yield (), stacked, 1, (), (), (), (), skipped
             return
-        parent, layers, g, rows, left, x = stack.pop()
-        layers = layers.copy()
-        advance(layers, (x,), max_element, kind)
-        parent, g = parent + (x,), gcd(g, x)
+        parent, stacked, g, rows, left, x = stack.pop()
+        parent, stacked, g = parent + (x,), fold(stacked, x, frame), gcd(g, x)
 
 
 def _mobius(n: int) -> list[int]:
@@ -389,17 +394,14 @@ def count_normalized_sets(k: int, max_element: int, family: SetFamily) -> int:
 
 def resolve_h_values(config: ScanConfig) -> tuple[int, ...]:
     """The folds a scan will run in increasing order: the explicit ones, each
-    once, or the mode's default."""
+    once, or the mode's default, the folds of its theorem-table row or, for
+    a direct bound, of its formula.  A row of one fixed fold takes no other."""
     row, formula = _target(config.mode.target)
     explicit = None if config.h_values is None else tuple(sorted(set(config.h_values)))
-    if row is not None and row.fold != "interior":
-        forced = row.folds(config.k)
-        if explicit not in (None, forced):
-            raise NotApplicable(
-                f"{row.id} fixes h = {forced[0]}, got {config.h_values}"
-            )
-        return forced
-    return formula.folds(config.k) if explicit is None else explicit
+    default = (row or formula).folds(config.k)
+    if row is not None and row.fold != "interior" and explicit not in (None, default):
+        raise NotApplicable(f"{row.id} fixes h = {default[0]}, got {config.h_values}")
+    return default if explicit is None else explicit
 
 
 # A scan lists its prefix blocks, with one partial result each, and its
@@ -452,8 +454,9 @@ def _validate(config: ScanConfig) -> _ScanPlan:
             f"fold(s) {bad or h_values} invalid for {mode} at k={k}"
         )
     plen, top = _block_shape(config)
-    # the walk sizes every mask by max_element, not by each set's max|a|, and
-    # holds one layer list per tree level below a prefix block, plus one
+    # the walk sizes every layer by max_element, not by each set's max|a|, and
+    # holds one stacked int of (h+1)*(2h*max+1) bits per tree level below a
+    # prefix block, plus one
     _require_layered_budget(max(h_values), config.max_element, config.max_element - top + 1)
     blocks = comb(top, plen)
     if blocks > MAX_SCAN_BLOCKS:
@@ -509,32 +512,32 @@ def _scan_blocks(args: tuple[_ScanPlan, Sequence[tuple[int, ...]]]) -> tuple[int
     """Worker: scan a run of prefix blocks in order.  Returns how many sets
     they hold and their records' columns, plain lists that pickle small and
     merge by extending.  At a stop three elements short it folds each z
-    into a copy of the stop's layers, keeps the rows ``live_folds`` keeps
+    into the stop's stacked layers, keeps the rows ``live_folds`` keeps
     there when two missing elements is a checked level, and hands the
     layers of P + {z} to the leaf step; a stop with no z goes to the leaf
     step as it is."""
     plan, prefixes = args
-    config, check, kind = plan.config, plan.check, plan.kind
+    config, check = plan.config, plan.check
     k, m = config.k, config.max_element
+    frame = Frame(m, max(h for h, _ in plan.limits), plan.kind)
     scanned = 0
     out = {name: tuple([] for _ in fields) for name, fields in plan.fields.items()}
     mu = _mobius(m)
     z_level = 2 in plan.checks
     try:
         for prefix in prefixes:
-            walk = _walk(k, m, config.family, prefix, kind, plan.limits, plan.checks, mu)
-            for parent, layers, g, zs, ys, xs, rows, sets in walk:
+            walk = _walk(k, config.family, prefix, frame, plan.limits, plan.checks, mu)
+            for parent, stacked, g, zs, ys, xs, rows, sets in walk:
                 scanned += sets
                 if not zs:
-                    if cards := leaf_cards(layers, g, ys, xs, m, kind, rows):
+                    if cards := leaf_cards(stacked, g, ys, xs, frame, rows):
                         check(plan, parent, cards, out)
                     continue
                 for i, z in enumerate(zs):
-                    child = layers.copy()
-                    advance(child, (z,), m, kind)
-                    live = live_folds(child, 2, rows) if z_level else rows
+                    child = fold(stacked, z, frame)
+                    live = live_folds(child, 2, frame, rows) if z_level else rows
                     if live and (cards := leaf_cards(
-                        child, gcd(g, z), ys[i:], xs[i:], m, kind, live
+                        child, gcd(g, z), ys[i:], xs[i:], frame, live
                     )):
                         check(plan, parent + (z,), cards, out)
     except (TheoremViolation, EngineMismatch) as exc:
@@ -625,12 +628,12 @@ def _merge(results: Iterator[tuple[int, _Columns]]) -> tuple[int, _Columns]:
 
 # Sets times folds per pool worker: below it a pool's start-up and the
 # records it ships back cost about as much as the work it shares.  On a
-# 2-vCPU host, with the walk stopping three elements short (BENCH_22.json,
+# 2-vCPU host, with one stacked DP int per walk node (BENCH_23.json,
 # medians of 21 alternating runs in each of two rounds), a 2-worker pool
-# took 1.06-1.26x as long as the calling process at 55k-78k set-folds
-# (verify:T2_1 k=5, conj:C3_1 and conj:C2_1 k=6), 0.84-1.02x at 115k-130k
-# and 0.73-0.86x from 193k up: the crossover still lies between 78k and
-# 130k, where BENCH_17.json, BENCH_19.json and BENCH_20.json put it.
+# took 1.08-1.75x as long as the calling process at 55k-78k set-folds
+# (verify:T2_1 k=5, conj:C3_1 and conj:C2_1 k=6), 0.89-1.42x at
+# 125k-130k and 0.72-1.11x from 193k up: the crossover still lies near
+# 130k, where BENCH_17.json to BENCH_22.json put it.
 POOLED_SET_FOLDS = 2**17
 
 

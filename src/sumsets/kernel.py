@@ -22,25 +22,34 @@ The two engines are deliberately unrelated in structure:
   indexed by consumed weight j = 0..h.  Layer j is a dense bitmask that
   stores value v at bit v + j*m for any frame m >= max|a|, so adding
   +-c*a_i to layer j - c is a left shift by c*(m +- a_i) >= 0.  ``advance``
-  is the one transition: it folds elements in, j from h down to 1 in
-  place; the engine folds all of A / d for d = gcd(A) (m = max|a| / d) and
-  scales the values back by d, since h^(d*A) = d * h^A; the explorer's scan
-  folds one element per set-tree node down to the nodes three elements
-  short of its sets, then each next element z into a copy of such a
-  node's layers, one z at a time (m = the scan's largest element).  The
-  engine's budget is still on the raw max|a|.  It is the fast path.
-* ``leaf_cards`` is the scan's leaf step: from the layers of a set Q it
-  reads |h^(Q + {y, x})| for many pairs y < x of last elements without
-  folding either into a copy of every layer, and reports only
-  cardinalities at most a bound.  It takes the bounded-fold kinds, the
-  only ones a scan walks, where an element fills one unit: one shift per
-  sign of the layer below.  For each y, ``live_rows`` makes only the
-  layers h and h - 1 of Q + {y}, and drops each (h, bound) row where
-  either holds more than bound values, since layer h of Q + {y, x} holds
-  a copy of each.  That is ``live_folds``, the window rule the explorer's
-  walk prunes its subtrees by, at one missing element.  For each x the
-  step ORs the shifts of layer h - 1 into layer h.  A property test pins
-  it to ``advance``.
+  is its transition: it folds elements into a list of layers, j from h
+  down to 1 in place.  The engine folds all of A / d for d = gcd(A)
+  (m = max|a| / d) and scales the values back by d, since h^(d*A) =
+  d * h^A.  The engine's budget is still on the raw max|a|.  It is the
+  fast path, and the reference the scan's stacked layers are tested
+  against.
+* ``fold`` is the scan's transition.  A ``Frame`` stacks the layers
+  0..depth of one set in one int, layer j at bits j*W.., W = 2*depth*m + 1,
+  so folding x into a bounded-fold kind is one expression on the whole
+  int, (S | S << (W+m+x) | S << (W+m-x)) cut to the top layer, and the
+  parent's int stays as it was.  The explorer's walk folds one element
+  per set-tree node down to the nodes three elements short of its sets,
+  then each next element z into such a node's int, one z at a time
+  (m = the scan's largest element).  ``sumset_layered`` keeps its list:
+  the stacked int's (h+1)*W-bit temporaries would widen the engine's
+  memory peak on wide sets.
+* ``leaf_cards`` is the scan's leaf step: from the stacked layers of a set
+  Q it reads |h^(Q + {y, x})| for many pairs y < x of last elements
+  without folding x into the int, and reports only cardinalities at most
+  a bound.  It takes the bounded-fold kinds, the only ones a scan walks,
+  where an element fills one unit: one shift per sign of the layer below.
+  For each y, ``live_rows`` folds y into Q's int once, reads its layers h
+  and h - 1 by shift and mask, and drops each (h, bound) row where either
+  holds more than bound values, since layer h of Q + {y, x} holds a copy
+  of each.  That is ``live_folds``, the window rule the explorer's walk
+  prunes its subtrees by, at one missing element.  For each x the step
+  ORs the shifts of layer h - 1 into layer h.  Property tests pin
+  ``fold`` and the leaf step to ``advance``.
 * ``enumerate_coefficients`` lists the coefficient vectors themselves, as
   plain tuples.  No engine uses it: it is the literal definition above, a
   third derivation both engines are tested against, and demo 01 prints
@@ -83,8 +92,8 @@ def _require_safe_magnitude(a: FiniteIntSet, h: int) -> None:
 
 
 # The layered DP holds h + 1 masks of at most 2h*max|a| + 1 bits each (a scan
-# walk holds several copies); inputs whose masks would total more than this
-# are refused before any allocation.
+# walk holds them stacked in one int per tree level); inputs whose masks
+# would total more than this are refused before any allocation.
 MAX_LAYERED_BITS = 2**32
 
 
@@ -250,22 +259,60 @@ def advance(layers: list[int], elements: Iterable[int], m: int, kind: SumsetKind
             layers[j] = acc
 
 
+class Frame:
+    """The layout of a scan's DP: its layers 0..``depth`` stacked in one
+    int, for elements of magnitude at most ``m``, of one ``kind``.  Layer j
+    takes the bits j*W to j*W + W - 1, W = 2*depth*m + 1, and stores value
+    v at bit j*W + v + j*m, so shifting it down by j*W gives the layer as
+    ``advance`` holds it.  Value v of layer j - c plus c*x is value v + c*x
+    of layer j, c*(W + m + x) bits higher: a fold of x is a few shifts of
+    the whole int, and the bits of layers above ``depth`` are cut off."""
+
+    __slots__ = ("m", "depth", "width", "mask", "top", "step", "unit", "signed")
+
+    def __init__(self, m: int, depth: int, kind: SumsetKind) -> None:
+        self.m, self.depth = m, depth
+        self.width = 2 * depth * m + 1
+        self.mask = (1 << self.width) - 1  # one layer
+        self.top = (1 << (depth + 1) * self.width) - 1  # layers 0..depth
+        self.step = self.width + m
+        self.unit, self.signed = kind.bounded_fold, kind.symmetric
+
+
+def fold(stacked: int, x: int, frame: Frame) -> int:
+    """The ``stacked`` layers with x folded in, as ``advance`` folds x into
+    a list of them; an int is immutable, so the parent's stays as it was."""
+    step = frame.step
+    if frame.unit:  # one shift per sign of every layer below
+        grown = stacked | stacked << step + x
+        if frame.signed:
+            grown |= stacked << step - x
+        return grown & frame.top
+    grown = stacked
+    for c in range(1, frame.depth + 1):
+        grown |= stacked << c * (step + x)
+        if frame.signed:
+            grown |= stacked << c * (step - x)
+    return grown & frame.top
+
+
 def live_folds(
-    layers: list[int], left: int, bounds: Sequence[tuple[int, int | float]],
+    stacked: int, left: int, frame: Frame, bounds: Sequence[tuple[int, int | float]],
 ) -> list[tuple[int, int | float]]:
     """The (h, bound) rows of ``bounds`` that a set A = P + X can still meet,
-    for P with DP ``layers`` and X any ``left`` >= 1 further elements, in a
-    bounded-fold kind.  Layer h of A holds layer h - j of P shifted by the
-    sum of j elements of X, so |h^A| >= |L_{h-j}(P)| for j = 0..min(left, h):
-    a row whose window of layers max(0, h - left)..h holds a layer of more
-    than ``bound`` bits is dead for every such A."""
+    for P with the ``stacked`` layers and X any ``left`` >= 1 further
+    elements, in a bounded-fold kind.  Layer h of A holds layer h - j of P
+    shifted by the sum of j elements of X, so |h^A| >= |L_{h-j}(P)| for
+    j = 0..min(left, h): a row whose window of layers max(0, h - left)..h
+    holds a layer of more than ``bound`` bits is dead for every such A."""
+    width, mask = frame.width, frame.mask
     live = []
     for row in bounds:
         h, bound = row
         # layer h first: in a scan it is the one most often already too wide
-        if layers[h].bit_count() <= bound:
-            for layer in layers[h - left if h > left else 0:h]:
-                if layer.bit_count() > bound:
+        if (stacked >> h * width & mask).bit_count() <= bound:
+            for j in range(h - left if h > left else 0, h):
+                if (stacked >> j * width & mask).bit_count() > bound:
                     break
             else:
                 live.append(row)
@@ -273,47 +320,43 @@ def live_folds(
 
 
 def live_rows(
-    layers: list[int], ys: Iterable[int], m: int, kind: SumsetKind,
+    stacked: int, ys: Iterable[int], frame: Frame,
     bounds: Sequence[tuple[int, int | float]],
 ) -> list[tuple[int, int, list[tuple[int, int | float, int, int]]]]:
     """(i, y, rows) for the i-th y of ``ys`` and the rows of ``bounds`` that
     ``live_folds`` at one missing element keeps on Q + {y}, if any, each
-    with the layers h and h - 1 of Q + {y} made from the ``layers`` of Q."""
-    # L_j | L_{j-1} << (m + y) (| L_{j-1} << (m - y)), layer 0 taking no
-    # shift; an x adds a copy of each to layer h, so a row where either holds
+    with the layers h and h - 1 of Q + {y}, read from the ``stacked``
+    layers of Q with y folded in."""
+    # an x adds a copy of each layer to layer h, so a row where either holds
     # more than bound values reports no x
-    signed_fold = kind.symmetric
+    width, mask = frame.width, frame.mask
     live = []
     for i, y in enumerate(ys):
-        up, down = m + y, m - y
+        child = fold(stacked, y, frame)
         rows = []
         for h, bound in bounds:
-            prev = layers[h - 1]
-            layer = layers[h] | prev << up | (prev << down if signed_fold else 0)
-            if layer.bit_count() > bound:
-                continue
-            if h > 1:
-                low = layers[h - 2]
-                prev |= low << up | (low << down if signed_fold else 0)
-            if prev.bit_count() <= bound:
-                rows.append((h, bound, layer, prev))
+            layer = child >> h * width & mask
+            if layer.bit_count() <= bound:
+                prev = child >> (h - 1) * width & mask
+                if prev.bit_count() <= bound:
+                    rows.append((h, bound, layer, prev))
         if rows:
             live.append((i, y, rows))
     return live
 
 
 def leaf_cards(
-    layers: list[int], g: int, ys: Sequence[int], xs: Sequence[int], m: int,
-    kind: SumsetKind, bounds: Sequence[tuple[int, int | float]],
+    stacked: int, g: int, ys: Sequence[int], xs: Sequence[int], frame: Frame,
+    bounds: Sequence[tuple[int, int | float]],
 ) -> list[tuple[int, int, int, int]]:
     """The leaf step: (y, x, h, |h^(Q + {y, x})|) for the i-th y of ``ys``,
     each x of ``xs[i:]`` with gcd(g, y, x) = 1 and each (h, bound) in
     ``bounds`` with that cardinality at most bound, in that order, read
-    from the ``layers`` of Q as ``advance`` would fold y and then x into a
-    copy of them, in a bounded-fold kind."""
-    signed_fold = kind.symmetric
+    from the ``stacked`` layers of Q as ``advance`` would fold y and then
+    x into a list of them, in a bounded-fold kind."""
+    m, signed_fold = frame.m, frame.signed
     cards = []
-    for i, y, rows in live_rows(layers, ys, m, kind, bounds):
+    for i, y, rows in live_rows(stacked, ys, frame, bounds):
         gy = gcd(g, y)
         for x in xs[i:] if gy == 1 else [x for x in xs[i:] if gcd(gy, x) == 1]:
             up, down = m + x, m - x

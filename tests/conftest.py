@@ -31,6 +31,12 @@ def rng() -> random.Random:
     return random.Random(suite_seed())
 
 
+def unstacked(value: int, frame) -> list[int]:
+    """The layers 0..depth of a stacked DP int of ``frame``, layer j read
+    from bits j*W on, each as ``kernel.advance`` holds it in a list."""
+    return [value >> j * frame.width & frame.mask for j in range(frame.depth + 1)]
+
+
 def random_elements(rng: random.Random, k: int, family: str, hi: int = 40) -> list[int]:
     """Distinct elements for one random set of the requested family."""
     if family == "any":

@@ -342,8 +342,8 @@ def test_compute_naive_signed_one_element_at_the_largest_fold():
 
 
 def test_scan_walk_layer_copies_budgeted_before_walking():
-    # the walk holds a layer list per tree level: at k=1100 one list of
-    # (h+1)*(2h*max+1) bits passes the frame budget, but the 1,099 lists of
+    # the walk holds a stacked DP int per tree level: at k=1100 one int of
+    # (h+1)*(2h*max+1) bits passes the frame budget, but the 1,099 ints of
     # a full-fold scan come to 2.9*10^12 bits, far past a 400 MB address space
     child = textwrap.dedent("""
         import resource, sys

@@ -37,8 +37,10 @@ def test_make_set_flags_duplicates():
 
 
 def test_make_set_rejects_empty():
-    with pytest.raises(InvalidSet):
+    with pytest.raises(InvalidSet, match="empty sequence"):
         make_set([])
+    with pytest.raises(InvalidSet, match="must be nonempty"):
+        FiniteIntSet(())
 
 
 def test_make_set_rejects_non_integers():

@@ -10,14 +10,14 @@ from unittest import mock
 
 import pytest
 
-from conftest import bound_one_above, overcounting, record_pools
+from conftest import bound_one_above, overcounting, record_pools, unstacked
 from sumsets.core import FiniteIntSet, SetFamily, SumsetKind, canonical_json, make_set
 from sumsets.errors import EmptySpace, EngineMismatch, NotApplicable, TheoremViolation
 from sumsets import bounds, explorer, kernel
 from sumsets.bounds import FORMULAS, audit
 from sumsets.inverse import THEOREMS
 from sumsets.witness import FamilyName
-from sumsets.kernel import advance, leaf_cards, sumset_layered, sumset_naive
+from sumsets.kernel import Frame, advance, fold, leaf_cards, sumset_layered, sumset_naive
 from sumsets.explorer import (
     CSV_HEADER,
     ScanConfig,
@@ -71,8 +71,9 @@ def test_closed_form_count_matches_enumeration(k, max_element, family):
 @pytest.mark.parametrize("kind", list(SumsetKind))
 def test_walk_layers_are_every_fold_of_every_set(monkeypatch, family, kind):
     # a stop three elements short hands the leaf step, for each z, the
-    # layers of P + {z}, and the leaf step on them gives every fold of each
-    # of its sets, whatever prefix the walk began from; a root lacking two
+    # stacked layers of P + {z}, each layer as ``advance`` makes it over the
+    # set, and the leaf step on them gives every fold of each of its sets,
+    # whatever prefix the walk began from; a root lacking two
     # elements or fewer goes to the leaf step with no z (at k=4 positive a
     # root lacks two, at k=3 one, at k=2 contains-zero a root is already a
     # set, and at k=1 the set {1} or {0} is read as y = x).  The blocks tile
@@ -80,8 +81,8 @@ def test_walk_layers_are_every_fold_of_every_set(monkeypatch, family, kind):
     # order.  max runs over the smallest spaces of each k, k to k + 2, and 9.
     handed = []  # what the scan's own z loop hands the leaf step
 
-    def spy(layers, g, ys, xs, m, kind, bounds):
-        handed.append((layers.copy(), g, tuple(ys), tuple(xs), list(bounds)))
+    def spy(stacked, g, ys, xs, frame, bounds):
+        handed.append((stacked, g, tuple(ys), tuple(xs), list(bounds)))
         return []
 
     monkeypatch.setattr(explorer, "leaf_cards", spy)
@@ -93,26 +94,32 @@ def test_walk_layers_are_every_fold_of_every_set(monkeypatch, family, kind):
             # step reports every fold
             folds = range(1, k + 1)
             limits = [(h, 10**9) for h in folds]
+            frame = Frame(max_element, k, kind)
 
             def folded(elements):
                 layers = [1] + [0] * k
                 advance(layers, elements, max_element, kind)
                 return layers
 
+            def layers_of(value):
+                assert 0 <= value < 2 ** ((k + 1) * frame.width)
+                return unstacked(value, frame)
+
             for p in _partitions(config):
-                walk = _walk(k, max_element, family, p, kind, limits)
-                for parent, layers, g, zs, ys, xs, rows, sets in walk:
+                walk = _walk(k, family, p, frame, limits)
+                for parent, stacked, g, zs, ys, xs, rows, sets in walk:
                     assert rows == limits
-                    assert layers == folded(parent)
+                    assert layers_of(stacked) == folded(parent)
                     # each z of the stop, or the stop itself when it has none
-                    leaves = [(parent, layers, g, ys, xs)] if not zs else [
-                        (parent + (z,), folded(parent + (z,)), gcd(g, z), ys[i:], xs[i:])
+                    leaves = [(parent, stacked, g, ys, xs)] if not zs else [
+                        (parent + (z,), fold(stacked, z, frame), gcd(g, z), ys[i:], xs[i:])
                         for i, z in enumerate(zs)
                     ]
                     stop = []
-                    for q, leaf_layers, gq, leaf_ys, leaf_xs in leaves:
+                    for q, leaf_stacked, gq, leaf_ys, leaf_xs in leaves:
+                        assert layers_of(leaf_stacked) == folded(q)
                         expected.append(
-                            (leaf_layers, gq, tuple(leaf_ys), tuple(leaf_xs), limits)
+                            (leaf_stacked, gq, tuple(leaf_ys), tuple(leaf_xs), limits)
                         )
                         cards = []
                         for j, y in enumerate(leaf_ys):
@@ -120,8 +127,7 @@ def test_walk_layers_are_every_fold_of_every_set(monkeypatch, family, kind):
                                 if gcd(gq, y, x) != 1:
                                     continue
                                 a = FiniteIntSet(q + ((y, x) if y < x else (x,)))
-                                leaf = leaf_layers.copy()
-                                advance(leaf, (y, x), max_element, kind)
+                                leaf = folded(q + (y, x))
                                 for h in folds:
                                     card = leaf[h].bit_count()
                                     assert card == sumset_layered(a, h, kind).cardinality, (a, h)
@@ -130,7 +136,7 @@ def test_walk_layers_are_every_fold_of_every_set(monkeypatch, family, kind):
                                 stop.append(a)
                         if kind.bounded_fold:  # the leaf step takes the kinds a scan walks
                             assert leaf_cards(
-                                leaf_layers, gq, leaf_ys, leaf_xs, max_element, kind, limits
+                                leaf_stacked, gq, leaf_ys, leaf_xs, frame, limits
                             ) == cards
                     assert sets == len(stop)
                     walked += stop
@@ -156,10 +162,10 @@ def test_completions_count_the_gcd_one_sets_below_a_node():
 
 
 def _spied_scan(config: ScanConfig) -> tuple[str, int, list, int]:
-    """A scan's fingerprint, its work (``advance`` calls plus the y for
-    which the leaf step reads any x, the leaf parents it reads), the
-    (set, h) pairs its oracle confirms and the z whose leaf step the z
-    loop's filter drops."""
+    """A scan's fingerprint, its work (the walk's and the z loop's ``fold``
+    calls plus the y for which the leaf step reads any x, the leaf parents
+    it reads), the (set, h) pairs its oracle confirms and the z whose leaf
+    step the z loop's filter drops."""
     live_rows, read = kernel.live_rows, []  # the leaf step's filter, or a stand-in
     live_folds, dropped = explorer.live_folds, []  # the walk's filter, or a stand-in
 
@@ -168,13 +174,13 @@ def _spied_scan(config: ScanConfig) -> tuple[str, int, list, int]:
         read.append(len(live))
         return live
 
-    def z_filter(layers, left, bounds):
-        live = live_folds(layers, left, bounds)
+    def z_filter(stacked, left, frame, bounds):
+        live = live_folds(stacked, left, frame, bounds)
         if left == 2 and not live:
-            dropped.append(layers)
+            dropped.append(stacked)
         return live
 
-    with mock.patch.object(explorer, "advance", wraps=explorer.advance) as spy, \
+    with mock.patch.object(explorer, "fold", wraps=explorer.fold) as spy, \
             mock.patch.object(explorer, "confirm", wraps=explorer.confirm) as confirms, \
             mock.patch.object(explorer, "live_folds", z_filter), \
             mock.patch.object(kernel, "live_rows", counted):
@@ -184,15 +190,15 @@ def _spied_scan(config: ScanConfig) -> tuple[str, int, list, int]:
 
 
 @pytest.mark.parametrize("mode, k, max_element, family, skips", [
-    # scan-conj: 705 advance calls and 39 leaf parents read against 705 and 1,287
+    # scan-conj: 750 folds and 39 leaf parents read against 750 and 1,287
     ("conj:C2_1", 6, 14, POS, True),
     ("conj:C2_1", 7, 12, POS, True),
     ("conj:C2_1", 7, 14, POS, True),
     ("conj:C2_1", 8, 13, POS, True),
-    ("conj:C2_1", 8, 14, POS, True),   # levels {2, 3}; 1,723 against 3,424
+    ("conj:C2_1", 8, 14, POS, True),   # levels {2, 3}; 1,751 against 3,452
     ("conj:C3_1", 7, 14, ZERO, True),   # level 2 alone
     ("conj:C3_1", 8, 13, ZERO, True),   # levels {2, 3}
-    ("conj:C2_1", 10, 15, POS, True),   # the walk skips subtrees: 2,970 advance calls against 2,996
+    ("conj:C2_1", 10, 15, POS, True),   # the walk skips subtrees: 2,991 folds against 3,017
     ("verify:T2_1", 5, 12, POS, False),   # fold 1 never dies
     ("verify:TA_Nathanson", 6, 12, POS, False),   # the restricted kind
     ("verify:T2_4", 6, 14, POS, False),   # an inverse limit is infinite
@@ -203,14 +209,13 @@ def test_pruned_walk_reports_what_the_full_walk_does(
     config = ScanConfig(k, max_element, family, parse_mode(mode))
     pruned, pruned_work, pruned_confirms, pruned_drops = _spied_scan(config)
 
-    def keep_every_fold(layers, left, bounds):
+    def keep_every_fold(stacked, left, frame, bounds):
         return list(bounds)
 
-    def keep_every_row(layers, ys, m, kind, bounds):
+    def keep_every_row(stacked, ys, frame, bounds):
         live = []
         for i, y in enumerate(ys):
-            child = layers.copy()
-            advance(child, (y,), m, kind)
+            child = unstacked(fold(stacked, y, frame), frame)
             live.append((i, y, [(h, bound, child[h], child[h - 1]) for h, bound in bounds]))
         return live
 
@@ -252,6 +257,8 @@ def test_empty_space_raises():
         list(enumerate_normalized_sets(5, 3, POS))
     with pytest.raises(EmptySpace):
         scan(ScanConfig(5, 3, POS, parse_mode("verify:T2_1")))
+    with pytest.raises(EmptySpace, match="need k >= 1, got k=0"):
+        scan(ScanConfig(0, 3, POS, parse_mode("verify:T2_1")))
 
 
 def test_mode_parsing():
@@ -274,6 +281,8 @@ def test_scan_rejects_mismatched_family():
         scan(ScanConfig(3, 10, POS, parse_mode("conj:C2_1")))  # k too small
     with pytest.raises(NotApplicable, match="T3_5 needs 4 <= k <= 4"):
         scan(ScanConfig(5, 10, ZERO, parse_mode("verify:T3_5")))
+    with pytest.raises(NotApplicable, match="scans enumerate positive or contains-zero"):
+        scan(ScanConfig(3, 10, SetFamily.ANY, parse_mode("verify:T2_1")))
 
 
 def test_verify_direct_bound_small_space():

@@ -3,7 +3,7 @@ import hashlib
 import pytest
 
 from sumsets.core import canonical_json, dilate, make_set
-from sumsets.errors import SumsetError
+from sumsets.errors import DegenerateSet, SumsetError
 from sumsets.inverse import (
     THEOREMS,
     classify_extremal,
@@ -58,6 +58,8 @@ def test_classify_non_extremal():
     cls = classify_extremal(make_set([1, 2, 4]), 2)
     assert cls.cardinality == 10 and cls.bound == 8
     assert not cls.equality and cls.family is None and not cls.consistent
+    with pytest.raises(DegenerateSet, match="classification matched no family"):
+        regenerate(cls)
 
 
 def test_classify_special_zero_quadruple():

@@ -9,13 +9,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import unstacked
 from sumsets.core import SumsetKind, dilate, make_set
 from sumsets import kernel
 from sumsets.errors import InvalidFold, KernelOverflow
 from sumsets.kernel import (
+    Frame,
     advance,
     coefficient_space_size,
     enumerate_coefficients,
+    fold,
     leaf_cards,
     live_folds,
     live_rows,
@@ -225,25 +228,62 @@ def test_engines_agree_on_masks_wider_than_a_read_slice(raw):
             assert sumset_layered(a, h, kind).values == sumset_naive(a, h, kind).values
 
 
+def listed(elements, m, depth, kind):
+    """The DP layers 0..depth of ``elements`` as ``advance`` makes them."""
+    layers = [1] + [0] * depth
+    advance(layers, elements, m, kind)
+    return layers
+
+
+def stacked(elements, frame):
+    """The stacked int of ``elements``, folded in one at a time."""
+    value = 1
+    for x in elements:
+        value = fold(value, x, frame)
+    return value
+
+
+@given(small_sets, st.integers(-3, 3))
+@example({-7, 0, 5}, 0)  # a negative element and a 0, depth = k
+@example({-7, 0, 5}, -2)  # depth below k, as in a scan of interior folds
+@example({-30, 30}, 0)  # both ends of the frame
+@example({0}, 2)  # depth above k: the layers past k stay empty
+@settings(max_examples=80)
+def test_fold_stacks_the_layers_advance_makes(raw, extra):
+    """Each layer of the stacked int, read by shift and mask, is the layer
+    ``advance`` makes from the same elements in the same frame, after every
+    fold; the int keeps no bit above its top layer, even when more
+    elements are folded than it has layers."""
+    a = make_set(raw)
+    m, depth = a.max_magnitude, max(1, a.k + extra)
+    for kind in KINDS:
+        frame = Frame(m, depth, kind)
+        assert frame.width == 2 * depth * m + 1
+        value = 1
+        for n, x in enumerate(a.elements, 1):
+            value = fold(value, x, frame)
+            assert 0 <= value < 2 ** ((depth + 1) * frame.width), kind
+            layers = listed(a.elements[:n], m, depth, kind)
+            assert unstacked(value, frame) == layers, kind
+
+
 @given(small_sets)
 def test_leaf_step_is_advance_on_the_last_element(raw):
-    """The leaf step reads layer h of A from the layers of A less its last
-    two elements y and x, exactly as ``advance`` folds them in, and reports
-    a fold just when its cardinality is at most the bound; a one-element
-    set {a} is read as y = x = a, exact at its only fold."""
+    """The leaf step reads layer h of A from the stacked layers of A less
+    its last two elements y and x, exactly as ``advance`` folds them in,
+    and reports a fold just when its cardinality is at most the bound; a
+    one-element set {a} is read as y = x = a, exact at its only fold."""
     a = make_set(raw)
     m = a.max_magnitude
     *parent, y, x = a.elements if a.k > 1 else a.elements * 2
     for kind in [kind for kind in KINDS if kind.bounded_fold]:  # the kinds a scan walks
-        layers = [1] + [0] * a.k
-        advance(layers, parent, m, kind)
-        full = [1] + [0] * a.k
-        advance(full, a.elements, m, kind)
+        frame = Frame(m, a.k, kind)
+        full = listed(a.elements, m, a.k, kind)
         cards = [(h, full[h].bit_count()) for h in range(1, a.k + 1)]
-        at_bound = leaf_cards(layers, 1, [y], [x], m, kind, cards)
+        at_bound = leaf_cards(stacked(parent, frame), 1, [y], [x], frame, cards)
         assert at_bound == [(y, x, h, card) for h, card in cards], kind
         below = [(h, card - 1) for h, card in cards]
-        assert leaf_cards(layers, 1, [y], [x], m, kind, below) == [], kind
+        assert leaf_cards(stacked(parent, frame), 1, [y], [x], frame, below) == [], kind
 
 
 @given(
@@ -261,9 +301,9 @@ def test_leaf_step_is_advance_on_the_last_element(raw):
 @settings(max_examples=80)
 def test_leaf_step_is_advance_on_the_last_two_elements(raw_q, steps, g, raw_rows):
     """For the i-th y of ys and each x of xs[i:] with gcd(g, y, x) = 1, the
-    leaf step reads layer h of Q + {y, x} from the layers of Q exactly as
-    ``advance`` folds y and then x in, and reports a fold just when its
-    cardinality is at most the row's bound."""
+    leaf step reads layer h of Q + {y, x} from the stacked layers of Q
+    exactly as ``advance`` folds y and then x in, and reports a fold just
+    when its cardinality is at most the row's bound."""
     q = sorted(raw_q)
     # the candidates lie above Q; with Q empty the first may be 0
     candidates = [(q[-1] if q else -1) + step for step in sorted(steps)]
@@ -271,19 +311,17 @@ def test_leaf_step_is_advance_on_the_last_two_elements(raw_q, steps, g, raw_rows
     m, depth = candidates[-1], len(q) + 2
     rows = sorted((h, bound) for h, bound in raw_rows.items() if h <= depth)
     for kind in [kind for kind in KINDS if kind.bounded_fold]:  # the kinds a scan walks
-        layers = [1] + [0] * depth
-        advance(layers, q, m, kind)
+        frame = Frame(m, depth, kind)
         expected = []
         for i, y in enumerate(ys):
             for x in xs[i:]:
                 if gcd(g, y, x) == 1:
-                    full = layers.copy()
-                    advance(full, (y, x), m, kind)
+                    full = listed((*q, y, x), m, depth, kind)
                     expected += [
                         (y, x, h, full[h].bit_count())
                         for h, bound in rows if full[h].bit_count() <= bound
                     ]
-        assert leaf_cards(layers, g, ys, xs, m, kind, rows) == expected, kind
+        assert leaf_cards(stacked(q, frame), g, ys, xs, frame, rows) == expected, kind
 
 
 @given(
@@ -298,16 +336,18 @@ def test_live_folds_keeps_every_fold_a_completion_can_meet(raw_p, steps):
     (h, |h^A|): its window of P's layers reaches no further down."""
     p = sorted(raw_p)
     xs = [p[-1] + step for step in sorted(steps)]
-    left, m = len(xs), xs[-1]
+    left, m, depth = len(xs), xs[-1], len(p) + len(xs)
     for kind in [kind for kind in KINDS if kind.bounded_fold]:
-        layers = [1] + [0] * (len(p) + left)
-        advance(layers, p, m, kind)
-        full = layers.copy()
-        advance(full, xs, m, kind)
-        for h in range(1, len(layers)):
+        frame = Frame(m, depth, kind)
+        layers = listed(p, m, depth, kind)
+        full = listed(p + xs, m, depth, kind)
+        for h in range(1, depth + 1):
             card = full[h].bit_count()
             assert all(card >= layers[h - j].bit_count() for j in range(min(left, h) + 1))
-            assert live_folds(layers, left, [(h, card)]) == [(h, card)], (kind, h)
+            kept = live_folds(stacked(p, frame), left, frame, [(h, card)])
+            assert kept == [(h, card)], (kind, h)
+            if wide := layers[h].bit_count():  # a bound below layer h of P itself
+                assert live_folds(stacked(p, frame), left, frame, [(h, wide - 1)]) == []
 
 
 @given(
@@ -322,25 +362,23 @@ def test_live_folds_keeps_every_fold_a_completion_can_meet(raw_p, steps):
 @settings(max_examples=80)
 def test_live_children_are_the_children_live_folds_keeps(raw_p, steps, raw_rows):
     """The i-th y is a live child of P in ``live_rows`` just when
-    ``live_folds`` at one missing element keeps a row on the layers
-    ``advance`` makes for P + {y}; it comes with those rows and that
-    child's layers h and h - 1."""
+    ``live_folds`` at one missing element keeps a row on the layers of
+    P + {y}; it comes with those rows and the layers h and h - 1 that
+    ``advance`` makes for that child."""
     p = sorted(raw_p)
     ys = [p[-1] + step for step in sorted(steps)]
     m, depth = ys[-1], len(p) + 1
     rows = sorted((h, bound) for h, bound in raw_rows.items() if h <= depth)
     for kind in [kind for kind in KINDS if kind.bounded_fold]:
-        layers = [1] + [0] * depth
-        advance(layers, p, m, kind)
+        frame = Frame(m, depth, kind)
         expected = []
         for i, y in enumerate(ys):
-            child = layers.copy()
-            advance(child, (y,), m, kind)
-            if kept := live_folds(child, 1, rows):
+            child = listed((*p, y), m, depth, kind)
+            if kept := live_folds(stacked((*p, y), frame), 1, frame, rows):
                 expected.append(
                     (i, y, [(h, bound, child[h], child[h - 1]) for h, bound in kept])
                 )
-        assert live_rows(layers, ys, m, kind, rows) == expected, kind
+        assert live_rows(stacked(p, frame), ys, frame, rows) == expected, kind
 
 
 @given(small_sets)

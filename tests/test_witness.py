@@ -181,6 +181,12 @@ def test_gen_superincreasing_ratio():
 def test_gen_superincreasing_rejects_bad_schedule():
     with pytest.raises(InvalidFamily):
         gen_superincreasing(3, base=1, ratio_schedule=[2, 1])
+    with pytest.raises(InvalidFamily, match="schedule needs 2 steps, got 3"):
+        gen_superincreasing(3, ratio_schedule=[2, 2, 2])
+    with pytest.raises(InvalidFamily, match="need k >= 1, got k=0"):
+        gen_superincreasing(0)
+    with pytest.raises(InvalidFamily, match="need base > 0, got 0"):
+        gen_superincreasing(3, base=0)
 
 
 def test_is_superincreasing():
