@@ -37,23 +37,23 @@ element to their parent's.  A node holds its DP layers stacked in one int
 of a ``kernel.Frame`` (m = max_element, depth = the largest scanned
 fold): ``kernel.fold`` makes it from its parent's int with a few shifts,
 and the parent's int is left as it was, so no node copies anything.  The
-walk yields each node P three elements short of its sets once, with one
-count of its sets, and the worker folds each next element z into P's int
-in a loop, with no stack entry or yield per z.  A root that lacks two
-elements or fewer is yielded as Q, with no z.  For each Q = P + {z} the
-leaf step ``kernel.leaf_cards`` reads |h^A| for every set A = Q + {y, x}
-and scanned fold h from Q's int, and reports only the cards at or below
-the fold's limit, the only ones a check acts on: the bound, or none for
-an inverse check, since a family member above it breaks the converse.  A
-record names its set by Q's canonical text and a comma, built once per
-Q with a record, y's once per y, and ``str(x)``.  Records are kept as
-columns, one list per field of each record kind (``_FIELDS``), from the
-check that appends them through a worker's result, the merge and the
-``ScanReport``, whose ``records`` hold them as ``core.Table``s.
-``canonical_json`` writes a table straight from its columns, and
-``csv_rows`` zips them into rows; no dict is built per record unless a
-caller reads ``equalities``, ``classification_failures`` or
-``conjecture_counterexamples``.
+worker, ``_scan_blocks``, walks each block with its own stack and stops
+at each node P three elements short of its sets, counting them once; it
+folds each next element z into P's int in a loop, with no stack entry per
+z.  A root that lacks two elements or fewer is read as Q itself, with no
+z.  For each Q = P + {z} the leaf step ``kernel.leaf_cards`` reads |h^A|
+for every set A = Q + {y, x} and scanned fold h from Q's int, and reports
+only the cards at or below the fold's limit, the only ones a check acts
+on: the bound, or none for an inverse check, since a family member above
+it breaks the converse.  A record names its set by Q's canonical text and
+a comma, built once per Q with a record, y's once per y, and ``str(x)``.
+Records are kept as columns, one list per field of each record kind
+(``_FIELDS``), from the check that appends them through a worker's
+result, the merge and the ``ScanReport``, whose ``records`` hold them as
+``core.Table``s.  ``canonical_json`` writes a table straight from its
+columns, and ``csv_rows`` zips them into rows; no dict is built per
+record unless a caller reads ``equalities``, ``classification_failures``
+or ``conjecture_counterexamples``.
 
 The walk prunes folds that can report nothing more.  Every set A below a
 node that still lacks ``left`` elements has |h^A| >= |L_{h-j}| of the
@@ -93,7 +93,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import combinations, repeat
 from math import comb, gcd, inf
-from typing import Callable, Container, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import FiniteIntSet, SetFamily, SumsetKind, Table, canonical_json
 from .errors import (
@@ -247,8 +247,8 @@ def enumerate_normalized_sets(
     Positive family: k-subsets of [1, max_element] with gcd 1.  Zero
     family: {0} plus a (k-1)-subset of [1, max_element] whose gcd is 1.
     The sets are listed by ``combinations`` and filtered by gcd, with no
-    DP: the second derivation of the space, which the walk and its
-    Moebius counts are tested against.
+    DP: the second derivation of the space, which the sets a scan worker
+    hands its check, and its Moebius counts, are tested against.
     """
     nonzero_size, base = _space_shape(k, max_element, family)
     size = nonzero_size - len(prefix)
@@ -259,83 +259,6 @@ def enumerate_normalized_sets(
             yield FiniteIntSet(base + prefix + rest)
 
 
-def _walk(
-    k: int, family: SetFamily, prefix: tuple[int, ...], frame: Frame,
-    limits: Sequence[tuple[int, int | float]],
-    checks: Container[int] = (), mu: Sequence[int] = (),
-) -> Iterator[tuple[
-    tuple[int, ...], int, int, Sequence[int], Sequence[int], Sequence[int],
-    Sequence[tuple[int, int | float]], int,
-]]:
-    """The normalized k-sets whose nonzero part starts with ``prefix``, a
-    block of ``_partitions``, grouped by where the walk stops, at a node P
-    three elements short of them: P + {z, y, x} for the i-th z of ``zs``,
-    the j-th y of ``ys[i:]``, an x of ``xs[i + j:]`` and gcd(g, z, y, x)
-    = 1.  A stop yields P, its DP layers stacked in one int of the
-    ``frame``, whose m is the largest element, g, zs, ys, xs, the (h, limit)
-    rows still live there and one count of the sets of every z.  A root
-    that lacks two elements or fewer stops with no z, as a node Q two
-    elements short of its sets Q + {y, x}: a root lacking one element or
-    none with its last elements as y and x, and a one-element set {a} with
-    y = x = a: a folded twice is exact at h = 1, its only fold.  A node lacking
-    ``left`` elements, for ``left`` in ``checks``, hands down only the
-    rows ``live_folds`` keeps (for 2, only at a root; ``_scan_blocks``
-    tests each z); with none, its subtree is not walked, and the sets of
-    all such nodes are counted with the Moebius table ``mu`` and yielded
-    alone when the walk ends."""
-    max_element = frame.m
-    nonzero_size, base = _space_shape(k, max_element, family)
-    elements = base + prefix
-    room = nonzero_size - len(prefix)
-    stacked = 1  # value 0 in layer 0
-    if room < 2:  # the root lacks one element or none
-        if room:
-            parent, ys, g = elements[:-1], elements[-1:], gcd(*elements)
-            xs = range(ys[0] + 1, max_element + 1)
-        elif gcd(*prefix) < 2:  # a set: gcd 1, or gcd() == 0 over no nonzero element
-            parent, ys, xs, g = elements[:-2], elements[-2:-1] or elements, elements[-1:], 1
-        else:
-            return
-        for a in parent:
-            stacked = fold(stacked, a, frame)
-        yield parent, stacked, g, (), ys, xs, limits, _completions(
-            g, ys[0], max_element, room, mu
-        )
-        return
-    for a in elements:  # the zero family's 0, the prefix
-        stacked = fold(stacked, a, frame)
-    # Depth first over an explicit stack, not a generator per element, so a
-    # deep walk cannot reach the interpreter's recursion limit.  An entry is
-    # a node still to visit: its parent's elements, stacked layers, gcd and
-    # live rows, how many elements the node still lacks, and the element it
-    # adds.
-    parent, g, rows, left, stack = elements, gcd(*prefix), limits, room, []
-    skipped = 0  # the sets of the nodes not walked
-    while True:
-        low = parent[-1] + 1 if parent else 1
-        if left in checks and not (rows := live_folds(stacked, left, frame, rows)):
-            skipped += _completions(g, low - 1, max_element, left, mu)
-        elif left == 3:
-            yield parent, stacked, g, range(low, max_element - 1), range(
-                low + 1, max_element
-            ), range(low + 2, max_element + 1), rows, _completions(
-                g, low - 1, max_element, 3, mu
-            )
-        elif left == 2:  # only a root lacks two
-            yield parent, stacked, g, (), range(low, max_element), range(
-                low + 1, max_element + 1
-            ), rows, _completions(g, low - 1, max_element, 2, mu)
-        else:
-            xs = range(low, max_element - left + 2)
-            stack.extend((parent, stacked, g, rows, left - 1, x) for x in reversed(xs))
-        if not stack:
-            if skipped:
-                yield (), stacked, 1, (), (), (), (), skipped
-            return
-        parent, stacked, g, rows, left, x = stack.pop()
-        parent, stacked, g = parent + (x,), fold(stacked, x, frame), gcd(g, x)
-
-
 def _mobius(n: int) -> list[int]:
     """mu(d) for d = 0..n, with mu(0) = 0."""
     mu = [0, 1] + [0] * (n - 1)  # mu(1) = 1, and mu sums to 0 over the divisors of d > 1
@@ -344,16 +267,15 @@ def _mobius(n: int) -> list[int]:
     return mu
 
 
-def _completions(g: int, p: int, max_element: int, left: int, mu: Sequence[int] = ()) -> int:
+def _completions(g: int, p: int, max_element: int, left: int, mu: Sequence[int]) -> int:
     """How many sets X of ``left`` elements of [p + 1, max_element]
     have gcd(g, *X) = 1: by Moebius inversion over the divisors d of g, the
     sum of mu(d) * C(max_element // d - p // d, left), where the binomial
     counts the sets X of multiples of d.  Every d divides g = 0, and those
     above max_element have no multiple in range.  ``mu`` is ``_mobius`` of
-    max_element, built here when not given."""
+    max_element."""
     if g == 1:  # nearly every node, and every root set; 1 is its one divisor
         return comb(max_element - p, left)
-    mu = mu or _mobius(max_element)
     return sum(
         mu[d] * comb(max_element // d - p // d, left)
         for d in range(1, min(g or max_element, max_element) + 1) if g % d == 0
@@ -509,37 +431,78 @@ _Columns = dict[str, tuple[list, ...]]
 
 
 def _scan_blocks(args: tuple[_ScanPlan, Sequence[tuple[int, ...]]]) -> tuple[int, _Columns]:
-    """Worker: scan a run of prefix blocks in order.  Returns how many sets
-    they hold and their records' columns, plain lists that pickle small and
-    merge by extending.  At a stop three elements short it folds each z
-    into the stop's stacked layers, keeps the rows ``live_folds`` keeps
-    there when two missing elements is a checked level, and hands the
-    layers of P + {z} to the leaf step; a stop with no z goes to the leaf
-    step as it is."""
+    """Worker: walk a run of prefix blocks in order and hand the cards of
+    each node Q two elements short of its sets to the plan's check.
+    Returns how many sets the blocks hold, counted at each stop and at each
+    subtree not walked, and their records' columns, plain lists that
+    pickle small and merge by extending.  A stop P three elements short
+    folds each z into its int and reads the sets P + {z, y, x}, z < y < x,
+    keeping the rows ``live_folds`` keeps on P + {z} when two missing
+    elements is a checked level.  A root lacking two elements is a Q; one
+    lacking one or none is read as Q with its last elements as y and x, and
+    {a} as y = x = a: a folded twice is exact at h = 1, its only fold."""
     plan, prefixes = args
-    config, check = plan.config, plan.check
-    k, m = config.k, config.max_element
+    config, check, checks = plan.config, plan.check, plan.checks
+    m = config.max_element
+    nonzero_size, base = _space_shape(config.k, m, config.family)
     frame = Frame(m, max(h for h, _ in plan.limits), plan.kind)
     scanned = 0
     out = {name: tuple([] for _ in fields) for name, fields in plan.fields.items()}
     mu = _mobius(m)
-    z_level = 2 in plan.checks
+    z_level = 2 in checks
     try:
         for prefix in prefixes:
-            walk = _walk(k, config.family, prefix, frame, plan.limits, plan.checks, mu)
-            for parent, stacked, g, zs, ys, xs, rows, sets in walk:
-                scanned += sets
-                if not zs:
-                    if cards := leaf_cards(stacked, g, ys, xs, frame, rows):
-                        check(plan, parent, cards, out)
+            elements = base + prefix
+            left = nonzero_size - len(prefix)
+            stacked = 1  # value 0 in layer 0
+            if left < 2:  # the root lacks one element or none
+                if left:
+                    parent, ys, g = elements[:-1], elements[-1:], gcd(*elements)
+                    xs = range(ys[0] + 1, m + 1)
+                elif gcd(*prefix) < 2:  # a set: gcd 1, or gcd() == 0 over no nonzero element
+                    parent, ys, xs, g = elements[:-2], elements[-2:-1] or elements, elements[-1:], 1
+                else:
                     continue
-                for i, z in enumerate(zs):
-                    child = fold(stacked, z, frame)
-                    live = live_folds(child, 2, frame, rows) if z_level else rows
-                    if live and (cards := leaf_cards(
-                        child, gcd(g, z), ys[i:], xs[i:], frame, live
-                    )):
-                        check(plan, parent + (z,), cards, out)
+                for a in parent:
+                    stacked = fold(stacked, a, frame)
+                scanned += _completions(g, ys[0], m, left, mu)
+                if cards := leaf_cards(stacked, g, ys, xs, frame, plan.limits):
+                    check(plan, parent, cards, out)
+                continue
+            for a in elements:  # the zero family's 0, the prefix
+                stacked = fold(stacked, a, frame)
+            # Depth first over an explicit stack, not a generator per
+            # element, so a deep walk cannot reach the interpreter's
+            # recursion limit.  An entry is a node still to visit: its
+            # parent's elements, stacked layers, gcd and live rows, how many
+            # elements the node still lacks, and the element it adds.
+            parent, g, rows, stack = elements, gcd(*prefix), plan.limits, []
+            while True:
+                low = parent[-1] + 1 if parent else 1
+                if left in checks and not (rows := live_folds(stacked, left, frame, rows)):
+                    scanned += _completions(g, low - 1, m, left, mu)  # not walked
+                elif left == 3:
+                    scanned += _completions(g, low - 1, m, 3, mu)
+                    for z in range(low, m - 1):
+                        child = fold(stacked, z, frame)
+                        live = live_folds(child, 2, frame, rows) if z_level else rows
+                        if live and (cards := leaf_cards(
+                            child, gcd(g, z), range(z + 1, m), range(z + 2, m + 1), frame, live
+                        )):
+                            check(plan, parent + (z,), cards, out)
+                elif left == 2:  # only a root lacks two
+                    scanned += _completions(g, low - 1, m, 2, mu)
+                    if cards := leaf_cards(
+                        stacked, g, range(low, m), range(low + 1, m + 1), frame, rows
+                    ):
+                        check(plan, parent, cards, out)
+                else:
+                    xs = range(low, m - left + 2)
+                    stack.extend((parent, stacked, g, rows, left - 1, x) for x in reversed(xs))
+                if not stack:
+                    break
+                parent, stacked, g, rows, left, x = stack.pop()
+                parent, stacked, g = parent + (x,), fold(stacked, x, frame), gcd(g, x)
     except (TheoremViolation, EngineMismatch) as exc:
         raise type(exc)(f"[partition {prefix}] {exc}") from None
     return scanned, out

@@ -30,14 +30,14 @@ The two engines are deliberately unrelated in structure:
   against.
 * ``fold`` is the scan's transition.  A ``Frame`` stacks the layers
   0..depth of one set in one int, layer j at bits j*W.., W = 2*depth*m + 1,
-  so folding x into a bounded-fold kind is one expression on the whole
-  int, (S | S << (W+m+x) | S << (W+m-x)) cut to the top layer, and the
-  parent's int stays as it was.  The explorer's walk folds one element
-  per set-tree node down to the nodes three elements short of its sets,
-  then each next element z into such a node's int, one z at a time
-  (m = the scan's largest element).  ``sumset_layered`` keeps its list:
-  the stacked int's (h+1)*W-bit temporaries would widen the engine's
-  memory peak on wide sets.
+  so folding x is one expression on the whole int, (S | S << (W+m+x) |
+  S << (W+m-x)) cut to the top layer, and the parent's int stays as it
+  was.  It takes the bounded-fold kinds, the only ones a scan walks.  A
+  scan worker folds one element per set-tree node down to the nodes three
+  elements short of their sets, then each next element z into such a
+  node's int in a loop (m = the scan's largest element).
+  ``sumset_layered`` keeps its list: the stacked int's (h+1)*W-bit
+  temporaries would widen the engine's memory peak on wide sets.
 * ``leaf_cards`` is the scan's leaf step: from the stacked layers of a set
   Q it reads |h^(Q + {y, x})| for many pairs y < x of last elements
   without folding x into the int, and reports only cardinalities at most
@@ -261,14 +261,15 @@ def advance(layers: list[int], elements: Iterable[int], m: int, kind: SumsetKind
 
 class Frame:
     """The layout of a scan's DP: its layers 0..``depth`` stacked in one
-    int, for elements of magnitude at most ``m``, of one ``kind``.  Layer j
-    takes the bits j*W to j*W + W - 1, W = 2*depth*m + 1, and stores value
-    v at bit j*W + v + j*m, so shifting it down by j*W gives the layer as
-    ``advance`` holds it.  Value v of layer j - c plus c*x is value v + c*x
-    of layer j, c*(W + m + x) bits higher: a fold of x is a few shifts of
-    the whole int, and the bits of layers above ``depth`` are cut off."""
+    int, for elements of magnitude at most ``m``, of one bounded-fold
+    ``kind``.  Layer j takes the bits j*W to j*W + W - 1, W = 2*depth*m + 1,
+    and stores value v at bit j*W + v + j*m, so shifting it down by j*W
+    gives the layer as ``advance`` holds it.  Value v of layer j - 1 plus x
+    is value v + x of layer j, W + m + x bits higher: a fold of x is one
+    shift per sign of the whole int, and the bits of layers above ``depth``
+    are cut off."""
 
-    __slots__ = ("m", "depth", "width", "mask", "top", "step", "unit", "signed")
+    __slots__ = ("m", "depth", "width", "mask", "top", "step", "signed")
 
     def __init__(self, m: int, depth: int, kind: SumsetKind) -> None:
         self.m, self.depth = m, depth
@@ -276,23 +277,16 @@ class Frame:
         self.mask = (1 << self.width) - 1  # one layer
         self.top = (1 << (depth + 1) * self.width) - 1  # layers 0..depth
         self.step = self.width + m
-        self.unit, self.signed = kind.bounded_fold, kind.symmetric
+        self.signed = kind.symmetric
 
 
 def fold(stacked: int, x: int, frame: Frame) -> int:
     """The ``stacked`` layers with x folded in, as ``advance`` folds x into
-    a list of them; an int is immutable, so the parent's stays as it was."""
-    step = frame.step
-    if frame.unit:  # one shift per sign of every layer below
-        grown = stacked | stacked << step + x
-        if frame.signed:
-            grown |= stacked << step - x
-        return grown & frame.top
-    grown = stacked
-    for c in range(1, frame.depth + 1):
-        grown |= stacked << c * (step + x)
-        if frame.signed:
-            grown |= stacked << c * (step - x)
+    a list of them, in a bounded-fold kind: one shift per sign of every
+    layer below.  An int is immutable, so the parent's stays as it was."""
+    grown = stacked | stacked << frame.step + x
+    if frame.signed:
+        grown |= stacked << frame.step - x
     return grown & frame.top
 
 

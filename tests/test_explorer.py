@@ -3,7 +3,7 @@ import json
 import os
 import subprocess
 import sys
-from itertools import combinations, product
+from itertools import combinations, groupby, product
 from math import gcd
 from pathlib import Path
 from unittest import mock
@@ -17,13 +17,13 @@ from sumsets import bounds, explorer, kernel
 from sumsets.bounds import FORMULAS, audit
 from sumsets.inverse import THEOREMS
 from sumsets.witness import FamilyName
-from sumsets.kernel import Frame, advance, fold, leaf_cards, sumset_layered, sumset_naive
+from sumsets.kernel import fold, sumset_naive
 from sumsets.explorer import (
     CSV_HEADER,
     ScanConfig,
     _completions,
+    _mobius,
     _partitions,
-    _walk,
     count_normalized_sets,
     enumerate_normalized_sets,
     parse_mode,
@@ -68,97 +68,56 @@ def test_closed_form_count_matches_enumeration(k, max_element, family):
 
 
 @pytest.mark.parametrize("family", [POS, ZERO])
-@pytest.mark.parametrize("kind", list(SumsetKind))
-def test_walk_layers_are_every_fold_of_every_set(monkeypatch, family, kind):
-    # a stop three elements short hands the leaf step, for each z, the
-    # stacked layers of P + {z}, each layer as ``advance`` makes it over the
-    # set, and the leaf step on them gives every fold of each of its sets,
-    # whatever prefix the walk began from; a root lacking two
-    # elements or fewer goes to the leaf step with no z (at k=4 positive a
-    # root lacks two, at k=3 one, at k=2 contains-zero a root is already a
-    # set, and at k=1 the set {1} or {0} is read as y = x).  The blocks tile
-    # the enumeration, which lists the sets by combinations and gcd, in
-    # order.  max runs over the smallest spaces of each k, k to k + 2, and 9.
-    handed = []  # what the scan's own z loop hands the leaf step
-
-    def spy(stacked, g, ys, xs, frame, bounds):
-        handed.append((stacked, g, tuple(ys), tuple(xs), list(bounds)))
-        return []
-
-    monkeypatch.setattr(explorer, "leaf_cards", spy)
+@pytest.mark.parametrize("kind", [kind for kind in SumsetKind if kind.bounded_fold])
+def test_walk_layers_are_every_fold_of_every_set(family, kind):
+    # with no bound in reach and every level checked, the worker prunes
+    # nothing: its check gets every fold of every set of the blocks, once,
+    # with the oracle's cardinality, the sets in enumeration order, and the
+    # worker counts each set once.  At k=4 positive a root lacks two
+    # elements, at k=3 one, at k=2 contains-zero a root is already a set,
+    # and at k=1 the set {1} or {0} is read as y = x.  max runs over the
+    # smallest spaces of each k, k to k + 2, and 9.
     for k in range(1, 7):
         for max_element in sorted({k, k + 1, k + 2, 9}):
             config = ScanConfig(k, max_element, family, parse_mode("verify:T2_1"))
-            walked, expected = [], []
-            # with no bound in reach, the walk keeps every fold and the leaf
-            # step reports every fold
             folds = range(1, k + 1)
-            limits = [(h, 10**9) for h in folds]
-            frame = Frame(max_element, k, kind)
+            seen = []
 
-            def folded(elements):
-                layers = [1] + [0] * k
-                advance(layers, elements, max_element, kind)
-                return layers
+            def record(plan, parent, cards, out):
+                for y, x, h, card in cards:
+                    seen.append((parent + ((y, x) if y < x else (x,)), h, card))
 
-            def layers_of(value):
-                assert 0 <= value < 2 ** ((k + 1) * frame.width)
-                return unstacked(value, frame)
-
-            for p in _partitions(config):
-                walk = _walk(k, family, p, frame, limits)
-                for parent, stacked, g, zs, ys, xs, rows, sets in walk:
-                    assert rows == limits
-                    assert layers_of(stacked) == folded(parent)
-                    # each z of the stop, or the stop itself when it has none
-                    leaves = [(parent, stacked, g, ys, xs)] if not zs else [
-                        (parent + (z,), fold(stacked, z, frame), gcd(g, z), ys[i:], xs[i:])
-                        for i, z in enumerate(zs)
-                    ]
-                    stop = []
-                    for q, leaf_stacked, gq, leaf_ys, leaf_xs in leaves:
-                        assert layers_of(leaf_stacked) == folded(q)
-                        expected.append(
-                            (leaf_stacked, gq, tuple(leaf_ys), tuple(leaf_xs), limits)
-                        )
-                        cards = []
-                        for j, y in enumerate(leaf_ys):
-                            for x in leaf_xs[j:]:
-                                if gcd(gq, y, x) != 1:
-                                    continue
-                                a = FiniteIntSet(q + ((y, x) if y < x else (x,)))
-                                leaf = folded(q + (y, x))
-                                for h in folds:
-                                    card = leaf[h].bit_count()
-                                    assert card == sumset_layered(a, h, kind).cardinality, (a, h)
-                                    assert card == sumset_naive(a, h, kind).cardinality, (a, h)
-                                    cards.append((y, x, h, card))
-                                stop.append(a)
-                        if kind.bounded_fold:  # the leaf step takes the kinds a scan walks
-                            assert leaf_cards(
-                                leaf_stacked, gq, leaf_ys, leaf_xs, frame, limits
-                            ) == cards
-                    assert sets == len(stop)
-                    walked += stop
-            assert walked == list(enumerate_normalized_sets(k, max_element, family)), max_element
             plan = explorer._ScanPlan(
-                config, None, kind, "", None, {}, tuple(limits), frozenset(), explorer._FIELDS
+                config, record, kind, "", None, {}, tuple((h, 10**9) for h in folds),
+                frozenset(range(2, k)), explorer._FIELDS,
             )
-            handed.clear()
             scanned, _ = explorer._scan_blocks((plan, _partitions(config)))
-            assert scanned == len(walked)
-            assert handed == expected, (k, max_element)
+            space = [a.elements for a in enumerate_normalized_sets(k, max_element, family)]
+            assert [elements for elements, _ in groupby(e for e, _, _ in seen)] == space
+            assert sorted((e, h) for e, h, _ in seen) == sorted(product(space, folds))
+            for elements, h, card in seen:
+                a = FiniteIntSet(elements)
+                assert card == sumset_naive(a, h, kind).cardinality, (a, h)
+            assert scanned == len(space), (k, max_element)
+            # with a limit of 0 every fold dies at the first checked level,
+            # so the worker counts each subtree there by Moebius, over a
+            # gcd above 1 too, and hands the check nothing
+            seen.clear()
+            dead = dataclasses.replace(plan, limits=tuple((h, 0) for h in folds))
+            assert explorer._scan_blocks((dead, _partitions(config)))[0] == len(space)
+            assert seen == []
 
 
 def test_completions_count_the_gcd_one_sets_below_a_node():
     # a skipped subtree's sets are counted by Moebius over the divisors of
     # the node's gcd g; scans almost never skip a node with g > 1, so each g
     # up to 12 is held against the sets themselves (g = 0: no nonzero element)
-    for g, max_element, left in product(range(13), range(1, 21), range(1, 5)):
-        for p in range(max_element + 1):
+    for max_element in range(1, 21):
+        mu = _mobius(max_element)
+        for g, left, p in product(range(13), range(1, 5), range(max_element + 1)):
             sets = combinations(range(p + 1, max_element + 1), left)
             brute = sum(gcd(g, *x) == 1 for x in sets)
-            assert _completions(g, p, max_element, left) == brute, (g, p, max_element, left)
+            assert _completions(g, p, max_element, left, mu) == brute, (g, p, max_element, left)
 
 
 def _spied_scan(config: ScanConfig) -> tuple[str, int, list, int]:

@@ -252,11 +252,11 @@ def stacked(elements, frame):
 def test_fold_stacks_the_layers_advance_makes(raw, extra):
     """Each layer of the stacked int, read by shift and mask, is the layer
     ``advance`` makes from the same elements in the same frame, after every
-    fold; the int keeps no bit above its top layer, even when more
-    elements are folded than it has layers."""
+    fold, in each kind a scan walks; the int keeps no bit above its top
+    layer, even when more elements are folded than it has layers."""
     a = make_set(raw)
     m, depth = a.max_magnitude, max(1, a.k + extra)
-    for kind in KINDS:
+    for kind in [kind for kind in KINDS if kind.bounded_fold]:
         frame = Frame(m, depth, kind)
         assert frame.width == 2 * depth * m + 1
         value = 1
