@@ -40,13 +40,14 @@ and the parent's int is left as it was, so no node copies anything.  The
 worker, ``_scan_blocks``, walks each block with its own stack and stops
 at each node P three elements short of its sets, counting them once; it
 folds each next element z into P's int in a loop, with no stack entry per
-z.  A root that lacks two elements or fewer is read as Q itself, with no
 z.  For each Q = P + {z} the leaf step ``kernel.leaf_cards`` reads |h^A|
 for every set A = Q + {y, x} and scanned fold h from Q's int, and reports
 only the cards at or below the fold's limit, the only ones a check acts
 on: the bound, or none for an inverse check, since a family member above
 it breaks the converse.  A record names its set by Q's canonical text and
 a comma, built once per Q with a record, y's once per y, and ``str(x)``.
+A root that lacks two elements or fewer takes the same leaf step once,
+before the walk, with no z: as Q, as Q + {y} or as Q + {y, x}.
 Records are kept as columns, one list per field of each record kind
 (``_FIELDS``), from the check that appends them through a worker's
 result, the merge and the ``ScanReport``, whose ``records`` hold them as
@@ -433,14 +434,16 @@ _Columns = dict[str, tuple[list, ...]]
 def _scan_blocks(args: tuple[_ScanPlan, Sequence[tuple[int, ...]]]) -> tuple[int, _Columns]:
     """Worker: walk a run of prefix blocks in order and hand the cards of
     each node Q two elements short of its sets to the plan's check.
-    Returns how many sets the blocks hold, counted at each stop and at each
-    subtree not walked, and their records' columns, plain lists that
-    pickle small and merge by extending.  A stop P three elements short
-    folds each z into its int and reads the sets P + {z, y, x}, z < y < x,
-    keeping the rows ``live_folds`` keeps on P + {z} when two missing
-    elements is a checked level.  A root lacking two elements is a Q; one
-    lacking one or none is read as Q with its last elements as y and x, and
-    {a} as y = x = a: a folded twice is exact at h = 1, its only fold."""
+    Returns how many sets the blocks hold, counted at each root read, stop
+    and subtree not walked, and their records' columns, plain lists that
+    pickle small and merge by extending.  A root lacking two elements or
+    fewer goes to ``leaf_cards`` once, before the walk: one lacking two as
+    Q, one lacking one as Q + {y} with y its last element, and a set as
+    Q + {y, x}, {a} as y = x = a: a folded twice is exact at h = 1, its
+    only fold.  The walk meets only nodes lacking three or more.  A stop P
+    three elements short folds each z into its int and reads the sets
+    P + {z, y, x}, z < y < x, keeping the rows ``live_folds`` keeps on
+    P + {z} when two missing elements is a checked level."""
     plan, prefixes = args
     config, check, checks = plan.config, plan.check, plan.checks
     m = config.max_element
@@ -454,31 +457,32 @@ def _scan_blocks(args: tuple[_ScanPlan, Sequence[tuple[int, ...]]]) -> tuple[int
         for prefix in prefixes:
             elements = base + prefix
             left = nonzero_size - len(prefix)
-            stacked = 1  # value 0 in layer 0
-            if left < 2:  # the root lacks one element or none
-                if left:
-                    parent, ys, g = elements[:-1], elements[-1:], gcd(*elements)
-                    xs = range(ys[0] + 1, m + 1)
-                elif gcd(*prefix) < 2:  # a set: gcd 1, or gcd() == 0 over no nonzero element
-                    parent, ys, xs, g = elements[:-2], elements[-2:-1] or elements, elements[-1:], 1
-                else:
+            # gcd() == 0 only for {0}
+            g, p, parent = gcd(*prefix) or 1, elements[-1], elements
+            if left == 2:
+                ys, xs = range(p + 1, m), range(p + 2, m + 1)
+            elif left == 1:
+                parent, ys, xs = elements[:-1], (p,), range(p + 1, m + 1)
+            elif left == 0:
+                if g > 1:
                     continue
-                for a in parent:
-                    stacked = fold(stacked, a, frame)
-                scanned += _completions(g, ys[0], m, left, mu)
+                parent, ys, xs = elements[:-2], elements[-2:-1] or elements, (p,)
+            stacked = 1  # value 0 in layer 0
+            for a in parent:  # the zero family's 0 and the prefix, less a root's y and x
+                stacked = fold(stacked, a, frame)
+            if left < 3:  # a root lacking two elements or fewer is read as Q
+                scanned += _completions(g, p, m, left, mu)
                 if cards := leaf_cards(stacked, g, ys, xs, frame, plan.limits):
                     check(plan, parent, cards, out)
                 continue
-            for a in elements:  # the zero family's 0, the prefix
-                stacked = fold(stacked, a, frame)
             # Depth first over an explicit stack, not a generator per
             # element, so a deep walk cannot reach the interpreter's
             # recursion limit.  An entry is a node still to visit: its
             # parent's elements, stacked layers, gcd and live rows, how many
             # elements the node still lacks, and the element it adds.
-            parent, g, rows, stack = elements, gcd(*prefix), plan.limits, []
+            rows, stack = plan.limits, []
             while True:
-                low = parent[-1] + 1 if parent else 1
+                low = parent[-1] + 1
                 if left in checks and not (rows := live_folds(stacked, left, frame, rows)):
                     scanned += _completions(g, low - 1, m, left, mu)  # not walked
                 elif left == 3:
@@ -490,12 +494,6 @@ def _scan_blocks(args: tuple[_ScanPlan, Sequence[tuple[int, ...]]]) -> tuple[int
                             child, gcd(g, z), range(z + 1, m), range(z + 2, m + 1), frame, live
                         )):
                             check(plan, parent + (z,), cards, out)
-                elif left == 2:  # only a root lacks two
-                    scanned += _completions(g, low - 1, m, 2, mu)
-                    if cards := leaf_cards(
-                        stacked, g, range(low, m), range(low + 1, m + 1), frame, rows
-                    ):
-                        check(plan, parent, cards, out)
                 else:
                     xs = range(low, m - left + 2)
                     stack.extend((parent, stacked, g, rows, left - 1, x) for x in reversed(xs))
@@ -528,28 +526,27 @@ def _check_verify(
             ytext, ypart = (f"{head}{y},", parent + (y,)) if y < x else (head, parent)
         text, bound = ytext + str(x), bound_at[h]
         if card < bound:
-            confirm(FiniteIntSet(ypart + (x,)), h, plan.kind, card)
-            raise TheoremViolation(
-                f"{plan.config.mode.target} violated on {text}, h={h}: {card} < {bound}"
-            )
-        if family is None:  # a direct bound, whose limit lets only equality here
+            failure = f"violated on {text}, h={h}: {card} < {bound}"
+        elif family is None:  # a direct bound, whose limit lets only equality here
             # one record per set at h = 1: appended column by column, with no call
             sets.append(text)
             hs.append(h)
             cardinalities.append(card)
             bounds.append(bound)
             continue
-        matched = match_family(ypart + (x,), family) is not None
-        if (card == bound) != matched:
-            confirm(FiniteIntSet(ypart + (x,)), h, plan.kind, card)
-            raise TheoremViolation(
-                f"{plan.config.mode.target} classification failed on {text}: "
-                f"equality={card == bound} but family match="
-                f"{family.value if matched else None!r} "
+        elif (card == bound) == (matched := match_family(ypart + (x,), family) is not None):
+            if matched:
+                _append(equalities, text, h, card, bound, family.value)
+            continue
+        else:
+            failure = (
+                f"classification failed on {text}: equality={card == bound} but family "
+                f"match={family.value if matched else None!r} "
                 f"(cardinality {card}, bound {bound}, both engines agree)"
             )
-        if matched:
-            _append(equalities, text, h, card, bound, family.value)
+        # the oracle first: if it disagrees, the fault is the layered engine
+        confirm(FiniteIntSet(ypart + (x,)), h, plan.kind, card)
+        raise TheoremViolation(f"{plan.config.mode.target} {failure}")
 
 
 def _check_conjecture(

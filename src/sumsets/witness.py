@@ -4,7 +4,10 @@ A certificate family is a chain of labeled sumset members together with the
 claimed order relation (strictly-less or equal) between consecutive links.
 When every claimed relation holds, the chain forces a minimum number of
 distinct values, so the families double as machine-checkable proofs of the
-closed-form lower bounds evaluated in :mod:`sumsets.bounds`.
+closed-form lower bounds evaluated in :mod:`sumsets.bounds`.  ``_chain``
+is the one place where links become ``WitnessElement``s: each family lists
+its (label, value, relation, core) links, the relations as data, and
+``_chain`` gives the last link no relation.
 
 Three index families cover general sets:
 
@@ -22,7 +25,7 @@ that attain the bounds with equality.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from math import comb
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -88,21 +91,18 @@ class FamilyCheck:
         )
 
 
-def _rising(links: Iterable[tuple[str, int, bool]]) -> tuple[WitnessElement, ...]:
-    """A strictly rising chain from (label, value, core) links: every link
-    claims LESS than the next, and the last claims nothing."""
-    links = list(links)
-    last = len(links) - 1
-    return tuple(
-        WitnessElement(label, value, LESS if n < last else None, core)
-        for n, (label, value, core) in enumerate(links)
-    )
+def _chain(links: Iterable[tuple[str, int, str | None, bool]]) -> tuple[WitnessElement, ...]:
+    """The chain of (label, value, relation_to_next, core) links: each link
+    claims its relation to the next, and the last claims nothing."""
+    chain = [WitnessElement(*link) for link in links]
+    chain[-1] = replace(chain[-1], relation_to_next=None)
+    return tuple(chain)
 
 
 def _mirror(chain: tuple[WitnessElement, ...]) -> tuple[WitnessElement, ...]:
     """The negated chain, read in reverse: h^+-A = -h^+-A keeps it in the
     sumset, and negation turns a rising chain into a falling one."""
-    return _rising((f"-{e.label}", -e.value, e.core) for e in reversed(chain))
+    return _chain((f"-{e.label}", -e.value, LESS, e.core) for e in reversed(chain))
 
 
 def _s_value(a: Sequence[int], i: int, j: int, h: int) -> int:
@@ -130,40 +130,32 @@ def s_family(a: FiniteIntSet, h: int) -> WitnessFamily:
     """
     family_of(a)  # refuses sets with a negative element
     require_fold(a.k, h, SumsetKind.RESTRICTED_SIGNED)
-    elems: list[WitnessElement] = []
     k = a.k
     seq = a.elements
-    for i in range(k - h):
-        for j in range(h + 1):
-            # s[i,h] equals s[i+1,0]; keep both labels so the collision is
-            # itself a checked claim
-            rel = LESS if j < h else EQUAL
-            elems.append(WitnessElement(f"s[{i},{j}]", _s_value(seq, i, j, h), rel))
-    elems.append(WitnessElement(f"s[{k - h},0]", _s_value(seq, k - h, 0, h), None))
+    # s[i,h] equals s[i+1,0]; keep both labels so the collision is itself a
+    # checked claim
+    links = [
+        (f"s[{i},{j}]", _s_value(seq, i, j, h), LESS if j < h else EQUAL, True)
+        for i in range(k - h) for j in range(h + 1)
+    ]
+    links.append((f"s[{k - h},0]", _s_value(seq, k - h, 0, h), None, True))
     return WitnessFamily(
-        name="s",
-        h=h,
-        elements=tuple(elems),
-        expected_distinct=h * k - h * h + 1,
+        name="s", h=h, elements=_chain(links), expected_distinct=h * k - h * h + 1
     )
 
 
-def _t_chain(a: FiniteIntSet, h: int, zero_in_a: bool) -> list[WitnessElement]:
+def _t_chain(a: FiniteIntSet, h: int, zero_in_a: bool) -> tuple[WitnessElement, ...]:
     seq = a.elements
     s00 = _s_value(seq, 0, 0, h)
     boundary = EQUAL if zero_in_a else LESS
-    elems = [WitnessElement("-s[0,0]", -s00, boundary, core=False)]
+    links = [("-s[0,0]", -s00, boundary, False)]
     for i in range(h):
         for j in range(h - i):
-            if j < h - i - 1:
-                rel = LESS
-            elif i < h - 1:
-                rel = boundary
-            else:
-                rel = EQUAL  # t[h-1,0] always equals s[0,0]
-            elems.append(WitnessElement(f"t[{i},{j}]", _t_value(seq, i, j, h), rel))
-    elems.append(WitnessElement("s[0,0]", s00, None, core=False))
-    return elems
+            # a row ends at the boundary, and t[h-1,0] always equals s[0,0]
+            rel = LESS if j < h - i - 1 else boundary if i < h - 1 else EQUAL
+            links.append((f"t[{i},{j}]", _t_value(seq, i, j, h), rel, True))
+    links.append(("s[0,0]", s00, None, False))
+    return _chain(links)
 
 
 def _superincreasing_subfamilies(a: FiniteIntSet, h: int) -> tuple[WitnessFamily, ...]:
@@ -176,11 +168,11 @@ def _superincreasing_subfamilies(a: FiniteIntSet, h: int) -> tuple[WitnessFamily
 
     # shifted s-values v[j] = s[0,j] - 2*a_0 interleave the s[0,*] chain
     if h >= 3:
-        links = [("s[0,0]", _s_value(seq, 0, 0, h), False)]
+        links = [("s[0,0]", _s_value(seq, 0, 0, h), LESS, False)]
         for j in range(1, h - 1):
-            links.append((f"v[{j}]", _s_value(seq, 0, j, h) - 2 * seq[0], True))
-            links.append((f"s[0,{j}]", _s_value(seq, 0, j, h), False))
-        up = _rising(links)
+            links.append((f"v[{j}]", _s_value(seq, 0, j, h) - 2 * seq[0], LESS, True))
+            links.append((f"s[0,{j}]", _s_value(seq, 0, j, h), LESS, False))
+        up = _chain(links)
         subs.append(WitnessFamily(name="v", h=h, elements=up, expected_distinct=h - 2))
         subs.append(
             WitnessFamily(name="-v", h=h, elements=_mirror(up), expected_distinct=h - 2)
@@ -188,22 +180,22 @@ def _superincreasing_subfamilies(a: FiniteIntSet, h: int) -> tuple[WitnessFamily
 
     # mirrored t-rows fill the gaps between consecutive t[0,*] values
     for j in range(2, h - 2):
-        links = [(f"t[0,{h - j - 1}]", _t_value(seq, 0, h - j - 1, h), False)]
+        links = [(f"t[0,{h - j - 1}]", _t_value(seq, 0, h - j - 1, h), LESS, False)]
         for m in range(h - j - 2, -1, -1):
-            links.append((f"-t[{j},{m}]", -_t_value(seq, j, m, h), True))
-        links.append((f"-t[{j - 1},{h - j}]", -_t_value(seq, j - 1, h - j, h), True))
-        links.append((f"t[0,{h - j}]", _t_value(seq, 0, h - j, h), False))
+            links.append((f"-t[{j},{m}]", -_t_value(seq, j, m, h), LESS, True))
+        links.append((f"-t[{j - 1},{h - j}]", -_t_value(seq, j - 1, h - j, h), LESS, True))
+        links.append((f"t[0,{h - j}]", _t_value(seq, 0, h - j, h), LESS, False))
         subs.append(
             WitnessFamily(
-                name=f"-t[{j},*]", h=h, elements=_rising(links), expected_distinct=h - j
+                name=f"-t[{j},*]", h=h, elements=_chain(links), expected_distinct=h - j
             )
         )
 
     if h >= 3:
-        top = _rising([
-            ("t[0,1]", _t_value(seq, 0, 1, h), False),
-            (f"-t[{h - 3},2]", -_t_value(seq, h - 3, 2, h), True),
-            ("t[0,2]", _t_value(seq, 0, 2, h), False),
+        top = _chain([
+            ("t[0,1]", _t_value(seq, 0, 1, h), LESS, False),
+            (f"-t[{h - 3},2]", -_t_value(seq, h - 3, 2, h), LESS, True),
+            ("t[0,2]", _t_value(seq, 0, 2, h), LESS, False),
         ])
         subs.append(
             WitnessFamily(name="-t[top]", h=h, elements=top, expected_distinct=1)
@@ -241,7 +233,7 @@ def t_family(
     return WitnessFamily(
         name="t",
         h=h,
-        elements=tuple(_t_chain(a, h, zero_in_a)),
+        elements=_t_chain(a, h, zero_in_a),
         expected_distinct=distinct,
         expected_new=new,
         subfamilies=subfamilies,
@@ -254,14 +246,11 @@ def u_family(a: FiniteIntSet) -> WitnessFamily:
         raise DomainViolation(f"u-family needs a positive set with k >= 3, got {a}")
     k = a.k
     seq = a.elements
-    elems = [WitnessElement("t[0,1]", _t_value(seq, 0, 1, k), LESS, core=False)]
+    links = [("t[0,1]", _t_value(seq, 0, 1, k), LESS, False)]
     for j in range(1, k):
-        rel = LESS if j < k - 1 else EQUAL
-        elems.append(WitnessElement(f"u[{j}]", _u_value(seq, j), rel))
-    elems.append(WitnessElement("t[1,0]", _t_value(seq, 1, 0, k), None, core=False))
-    return WitnessFamily(
-        name="u", h=k, elements=tuple(elems), expected_distinct=k - 1
-    )
+        links.append((f"u[{j}]", _u_value(seq, j), LESS if j < k - 1 else EQUAL, True))
+    links.append(("t[1,0]", _t_value(seq, 1, 0, k), None, False))
+    return WitnessFamily(name="u", h=k, elements=_chain(links), expected_distinct=k - 1)
 
 
 def verify_family(fam: WitnessFamily, membership: Iterable[int]) -> FamilyCheck:

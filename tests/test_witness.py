@@ -31,12 +31,20 @@ def family_ok(fam, a, h):
     return check
 
 
+def assert_open_at_the_end(fam):
+    # every link claims a relation to the next; the last link, and only it,
+    # claims none
+    relations = [e.relation_to_next for e in fam.elements]
+    assert relations[-1] is None and None not in relations[:-1], (fam.name, relations)
+
+
 # --- s-family -----------------------------------------------------------------
 
 def test_s_family_odd_triple():
     fam = s_family(make_set([1, 3, 5]), 2)
     assert fam.core_values() == {4, 6, 8}
     assert fam.expected_distinct == 3
+    assert_open_at_the_end(fam)
     family_ok(fam, make_set([1, 3, 5]), 2)
 
 
@@ -44,6 +52,7 @@ def test_s_family_full_fold_is_single_sum():
     fam = s_family(make_set([1, 2, 3]), 3)
     assert [e.value for e in fam.elements] == [6]
     assert fam.expected_distinct == 1
+    assert_open_at_the_end(fam)
 
 
 def test_s_family_powers_of_two():
@@ -51,6 +60,7 @@ def test_s_family_powers_of_two():
     fam = s_family(make_set([1, 2, 4, 8]), 2)
     assert fam.core_values() == {3, 5, 6, 10, 12}
     assert fam.expected_distinct == 5
+    assert_open_at_the_end(fam)
 
 
 # --- t-family -----------------------------------------------------------------
@@ -62,6 +72,7 @@ def test_t_family_odd_triple():
     assert fam.expected_new == 2
     # t[1,0] must land on s[0,0] = 4
     assert fam.elements[-2].value == fam.elements[-1].value == 4
+    assert_open_at_the_end(fam)
     family_ok(fam, a, 2)
 
 
@@ -73,6 +84,7 @@ def test_t_family_zero_collapses():
     assert fam.expected_new == 0
     # both boundary relations are equalities when 0 is in A
     assert fam.elements[0].relation_to_next == "="
+    assert_open_at_the_end(fam)
 
 
 def test_t_family_h1_degenerate():
@@ -80,6 +92,7 @@ def test_t_family_h1_degenerate():
     fam = t_family(a, 1)
     assert [e.value for e in fam.elements if e.core] == [3]
     assert fam.expected_new == 0
+    assert_open_at_the_end(fam)
 
 
 def test_t_family_flag_must_match_set():
@@ -98,6 +111,7 @@ def test_u_family_interval():
     fam = u_family(a)
     assert fam.core_values() == {-4, -2, 0}
     assert fam.elements[0].value == -6  # lower bracket t[0,1]
+    assert_open_at_the_end(fam)
     family_ok(fam, a, 4)
 
 
@@ -109,6 +123,7 @@ def test_u_family_triple():
     lo, hi = fam.elements[0].value, fam.elements[-1].value
     interior = [v for v in fam.core_values() if lo < v < hi]
     assert len(interior) == 1
+    assert_open_at_the_end(fam)
     family_ok(fam, a, 3)
 
 
@@ -228,6 +243,7 @@ def test_superincreasing_subchains_random(rng):
         membership = sumset_layered(a, h).values
         for sub in (fam,) + fam.subfamilies:
             assert verify_family(sub, membership).ok, (a.canonical(), h, sub.name)
+            assert_open_at_the_end(sub)
         count, claimed = superincreasing_census(a, h)
         assert count == claimed
 
