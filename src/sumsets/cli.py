@@ -109,9 +109,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _parse_h_range(text: str | None, k: int) -> tuple[int, ...] | None:
-    """A fold or inclusive fold range, checked against 1..k before the
-    range is built; one that runs backwards is malformed."""
+def _parse_h_range(text: str | None, k: int) -> range | None:
+    """A fold or inclusive fold range, checked against 1..k; one that runs
+    backwards is malformed.  The folds are listed by the scan, after the
+    budgets it checks on k and max alone."""
     if text is None:
         return None
     lo, sep, hi = text.partition("-")
@@ -123,7 +124,7 @@ def _parse_h_range(text: str | None, k: int) -> tuple[int, ...] | None:
         raise InvalidSetLiteral(f"malformed fold range: {text!r} runs backwards")
     if not 1 <= lo <= hi <= k:
         raise NotApplicable(f"fold range {text!r} is not within 1..{k}")
-    return tuple(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def _cmd_compute(args) -> int:

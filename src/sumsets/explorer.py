@@ -17,20 +17,20 @@ Scans are partitioned by the first elements of each set and the partition
 results are merged in enumeration order, so reports are identical at every
 parallelism level.
 
-``scan`` resolves its plan once: the check every reported set goes
-through, the kind the walk folds, the bound formula, the expected extremal
-family, and the bound and limit at each scanned fold.  A worker gets the
-plan with a run of prefix blocks, which it walks in order.  The scan sizes
-its pool from its own work before it starts one: min(jobs, usable CPUs,
-blocks, 1 + set_folds // POOLED_SET_FOLDS) workers, where set_folds is the
-completeness count of sets times the scanned folds and the usable CPUs are
-those the process's affinity mask allows; below POOLED_SET_FOLDS a pool's
-start-up and the records it ships back cost as much as the work it
-shares or more.  At one worker all blocks are one run in the calling
-process and ``multiprocessing`` is never imported.  Otherwise the blocks
-go to a process pool in about four runs per worker, so the pool makes a
-few round trips per scan, not one per block, and the runs' results come
-back in block order.
+``scan`` resolves its plan once: the kind the walk folds, the bound
+formula, the expected extremal family, and the bound and limit at each
+scanned fold.  A worker gets the plan with a run of prefix blocks, which
+it walks in order.  The scan sizes its pool from its own work before it
+starts one: min(jobs, usable CPUs, blocks, 1 + set_folds //
+POOLED_SET_FOLDS) workers, where set_folds is the completeness count of
+sets times the scanned folds and the usable CPUs are those the process's
+affinity mask allows; below POOLED_SET_FOLDS a pool's start-up and the
+records it ships back cost as much as the work it shares or more.  At
+one worker all blocks are one run in the calling process and
+``multiprocessing`` is never imported.  Otherwise the blocks go to a
+process pool in about four runs per worker, so the pool makes a few
+round trips per scan, not one per block, and the runs' results come back
+in block order.
 
 A partition is a depth-first walk over a tree whose nodes add one larger
 element to their parent's.  A node holds its DP layers stacked in one int
@@ -79,13 +79,13 @@ there.  The list only decides
 where the walk looks; it never changes a result.  An inverse check has
 no limit, so its walk never prunes.
 
-Two checks act on the reported cards, the cards of one Q per call.
-``_check_verify`` serves every ``verify`` mode: a direct theorem is an
-inverse theorem that names no family.  ``_check_conjecture`` serves every
-``conj`` mode.  Both read a set's element tuple, and ``match_family``
-compares it with the plan's family.  A ``FiniteIntSet`` is built only for
-the oracle, in ``bounds.confirm``: a verify bound violation or
-classification failure, and every card a conjecture check sees.
+One check, ``_check``, acts on the reported cards in every mode, the cards
+of one Q per call: a direct theorem is an inverse theorem that names no
+family.  It tests each card against the bound and, at or above it, the
+set against the plan's family with ``match_family``.  The mode decides
+only whether a failure is raised or recorded, and whether the cards that
+pass are confirmed too.  A ``FiniteIntSet`` is built only for the oracle,
+in ``bounds.confirm``: a verify failure, and every card a conj scan sees.
 """
 from __future__ import annotations
 
@@ -94,7 +94,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import combinations, repeat
 from math import comb, gcd, inf
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import FiniteIntSet, SetFamily, SumsetKind, Table, canonical_json
 from .errors import (
@@ -145,7 +145,7 @@ class ScanConfig:
     max_element: int
     family: SetFamily
     mode: ScanMode
-    h_values: tuple[int, ...] | None = None   # None: derived from the mode
+    h_values: Sequence[int] | None = None   # None: derived from the mode
     jobs: int = 1
 
     def to_json_dict(self) -> dict:
@@ -320,17 +320,22 @@ def resolve_h_values(config: ScanConfig) -> tuple[int, ...]:
     once, or the mode's default, the folds of its theorem-table row or, for
     a direct bound, of its formula.  A row of one fixed fold takes no other."""
     row, formula = _target(config.mode.target)
-    explicit = None if config.h_values is None else tuple(sorted(set(config.h_values)))
-    default = (row or formula).folds(config.k)
-    if row is not None and row.fold != "interior" and explicit not in (None, default):
-        raise NotApplicable(f"{row.id} fixes h = {default[0]}, got {config.h_values}")
-    return default if explicit is None else explicit
+    if config.h_values is None:
+        return (row or formula).folds(config.k)
+    explicit = tuple(sorted(set(config.h_values)))
+    if row is not None and row.fold != "interior" and explicit != (fixed := row.folds(config.k)):
+        raise NotApplicable(f"{row.id} fixes h = {fixed[0]}, got {tuple(config.h_values)}")
+    return explicit
 
 
 # A scan lists its prefix blocks, with one partial result each, and its
 # completeness count holds max_element + 1 entries; max_element is at most
 # the block count plus k.  A space of more blocks is refused before either.
 MAX_SCAN_BLOCKS = 2**18
+# Above this k a scan is over the layered budget even at h = 1, its k - 2 or
+# more stacked ints holding 2 * (2 * max_element + 1) bits each, so it is
+# refused on k and max_element before its folds, up to k of them, are listed.
+MAX_SCAN_K = 2**16
 
 
 def _block_shape(config: ScanConfig) -> tuple[int, int]:
@@ -343,15 +348,14 @@ def _block_shape(config: ScanConfig) -> tuple[int, int]:
 @dataclass(frozen=True)
 class _ScanPlan:
     """What every partition of one scan shares, resolved once by
-    ``_validate``: the scan, the check its sets go through, the kind its
-    walk folds and its oracle confirms, the bound formula's id, the
-    extremal family the target expects (None for a direct bound), at
-    each scanned fold the bound and the limit, the largest cardinality the
-    leaf step reports to the check, the walk levels, by elements still
-    lacking, where a node can lose every fold (``_check_levels``), and the
-    fields of each record kind, in the order of its columns."""
+    ``_validate``: the scan, the kind its walk folds and its oracle
+    confirms, the bound formula's id, the extremal family the target
+    expects (None for a direct bound), at each scanned fold the bound and
+    the limit, the largest cardinality the leaf step reports to the check,
+    the walk levels, by elements still lacking, where a node can lose every
+    fold (``_check_levels``), and the fields of each record kind, in the
+    order of its columns."""
     config: ScanConfig
-    check: Callable[..., None]
     kind: SumsetKind
     formula: str
     family: FamilyName | None
@@ -370,32 +374,34 @@ def _validate(config: ScanConfig) -> _ScanPlan:
         raise NotApplicable(f"{mode.target} applies to {formula.family.value} sets")
     if row is not None and not row.covers_k(k):
         raise NotApplicable(f"{mode.target} needs {row.k_range()}")
+    # the walk sizes every layer by max_element, not by each set's max|a|, and
+    # holds one stacked int of (h+1)*(2h*max+1) bits per tree level below a
+    # prefix block, plus one
+    plen, top = _block_shape(config)
+    copies = config.max_element - top + 1
+    if k > MAX_SCAN_K:
+        _require_layered_budget(1, config.max_element, copies)
     h_values = resolve_h_values(config)
     bad = [h for h in h_values if not formula.validity(k, h)]
     if bad or not h_values:
         raise NotApplicable(
             f"fold(s) {bad or h_values} invalid for {mode} at k={k}"
         )
-    plen, top = _block_shape(config)
-    # the walk sizes every layer by max_element, not by each set's max|a|, and
-    # holds one stacked int of (h+1)*(2h*max+1) bits per tree level below a
-    # prefix block, plus one
-    _require_layered_budget(max(h_values), config.max_element, config.max_element - top + 1)
+    _require_layered_budget(max(h_values), config.max_element, copies)
     blocks = comb(top, plen)
     if blocks > MAX_SCAN_BLOCKS:
         raise KernelOverflow(
             f"scan space splits into {blocks} prefix blocks, over 2^18; lower --max"
         )
-    check = _check_conjecture if mode.action == "conj" else _check_verify
     family = None if row is None else row.extremal_at(k)
     bounds = {h: formula.value(k, h) for h in h_values}
     # a family member above its bound breaks an inverse theorem: no limit
-    inverse = check is _check_verify and family is not None
+    inverse = mode.action == "verify" and family is not None
     limits = tuple((h, inf if inverse else b) for h, b in bounds.items())
     checks = _check_levels(k, config.max_element, limits, formula.kind)
     fields = _FIELDS if family is not None else {**_FIELDS, "equalities": _RECORD}
     return _ScanPlan(
-        config, check, formula.kind, formula.id, family, bounds, limits, checks, fields
+        config, formula.kind, formula.id, family, bounds, limits, checks, fields
     )
 
 
@@ -433,7 +439,7 @@ _Columns = dict[str, tuple[list, ...]]
 
 def _scan_blocks(args: tuple[_ScanPlan, Sequence[tuple[int, ...]]]) -> tuple[int, _Columns]:
     """Worker: walk a run of prefix blocks in order and hand the cards of
-    each node Q two elements short of its sets to the plan's check.
+    each node Q two elements short of its sets to ``_check``.
     Returns how many sets the blocks hold, counted at each root read, stop
     and subtree not walked, and their records' columns, plain lists that
     pickle small and merge by extending.  A root lacking two elements or
@@ -445,7 +451,7 @@ def _scan_blocks(args: tuple[_ScanPlan, Sequence[tuple[int, ...]]]) -> tuple[int
     P + {z, y, x}, z < y < x, keeping the rows ``live_folds`` keeps on
     P + {z} when two missing elements is a checked level."""
     plan, prefixes = args
-    config, check, checks = plan.config, plan.check, plan.checks
+    config, checks = plan.config, plan.checks
     m = config.max_element
     nonzero_size, base = _space_shape(config.k, m, config.family)
     frame = Frame(m, max(h for h, _ in plan.limits), plan.kind)
@@ -473,7 +479,7 @@ def _scan_blocks(args: tuple[_ScanPlan, Sequence[tuple[int, ...]]]) -> tuple[int
             if left < 3:  # a root lacking two elements or fewer is read as Q
                 scanned += _completions(g, p, m, left, mu)
                 if cards := leaf_cards(stacked, g, ys, xs, frame, plan.limits):
-                    check(plan, parent, cards, out)
+                    _check(plan, parent, cards, out)
                 continue
             # Depth first over an explicit stack, not a generator per
             # element, so a deep walk cannot reach the interpreter's
@@ -493,7 +499,7 @@ def _scan_blocks(args: tuple[_ScanPlan, Sequence[tuple[int, ...]]]) -> tuple[int
                         if live and (cards := leaf_cards(
                             child, gcd(g, z), range(z + 1, m), range(z + 2, m + 1), frame, live
                         )):
-                            check(plan, parent + (z,), cards, out)
+                            _check(plan, parent + (z,), cards, out)
                 else:
                     xs = range(low, m - left + 2)
                     stack.extend((parent, stacked, g, rows, left - 1, x) for x in reversed(xs))
@@ -512,11 +518,16 @@ def _append(columns: tuple[list, ...], *record: object) -> None:
         column.append(value)
 
 
-def _check_verify(
+def _check(
     plan: _ScanPlan, parent: tuple[int, ...], cards: Iterable[tuple[int, int, int, int]],
     out: _Columns,
 ) -> None:
-    bound_at, family = plan.bounds, plan.family
+    """Check the reported cards of one Q's sets against the bound and the
+    family.  A card below its bound fails, and so does an equality off the
+    family or a member above the bound.  A verify scan confirms only a
+    failure with the oracle, then raises it; a conjecture scan confirms
+    every card and records its failures."""
+    verify, family, bound_at = plan.config.mode.action == "verify", plan.family, plan.bounds
     equalities = out["equalities"]
     sets, hs, cardinalities, bounds = equalities[:4]
     head, last = "".join(f"{a}," for a in parent), None
@@ -525,52 +536,36 @@ def _check_verify(
             last = y
             ytext, ypart = (f"{head}{y},", parent + (y,)) if y < x else (head, parent)
         text, bound = ytext + str(x), bound_at[h]
-        if card < bound:
-            failure = f"violated on {text}, h={h}: {card} < {bound}"
-        elif family is None:  # a direct bound, whose limit lets only equality here
+        if family is None and card == bound:  # a direct bound's equality
             # one record per set at h = 1: appended column by column, with no call
             sets.append(text)
             hs.append(h)
             cardinalities.append(card)
             bounds.append(bound)
             continue
-        elif (card == bound) == (matched := match_family(ypart + (x,), family) is not None):
-            if matched:
-                _append(equalities, text, h, card, bound, family.value)
-            continue
-        else:
-            failure = (
-                f"classification failed on {text}: equality={card == bound} but family "
-                f"match={family.value if matched else None!r} "
-                f"(cardinality {card}, bound {bound}, both engines agree)"
-            )
-        # the oracle first: if it disagrees, the fault is the layered engine
-        confirm(FiniteIntSet(ypart + (x,)), h, plan.kind, card)
-        raise TheoremViolation(f"{plan.config.mode.target} {failure}")
-
-
-def _check_conjecture(
-    plan: _ScanPlan, parent: tuple[int, ...], cards: Iterable[tuple[int, int, int, int]],
-    out: _Columns,
-) -> None:
-    expected = plan.family.value
-    head, last = "".join(f"{a}," for a in parent), None
-    # the limit is the bound: every card here is a counterexample or an equality
-    for y, x, h, card in cards:
-        if y != last:  # the text of Q + {y} and a comma, and its elements
-            last = y
-            ytext, ypart = (f"{head}{y},", parent + (y,)) if y < x else (head, parent)
-        text, elements, bound = ytext + str(x), ypart + (x,), plan.bounds[h]
-        naive = confirm(FiniteIntSet(elements), h, plan.kind, card)
+        elements, failure = ypart + (x,), None
         if card < bound:
-            _append(
-                out["conjecture_counterexamples"], text, h, card, bound, naive, plan.formula
-            )
-            continue
-        matched = match_family(elements, plan.family) is not None
-        _append(out["equalities"], text, h, card, bound, expected if matched else None)
-        if not matched:
-            _append(out["classification_failures"], text, h, card, bound, naive, expected)
+            failure = f"violated on {text}, h={h}: {card} < {bound}"
+            records, label = out["conjecture_counterexamples"], plan.formula
+        else:
+            equality, matched = card == bound, match_family(elements, family) is not None
+            if equality:  # off the family too: a verify scan raises below, dropping it
+                _append(equalities, text, h, card, bound, family.value if matched else None)
+            if equality != matched:
+                failure = (
+                    f"classification failed on {text}: equality={equality} but family "
+                    f"match={family.value if matched else None!r} "
+                    f"(cardinality {card}, bound {bound}, both engines agree)"
+                )
+                records, label = out["classification_failures"], family.value
+            elif verify:  # a member at the bound, or a non-member above it
+                continue
+        # the oracle first: if it disagrees, the fault is the layered engine
+        naive = confirm(FiniteIntSet(elements), h, plan.kind, card)
+        if verify:
+            raise TheoremViolation(f"{plan.config.mode.target} {failure}")
+        if failure:
+            _append(records, text, h, card, bound, naive, label)
 
 
 def _merge(results: Iterator[tuple[int, _Columns]]) -> tuple[int, _Columns]:

@@ -59,9 +59,8 @@ The two engines are deliberately unrelated in structure:
 
 Agreement of the two engines on a value set is the package's primary
 correctness evidence.  ``bounds.confirm`` is the one place that compares
-them on a reported cardinality: ``audit`` and the explorer's two scan
-checks, ``_check_verify`` and ``_check_conjecture``, call it before they
-raise or record one.
+them on a reported cardinality: ``audit`` and the explorer's scan check,
+``_check``, call it before they raise or record one.
 """
 from __future__ import annotations
 

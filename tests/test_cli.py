@@ -283,6 +283,31 @@ def test_scan_space_budget_refused_before_allocating():
     assert "prefix blocks, over 2^18" in proc.stderr
 
 
+def test_scan_of_a_huge_k_refused_before_listing_its_folds():
+    # k = 10^8 folds, the mode's default or a --h range, would exhaust a 400
+    # MB address space (MemoryError, exit 1); no scan of k > 2^16 passes
+    # the layered budget, even at h = 1
+    child = textwrap.dedent("""
+        import resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, (400 * 2**20, 400 * 2**20))
+        from sumsets.cli import main
+        for mode, h in (("verify:T2_1", []), ("verify:T2_1", ["--h", "1"]),
+                        ("verify:T2_1", ["--h", "1-100000000"]), ("conj:C2_1", [])):
+            code = main(["scan", "--mode", mode, "--k", "100000000",
+                         "--max", "200000000", *h])
+            if code != 65:
+                sys.exit(code or 1)
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", child], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("layered DP needs 99999999 x (h+1)*(2h*max|a_i|+1) bits") == 4
+
+
 def test_compute_wide_sparse_set_reads_its_values_in_bounded_memory():
     # {1, 10^8} passes the layered budget with a 25 MB mask of 2*10^8 + 1
     # bits; text for the whole mask, a byte per bit, would take 200 MB and

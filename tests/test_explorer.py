@@ -69,7 +69,7 @@ def test_closed_form_count_matches_enumeration(k, max_element, family):
 
 @pytest.mark.parametrize("family", [POS, ZERO])
 @pytest.mark.parametrize("kind", [kind for kind in SumsetKind if kind.bounded_fold])
-def test_walk_layers_are_every_fold_of_every_set(family, kind):
+def test_walk_layers_are_every_fold_of_every_set(monkeypatch, family, kind):
     # with no bound in reach and every level checked, the worker prunes
     # nothing: its check gets every fold of every set of the blocks, once,
     # with the oracle's cardinality, the sets in enumeration order, and the
@@ -87,8 +87,9 @@ def test_walk_layers_are_every_fold_of_every_set(family, kind):
                 for y, x, h, card in cards:
                     seen.append((parent + ((y, x) if y < x else (x,)), h, card))
 
+            monkeypatch.setattr(explorer, "_check", record)
             plan = explorer._ScanPlan(
-                config, record, kind, "", None, {}, tuple((h, 10**9) for h in folds),
+                config, kind, "", None, {}, tuple((h, 10**9) for h in folds),
                 frozenset(range(2, k)), explorer._FIELDS,
             )
             scanned, _ = explorer._scan_blocks((plan, _partitions(config)))
@@ -271,6 +272,19 @@ def test_verify_inverse_fails_a_family_member_above_the_bound(monkeypatch):
     assert str(exc.value) == (
         "[partition (1, 2)] T2_2 classification failed on 1,2,3: equality=False "
         "but family match='Interval1K' (cardinality 10, bound 8, both engines agree)"
+    )
+
+
+def test_verify_inverse_fails_an_equality_outside_the_family(monkeypatch):
+    # with Interval0K as T2_2's family, the odd AP {1,3,5} meets the bound 8
+    # but is no member of it: no set of the positive space is
+    row = dataclasses.replace(THEOREMS["T2_2"], extremal=FamilyName.INTERVAL_0K)
+    monkeypatch.setitem(THEOREMS, "T2_2", row)
+    with pytest.raises(TheoremViolation) as exc:
+        scan(ScanConfig(3, 5, POS, parse_mode("verify:T2_2")))
+    assert str(exc.value) == (
+        "[partition (1, 3)] T2_2 classification failed on 1,3,5: equality=True "
+        "but family match=None (cardinality 8, bound 8, both engines agree)"
     )
 
 

@@ -11,6 +11,8 @@ from sumsets.inverse import (
     regenerate,
 )
 from sumsets.core import SetFamily
+from sumsets import explorer
+from sumsets.bounds import confirm
 from sumsets.explorer import ScanConfig, enumerate_normalized_sets, parse_mode, scan
 from sumsets.kernel import sumset_layered
 from sumsets.witness import (
@@ -36,6 +38,10 @@ CERTIFICATE_GOLDEN = "1cabbfc50d9c7239e408c849b0ee4f050819d1826d1be10da5158d392d
 # sha256 of the scan fingerprints and refusals in test_scan_golden, recorded
 # before the scan became a depth-first walk over the set tree
 SCAN_GOLDEN = "71888c5fe12970141a59672e90c57e9e85b45c498c0e028aaffc21bd517dc065"
+# sha256 of the (set, h, kind, card) tuples the oracle confirms in
+# test_scan_golden, in order, recorded before the verify and conjecture
+# checks became one loop
+CONFIRM_GOLDEN = "2da1de7b965834cf333dfd9a0a60174b16a00885cee644dd5778a36635f45b34"
 
 
 def test_classify_odd_ap_dilated():
@@ -162,9 +168,17 @@ def test_classification_golden():
     assert digest.hexdigest() == CLASSIFICATION_GOLDEN
 
 
-def test_scan_golden():
+def test_scan_golden(monkeypatch):
     # every scan mode, both families, k = 1..6 and five fold choices; a
-    # refused config contributes its error's type and text
+    # refused config contributes its error's type and text.  The oracle's
+    # calls, all from conjecture scans, are hashed apart, in order
+    confirmed = []
+
+    def recording(a, h, kind, card):
+        confirmed.append((a.canonical(), h, kind.value, card))
+        return confirm(a, h, kind, card)
+
+    monkeypatch.setattr(explorer, "confirm", recording)
     modes = [
         mode
         for target in ("T2_1", "T3_1", "TA_Nathanson", *THEOREMS)
@@ -186,6 +200,8 @@ def test_scan_golden():
     assert len(modes) == 14
     assert scanned == 170
     assert digest.hexdigest() == SCAN_GOLDEN
+    assert len(confirmed) == 26
+    assert hashlib.sha256(canonical_json(confirmed).encode()).hexdigest() == CONFIRM_GOLDEN
 
 
 def _outcome(fn, *args, **kwargs):
