@@ -12,12 +12,13 @@ The two engines are deliberately unrelated in structure:
 
 * ``sumset_naive`` enumerates every coefficient vector once, as a support
   times a composition of h into positive parts (signed kinds) times an
-  itertools ``product`` of the signs, and sums each vector in C; only the
-  final hash set merges equal values.  A signed vector is one vector of
-  weight w on the low half of A joined with one of weight h - w on the high
-  half: each w in 1..h-1 adds every low-half sum to every high-half sum in
-  C, and the end weights w = h and w = 0 stream one half's sums unlisted.
-  It is the oracle.
+  itertools ``product`` of the signs, and sums each vector in C.  A signed
+  vector is one vector of weight w on the low half of A joined with one of
+  weight h - w on the high half: for each w in 1..h-1 each half's sums go
+  into a set, which merges that half's equal sums, and every low-half value
+  is added to every high-half value in C; the end weights w = h and w = 0
+  stream one half's sums unlisted.  Otherwise only the final hash set
+  merges equal values.  It is the oracle.
 * ``sumset_layered`` runs a dynamic program over elements with layers
   indexed by consumed weight j = 0..h.  Layer j is a dense bitmask that
   stores value v at bit v + j*m for any frame m >= max|a|, so adding
@@ -115,9 +116,10 @@ def _require_oracle_budget(k: int, h: int, kind: SumsetKind) -> None:
     # (restricted) or min(k - 1, h) (the other kinds), and counting it
     # exactly costs about r big multiplications, so a wide input is refused
     # on r alone.  The budget is the same for the signed oracle's split into
-    # halves: it lists the two halves' sums of one split weight at a time, at
-    # most 107,200 of them on one side (k=39, h=5), and streams the end
-    # weights, which as lists would reach 16.8M sums (k=5791, h=2).
+    # halves: for one split weight w at a time it holds each half's distinct
+    # sums, at most min(vectors, 2w*max|a_i| + 1) of them and at most 107,200
+    # on one side (k=39, h=5), and it streams the end weights, which as lists
+    # would reach 16.8M sums (k=5791, h=2).
     r = min(k - h if kind is SumsetKind.RESTRICTED else k - 1, h)
     if r >= MAX_ORACLE_TERMS.bit_length():
         raise KernelOverflow(
@@ -201,23 +203,6 @@ def _signed_sums(elements: tuple[int, ...], w: int) -> Iterator[int]:
     )
 
 
-def _signed_split_sums(elements: tuple[int, ...], h: int) -> Iterator[int]:
-    """One sum per signed coefficient vector of weight h on ``elements``.  A
-    vector is one of weight w on the low half joined with one of weight
-    h - w on the high half: w = h and w = 0 stream one half's sums, and each
-    w in 1..h-1 adds every low-half sum to every high-half sum in C."""
-    low, high = elements[:len(elements) // 2], elements[len(elements) // 2:]
-    return chain(
-        _signed_sums(low, h),
-        _signed_sums(high, h),
-        chain.from_iterable(
-            starmap(add, product(_signed_sums(low, w), _signed_sums(high, h - w)))
-            # one element leaves the low half empty, with h up to 2^26
-            for w in (range(1, h) if low else ())
-        ),
-    )
-
-
 def _naive_values(elements: tuple[int, ...], h: int, kind: SumsetKind) -> set[int]:
     if kind is SumsetKind.RESTRICTED:
         return set(map(sum, combinations(elements, h)))
@@ -232,7 +217,18 @@ def _naive_values(elements: tuple[int, ...], h: int, kind: SumsetKind) -> set[in
         for support in combinations(elements, h):
             values.update(map(sum, product(*[(a, -a) for a in support])))
         return values
-    return set(_signed_split_sums(elements, h))
+    # signed: a vector is one of weight w on the low half joined with one of
+    # weight h - w on the high half.  w = h and w = 0 stream one half's sums;
+    # each w in 1..h-1 merges each half's equal sums first, then adds every
+    # low-half sum to every high-half sum in C
+    low, high = elements[:len(elements) // 2], elements[len(elements) // 2:]
+    values.update(_signed_sums(low, h))
+    values.update(_signed_sums(high, h))
+    # one element leaves the low half empty, with h up to 2^26
+    for w in range(1, h) if low else ():
+        pairs = product(set(_signed_sums(low, w)), set(_signed_sums(high, h - w)))
+        values.update(starmap(add, pairs))
+    return values
 
 
 def advance(layers: list[int], elements: Iterable[int], m: int, kind: SumsetKind) -> None:

@@ -174,28 +174,58 @@ def test_naive_matches_literal_definition_at_seven_elements(raw, kind):
     ],
 )
 def test_signed_oracle_sums_each_vector_once(raw):
-    """The split oracle yields one sum per signed vector: a value set cannot
-    see a vector dropped or counted twice, a Counter of the sums can."""
+    """The split oracle sums each half's signed vectors of each weight once,
+    and its weights cover every signed vector of A once: a value set cannot
+    see a vector dropped or counted twice, these counts can."""
     a = make_set(raw)
+    low, high = a.elements[:a.k // 2], a.elements[a.k // 2:]
     for h in range(1, a.k + 3):
-        sums = Counter(kernel._signed_split_sums(a.elements, h))
-        assert sums == Counter(literal_sums(a, h, SIGNED))
-        assert sum(sums.values()) == coefficient_space_size(a.k, h, SIGNED)
+        with mock.patch.object(kernel, "_signed_sums", wraps=kernel._signed_sums) as spy:
+            sumset_naive(a, h, SIGNED)
+        calls = [call.args for call in spy.call_args_list if call.args[0]]
+        # the end weights, then the two halves each split weight w joins; one
+        # element leaves the low half empty and no split weight
+        expected = [(low, h), (high, h)] if low else [(high, h)]
+        for w in range(1, h) if low else ():
+            expected += [(low, w), (high, h - w)]
+        assert calls == expected
+        vectors = {(half, 0): 1 for half in (low, high)}  # the empty vector
+        for half, w in calls:
+            sums = Counter(kernel._signed_sums(half, w))
+            assert sums == Counter(literal_sums(make_set(half), w, SIGNED))
+            vectors[half, w] = sum(sums.values())
+        joined = sum(vectors.get((low, w), 0) * vectors.get((high, h - w), 0) for w in range(h + 1))
+        assert joined == coefficient_space_size(a.k, h, SIGNED)
+
+
+def signed_oracle_peak(a, h):
+    """The tracemalloc peak of the signed oracle on h^A, whose values are
+    checked against the layered engine's."""
+    tracemalloc.start()
+    try:
+        values = sumset_naive(a, h, SIGNED).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values == sumset_layered(a, h, SIGNED).values
+    return peak
 
 
 def test_signed_oracle_streams_the_end_weights():
     """At k=600, h=2 each half has about 180k vectors of weight 2, but the
     sums fill only [-1200, 1200]: the oracle holds the value set and the
     weight-1 halves, never a list of one half's weight-2 sums."""
-    a = make_set(range(1, 601))
     half_list = sys.getsizeof([0] * coefficient_space_size(300, 2, SIGNED))
-    tracemalloc.start()
-    try:
-        values = sumset_naive(a, 2, SIGNED).values
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert values == sumset_layered(a, 2, SIGNED).values
+    peak = signed_oracle_peak(make_set(range(1, 601)), 2)
+    assert peak < half_list // 4, (peak, half_list)
+
+
+def test_signed_oracle_joins_distinct_half_sums():
+    """At {1..20}, h=6 the low half has 28,004 vectors of weight 5, but their
+    sums fill only [-50, 50]: a split weight holds each half's distinct sums,
+    never a list of one half's vectors."""
+    half_list = sys.getsizeof([0] * coefficient_space_size(10, 5, SIGNED))
+    peak = signed_oracle_peak(make_set(range(1, 21)), 6)
     assert peak < half_list // 4, (peak, half_list)
 
 
