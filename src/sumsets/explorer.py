@@ -17,20 +17,21 @@ Scans are partitioned by the first elements of each set and the partition
 results are merged in enumeration order, so reports are identical at every
 parallelism level.
 
-``scan`` resolves its plan once: the kind the walk folds, the bound
-formula, the expected extremal family, and the bound and limit at each
-scanned fold.  A worker gets the plan with a run of prefix blocks, which
-it walks in order.  The scan sizes its pool from its own work before it
-starts one: min(jobs, usable CPUs, blocks, 1 + set_folds //
-POOLED_SET_FOLDS) workers, where set_folds is the completeness count of
-sets times the scanned folds and the usable CPUs are those the process's
-affinity mask allows; below POOLED_SET_FOLDS a pool's start-up and the
-records it ships back cost as much as the work it shares or more.  At
-one worker all blocks are one run in the calling process and
-``multiprocessing`` is never imported.  Otherwise the blocks go to a
-process pool in about four runs per worker, so the pool makes a few
-round trips per scan, not one per block, and the runs' results come back
-in block order.
+``_validate`` lays out a scan's space and lists its prefix blocks once,
+and resolves its plan: the space's base and size, the kind the walk
+folds, the bound formula, the expected extremal family, and the bound
+and limit at each scanned fold.  A worker gets the plan with a run of
+prefix blocks, which it walks in order.  The scan sizes its pool from
+its own work before it starts one: min(jobs, usable CPUs, blocks, 1 +
+set_folds // POOLED_SET_FOLDS) workers, where set_folds is the
+completeness count of sets times the scanned folds and the usable CPUs
+are those the process's affinity mask allows; below POOLED_SET_FOLDS a
+pool's start-up and the records it ships back cost as much as the work
+it shares or more.  At one worker all blocks are one run in the calling
+process and ``multiprocessing`` is never imported.  Otherwise the blocks
+go to a process pool in about four runs per worker, so the pool makes a
+few round trips per scan, not one per block, and the runs' results come
+back in block order.
 
 A partition is a depth-first walk over a tree whose nodes add one larger
 element to their parent's.  A node holds its DP layers stacked in one int
@@ -240,10 +241,9 @@ _FIELDS = {
 
 
 def enumerate_normalized_sets(
-    k: int, max_element: int, family: SetFamily, prefix: tuple[int, ...] = ()
+    k: int, max_element: int, family: SetFamily
 ) -> Iterator[FiniteIntSet]:
-    """All normalized k-sets in lexicographic order, or those whose nonzero
-    part starts with ``prefix``.
+    """All normalized k-sets in lexicographic order.
 
     Positive family: k-subsets of [1, max_element] with gcd 1.  Zero
     family: {0} plus a (k-1)-subset of [1, max_element] whose gcd is 1.
@@ -251,13 +251,11 @@ def enumerate_normalized_sets(
     DP: the second derivation of the space, which the sets a scan worker
     hands its check, and its Moebius counts, are tested against.
     """
-    nonzero_size, base = _space_shape(k, max_element, family)
-    size = nonzero_size - len(prefix)
-    low = prefix[-1] + 1 if prefix else 1
+    size, base = _space_shape(k, max_element, family)
     # combinations() would hold the whole range even when size is 0
-    for rest in combinations(range(low, max_element + 1) if size else (), size):
-        if gcd(*prefix, *rest) < 2:  # gcd 1, or gcd() == 0 for {0}
-            yield FiniteIntSet(base + prefix + rest)
+    for rest in combinations(range(1, max_element + 1) if size else (), size):
+        if gcd(*rest) < 2:  # gcd 1, or gcd() == 0 for {0}
+            yield FiniteIntSet(base + rest)
 
 
 def _mobius(n: int) -> list[int]:
@@ -338,24 +336,21 @@ MAX_SCAN_BLOCKS = 2**18
 MAX_SCAN_K = 2**16
 
 
-def _block_shape(config: ScanConfig) -> tuple[int, int]:
-    """The length of a scan's prefix blocks and the largest element in one."""
-    nonzero_size, _ = _space_shape(config.k, config.max_element, config.family)
-    plen = min(2, nonzero_size)
-    return plen, config.max_element - (nonzero_size - plen)
-
-
 @dataclass(frozen=True)
 class _ScanPlan:
     """What every partition of one scan shares, resolved once by
-    ``_validate``: the scan, the kind its walk folds and its oracle
-    confirms, the bound formula's id, the extremal family the target
-    expects (None for a direct bound), at each scanned fold the bound and
-    the limit, the largest cardinality the leaf step reports to the check,
-    the walk levels, by elements still lacking, where a node can lose every
-    fold (``_check_levels``), and the fields of each record kind, in the
-    order of its columns."""
+    ``_validate``, which lays out the space and lists the blocks: the scan,
+    the space's base (the zero family's 0, or nothing) and size (nonzero
+    elements per set), the kind its walk folds and its oracle confirms, the
+    bound formula's id, the extremal family the target expects (None for a
+    direct bound), at each scanned fold the bound and the limit, the largest
+    cardinality the leaf step reports to the check, the walk levels, by
+    elements still lacking, where a node can lose every fold
+    (``_check_levels``), and the fields of each record kind, in the order of
+    its columns."""
     config: ScanConfig
+    base: tuple[int, ...]
+    size: int
     kind: SumsetKind
     formula: str
     family: FamilyName | None
@@ -365,10 +360,11 @@ class _ScanPlan:
     fields: dict[str, tuple[str, ...]]
 
 
-def _validate(config: ScanConfig) -> _ScanPlan:
-    mode = config.mode
-    k = config.k
-    _space_shape(k, config.max_element, config.family)
+def _validate(config: ScanConfig) -> tuple[_ScanPlan, list[tuple[int, ...]]]:
+    """The scan's plan and its prefix blocks over the first (up to two)
+    nonzero elements, kept out of the plan, which every run pickles."""
+    mode, k, m = config.mode, config.k, config.max_element
+    size, base = _space_shape(k, m, config.family)
     row, formula = _target(mode.target)
     if formula.family is not SetFamily.ANY and formula.family is not config.family:
         raise NotApplicable(f"{mode.target} applies to {formula.family.value} sets")
@@ -376,18 +372,18 @@ def _validate(config: ScanConfig) -> _ScanPlan:
         raise NotApplicable(f"{mode.target} needs {row.k_range()}")
     # the walk sizes every layer by max_element, not by each set's max|a|, and
     # holds one stacked int of (h+1)*(2h*max+1) bits per tree level below a
-    # prefix block, plus one
-    plen, top = _block_shape(config)
-    copies = config.max_element - top + 1
+    # prefix block, plus one; a block's largest element is top
+    plen = min(2, size)
+    top, copies = m - (size - plen), size - plen + 1
     if k > MAX_SCAN_K:
-        _require_layered_budget(1, config.max_element, copies)
+        _require_layered_budget(1, m, copies)
     h_values = resolve_h_values(config)
     bad = [h for h in h_values if not formula.validity(k, h)]
     if bad or not h_values:
         raise NotApplicable(
             f"fold(s) {bad or h_values} invalid for {mode} at k={k}"
         )
-    _require_layered_budget(max(h_values), config.max_element, copies)
+    _require_layered_budget(max(h_values), m, copies)
     blocks = comb(top, plen)
     if blocks > MAX_SCAN_BLOCKS:
         raise KernelOverflow(
@@ -398,11 +394,13 @@ def _validate(config: ScanConfig) -> _ScanPlan:
     # a family member above its bound breaks an inverse theorem: no limit
     inverse = mode.action == "verify" and family is not None
     limits = tuple((h, inf if inverse else b) for h, b in bounds.items())
-    checks = _check_levels(k, config.max_element, limits, formula.kind)
+    checks = _check_levels(k, m, limits, formula.kind)
     fields = _FIELDS if family is not None else {**_FIELDS, "equalities": _RECORD}
-    return _ScanPlan(
-        config, formula.kind, formula.id, family, bounds, limits, checks, fields
+    plan = _ScanPlan(
+        config, base, size, formula.kind, formula.id, family, bounds, limits, checks, fields
     )
+    # combinations() would hold the whole range even when plen is 0
+    return plan, list(combinations(range(1, top + 1), plen)) if plen else [()]
 
 
 def _check_levels(
@@ -426,13 +424,6 @@ def _check_levels(
     return frozenset(levels)
 
 
-def _partitions(config: ScanConfig) -> list[tuple[int, ...]]:
-    """Prefix blocks over the first (up to two) nonzero elements."""
-    plen, top = _block_shape(config)
-    # combinations() would hold the whole range even when plen is 0
-    return list(combinations(range(1, top + 1), plen)) if plen else [()]
-
-
 # the columns of each record kind, by the kind's name in the report
 _Columns = dict[str, tuple[list, ...]]
 
@@ -453,7 +444,6 @@ def _scan_blocks(args: tuple[_ScanPlan, Sequence[tuple[int, ...]]]) -> tuple[int
     plan, prefixes = args
     config, checks = plan.config, plan.checks
     m = config.max_element
-    nonzero_size, base = _space_shape(config.k, m, config.family)
     frame = Frame(m, max(h for h, _ in plan.limits), plan.kind)
     scanned = 0
     out = {name: tuple([] for _ in fields) for name, fields in plan.fields.items()}
@@ -461,8 +451,8 @@ def _scan_blocks(args: tuple[_ScanPlan, Sequence[tuple[int, ...]]]) -> tuple[int
     z_level = 2 in checks
     try:
         for prefix in prefixes:
-            elements = base + prefix
-            left = nonzero_size - len(prefix)
+            elements = plan.base + prefix
+            left = plan.size - len(prefix)
             # gcd() == 0 only for {0}
             g, p, parent = gcd(*prefix) or 1, elements[-1], elements
             if left == 2:
@@ -604,9 +594,8 @@ def _usable_cpus() -> int:
 def scan(config: ScanConfig) -> ScanReport:
     """Run a full scan; see the module docstring for mode semantics."""
     start = time.perf_counter()
-    plan = _validate(config)
+    plan, parts = _validate(config)
     expected = count_normalized_sets(config.k, config.max_element, config.family)
-    parts = _partitions(config)
     work = 1 + expected * len(plan.bounds) // POOLED_SET_FOLDS
     workers = min(max(1, config.jobs), _usable_cpus(), len(parts), work)
     if workers == 1:

@@ -18,7 +18,10 @@ The two engines are deliberately unrelated in structure:
   into a set, which merges that half's equal sums, and every low-half value
   is added to every high-half value in C; the end weights w = h and w = 0
   stream one half's sums unlisted.  Otherwise only the final hash set
-  merges equal values.  It is the oracle.
+  merges equal values.  One early return reads a one-element set (h runs
+  to 2^27): h*a, and -h*a in the signed kinds.  A one-slot vector lists
+  no cut points: a one-element half (k = 2 or 3) meets every w < h.  It is
+  the oracle.
 * ``sumset_layered`` runs a dynamic program over elements with layers
   indexed by consumed weight j = 0..h.  Layer j is a dense bitmask that
   stores value v at bit v + j*m for any frame m >= max|a|, so adding
@@ -196,7 +199,8 @@ def _signed_sums(elements: tuple[int, ...], w: int) -> Iterator[int]:
         map(sum, product(*[(c * a, -c * a) for c, a in zip(parts, support)]))
         for s in range(1, min(len(elements), w) + 1)
         # combinations holds its whole pool of w - 1 cut points, so s = 1,
-        # which cuts nothing, passes none: w runs to 2^26 on one element
+        # which cuts nothing, passes none: a one-element half (k = 2 or 3)
+        # meets every w up to h - 1, and h runs to 5792 at k = 2
         for cuts in combinations(range(1, w) if s > 1 else (), s - 1)
         for parts in [[hi - lo for lo, hi in zip((0, *cuts), (*cuts, w))]]
         for support in combinations(elements, s)
@@ -204,13 +208,15 @@ def _signed_sums(elements: tuple[int, ...], w: int) -> Iterator[int]:
 
 
 def _naive_values(elements: tuple[int, ...], h: int, kind: SumsetKind) -> set[int]:
+    if len(elements) == 1:
+        # one element has the vector (h), and (-h) in the signed kinds, and h
+        # runs to 2^27: combinations_with_replacement would hold h copies of
+        # a, about 16 bytes a term, and the split has no low half
+        value = h * elements[0]
+        return {value, -value} if kind.symmetric else {value}
     if kind is SumsetKind.RESTRICTED:
         return set(map(sum, combinations(elements, h)))
     if kind is SumsetKind.UNRESTRICTED:
-        # one element has one vector, (h), summing to h*a; combinations would
-        # hold it as h copies, about 16 bytes a term, and h runs to 2^27
-        if len(elements) == 1:
-            return {h * elements[0]}
         return set(map(sum, combinations_with_replacement(elements, h)))
     values: set[int] = set()
     if kind is SumsetKind.RESTRICTED_SIGNED:
@@ -224,8 +230,7 @@ def _naive_values(elements: tuple[int, ...], h: int, kind: SumsetKind) -> set[in
     low, high = elements[:len(elements) // 2], elements[len(elements) // 2:]
     values.update(_signed_sums(low, h))
     values.update(_signed_sums(high, h))
-    # one element leaves the low half empty, with h up to 2^26
-    for w in range(1, h) if low else ():
+    for w in range(1, h):
         pairs = product(set(_signed_sums(low, w)), set(_signed_sums(high, h - w)))
         values.update(starmap(add, pairs))
     return values

@@ -23,7 +23,7 @@ from sumsets.explorer import (
     ScanConfig,
     _completions,
     _mobius,
-    _partitions,
+    _validate,
     count_normalized_sets,
     enumerate_normalized_sets,
     parse_mode,
@@ -58,13 +58,14 @@ def test_closed_form_count_matches_enumeration(k, max_element, family):
     space = list(enumerate_normalized_sets(k, max_element, family))
     assert len(space) == count_normalized_sets(k, max_element, family)
     assert len(set(space)) == len(space)
-    # scan merges partitions in order, so their blocks must tile the space
-    config = ScanConfig(k, max_element, family, parse_mode("verify:T2_1"))
-    assert [
-        a
-        for p in _partitions(config)
-        for a in enumerate_normalized_sets(k, max_element, family, prefix=p)
-    ] == space
+    # scan merges its blocks' results in order, so the blocks must tile the
+    # space: its sets' leading nonzero elements run through them in order.
+    # TA_Nathanson takes every k of both families
+    config = ScanConfig(k, max_element, family, parse_mode("verify:TA_Nathanson"))
+    _, blocks = _validate(config)
+    lead = (a.elements[family is ZERO:][:len(blocks[0])] for a in space)
+    prefixes = [p for p, _ in groupby(lead)]
+    assert prefixes == [p for p in blocks if p in prefixes]
 
 
 @pytest.mark.parametrize("family", [POS, ZERO])
@@ -79,7 +80,7 @@ def test_walk_layers_are_every_fold_of_every_set(monkeypatch, family, kind):
     # smallest spaces of each k, k to k + 2, and 9.
     for k in range(1, 7):
         for max_element in sorted({k, k + 1, k + 2, 9}):
-            config = ScanConfig(k, max_element, family, parse_mode("verify:T2_1"))
+            config = ScanConfig(k, max_element, family, parse_mode("verify:TA_Nathanson"))
             folds = range(1, k + 1)
             seen = []
 
@@ -88,11 +89,12 @@ def test_walk_layers_are_every_fold_of_every_set(monkeypatch, family, kind):
                     seen.append((parent + ((y, x) if y < x else (x,)), h, card))
 
             monkeypatch.setattr(explorer, "_check", record)
+            laid, blocks = _validate(config)
             plan = explorer._ScanPlan(
-                config, kind, "", None, {}, tuple((h, 10**9) for h in folds),
-                frozenset(range(2, k)), explorer._FIELDS,
+                config, laid.base, laid.size, kind, "", None, {},
+                tuple((h, 10**9) for h in folds), frozenset(range(2, k)), explorer._FIELDS,
             )
-            scanned, _ = explorer._scan_blocks((plan, _partitions(config)))
+            scanned, _ = explorer._scan_blocks((plan, blocks))
             space = [a.elements for a in enumerate_normalized_sets(k, max_element, family)]
             assert [elements for elements, _ in groupby(e for e, _, _ in seen)] == space
             assert sorted((e, h) for e, h, _ in seen) == sorted(product(space, folds))
@@ -105,7 +107,7 @@ def test_walk_layers_are_every_fold_of_every_set(monkeypatch, family, kind):
             # gcd above 1 too, and hands the check nothing
             seen.clear()
             dead = dataclasses.replace(plan, limits=tuple((h, 0) for h in folds))
-            assert explorer._scan_blocks((dead, _partitions(config)))[0] == len(space)
+            assert explorer._scan_blocks((dead, blocks))[0] == len(space)
             assert seen == []
 
 
@@ -188,7 +190,7 @@ def test_pruned_walk_reports_what_the_full_walk_does(
     assert (pruned_work < full_work) == skips, (pruned_work, full_work)
     # the z loop filters only where two missing elements is a checked level,
     # and in these spaces it drops some z there
-    assert (pruned_drops > 0) == (2 in explorer._validate(config).checks)
+    assert (pruned_drops > 0) == (2 in _validate(config)[0].checks)
     assert full_drops == 0
 
 
@@ -204,7 +206,7 @@ def test_pruned_walk_reports_what_the_full_walk_does(
     ("verify:TA_Nathanson", 7, 14, POS, set()),
 ])
 def test_check_levels_mark_where_every_fold_could_die(mode, k, max_element, family, levels):
-    plan = explorer._validate(ScanConfig(k, max_element, family, parse_mode(mode)))
+    plan, _ = _validate(ScanConfig(k, max_element, family, parse_mode(mode)))
     assert plan.checks == levels
 
 
@@ -530,7 +532,7 @@ def test_scan_pool_is_capped_at_cpu_count(pool_at_any_size, monkeypatch):
     usable_cpus(monkeypatch, 2, machine=2)
     started = record_pools(monkeypatch, SerialPool)
     config = ScanConfig(4, 12, POS, parse_mode("conj:C2_1"), jobs=64)
-    assert len(_partitions(config)) == 45
+    assert len(_validate(config)[1]) == 45
     wide = scan(config)
     assert started == [2]
     serial = scan(ScanConfig(4, 12, POS, parse_mode("conj:C2_1"), jobs=1))
@@ -559,7 +561,7 @@ def test_scan_pool_is_sized_by_the_work(monkeypatch, mode, k, max_element, famil
     usable_cpus(monkeypatch, 8)
     started = record_pools(monkeypatch, SerialPool)
     config = ScanConfig(k, max_element, family, parse_mode(mode), jobs=64)
-    assert len(_partitions(config)) > 8
+    assert len(_validate(config)[1]) > 8
     scan(config)
     assert started == workers
 
@@ -568,7 +570,7 @@ def test_scan_pool_is_capped_at_the_blocks(pool_at_any_size, monkeypatch):
     usable_cpus(monkeypatch, 8)
     started = record_pools(monkeypatch, SerialPool)
     config = ScanConfig(4, 5, POS, parse_mode("verify:T2_1"), jobs=64)
-    assert len(_partitions(config)) == 3
+    assert len(_validate(config)[1]) == 3
     scan(config)
     assert started == [3]
 

@@ -168,7 +168,7 @@ def test_naive_matches_literal_definition_at_seven_elements(raw, kind):
 @pytest.mark.parametrize(
     "raw",
     [
-        [7], [0], [-5],  # one element: the low half is empty
+        [7], [0], [-5],  # one element: read before the split
         [0, 3], [-4, 9], [-3, 0, 5], [1, 2, 3, 4], [-7, -2, 0, 6, 11],
         [-9, -4, -1, 0, 2, 8], [1, 3, 9, 27, 81, 243],
     ],
@@ -182,20 +182,55 @@ def test_signed_oracle_sums_each_vector_once(raw):
     for h in range(1, a.k + 3):
         with mock.patch.object(kernel, "_signed_sums", wraps=kernel._signed_sums) as spy:
             sumset_naive(a, h, SIGNED)
-        calls = [call.args for call in spy.call_args_list if call.args[0]]
+        calls = [call.args for call in spy.call_args_list]
         # the end weights, then the two halves each split weight w joins; one
-        # element leaves the low half empty and no split weight
-        expected = [(low, h), (high, h)] if low else [(high, h)]
+        # element is read before the split, with no half
+        expected = [(low, h), (high, h)] if low else []
         for w in range(1, h) if low else ():
             expected += [(low, w), (high, h - w)]
         assert calls == expected
         vectors = {(half, 0): 1 for half in (low, high)}  # the empty vector
+        if not low:  # the early return's two vectors, (h) and (-h)
+            vectors[high, h] = 2
         for half, w in calls:
             sums = Counter(kernel._signed_sums(half, w))
             assert sums == Counter(literal_sums(make_set(half), w, SIGNED))
             vectors[half, w] = sum(sums.values())
         joined = sum(vectors.get((low, w), 0) * vectors.get((high, h - w), 0) for w in range(h + 1))
         assert joined == coefficient_space_size(a.k, h, SIGNED)
+
+
+@pytest.mark.parametrize("kind, h", [
+    (SumsetKind.RESTRICTED, 1), (RS, 1), (SIGNED, 2**26), (SumsetKind.UNRESTRICTED, 2**27),
+])
+@pytest.mark.parametrize("element", [7, 0, -5])
+def test_oracle_reads_a_one_element_set_at_once(kind, h, element):
+    """One element has the vector (h), and (-h) in the signed kinds: the
+    oracle returns their sums before it splits or lists any vector, at h up
+    to each kind's budget."""
+    with (
+        mock.patch.object(kernel, "_signed_sums") as halves,
+        mock.patch.object(kernel, "combinations_with_replacement") as multisets,
+    ):
+        values = sumset_naive(make_set([element]), h, kind).values
+    assert values == tuple(sorted({h * element, -h * element} if kind.symmetric else {h * element}))
+    halves.assert_not_called()
+    multisets.assert_not_called()
+
+
+def test_signed_sums_of_one_element_list_no_cut_points():
+    """A weight-w vector on one slot cuts w nowhere, so ``_signed_sums``
+    passes combinations no pool of w - 1 cut points: a one-element half (k =
+    2 or 3) meets every weight up to h - 1."""
+    pool = sys.getsizeof([0] * (10**6 - 1))
+    tracemalloc.start()
+    try:
+        sums = list(kernel._signed_sums((3,), 10**6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sums == [3 * 10**6, -3 * 10**6]
+    assert peak < pool // 4, (peak, pool)
 
 
 def signed_oracle_peak(a, h):
