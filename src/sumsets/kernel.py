@@ -12,25 +12,25 @@ The two engines are deliberately unrelated in structure:
 
 * ``sumset_naive`` enumerates every coefficient vector once, as a support
   times a composition of h into positive parts (signed kinds) times an
-  itertools ``product`` of the signs, and sums each vector in C.  A signed
-  vector is one vector of weight w on the low half of A joined with one of
-  weight h - w on the high half: for each w in 1..h-1 each half's sums go
-  into a set, which merges that half's equal sums, and every low-half value
-  is added to every high-half value in C; the end weights w = h and w = 0
-  stream one half's sums unlisted.  Otherwise only the final hash set
-  merges equal values.  One early return reads a one-element set (h runs
-  to 2^27): h*a, and -h*a in the signed kinds.  A one-slot vector lists
-  no cut points: a one-element half (k = 2 or 3) meets every w < h.  It is
-  the oracle.
+  itertools ``product`` of the signs, and sums each vector in C.  In both
+  signed kinds (a restricted-signed vector has unit parts) a vector is one
+  of weight w on the low half of A joined with one of weight h - w on the
+  high half: for each w in 1..h-1 each half's sums go into a set, which
+  merges that half's equal sums, and every low-half value is added to
+  every high-half value in C; the end weights w = h and w = 0 stream one
+  half's sums unlisted.  Otherwise only the final hash set merges equal
+  values.  One early return reads a one-element set (h runs to 2^27): h*a,
+  and -h*a in the signed kinds.  A one-slot vector lists no cut points: a
+  one-element half (k = 2 or 3) meets every w < h.  It is the oracle.
 * ``sumset_layered`` runs a dynamic program over elements with layers
   indexed by consumed weight j = 0..h.  Layer j is a dense bitmask that
   stores value v at bit v + j*m for any frame m >= max|a|, so adding
   +-c*a_i to layer j - c is a left shift by c*(m +- a_i) >= 0.  ``advance``
-  is its transition: it folds elements into a list of layers, j from h
-  down to 1 in place.  The engine folds all of A / d for d = gcd(A)
-  (m = max|a| / d) and scales the values back by d, since h^(d*A) =
-  d * h^A.  The engine's budget is still on the raw max|a|.  It is the
-  fast path, and the reference the scan's stacked layers are tested
+  is its transition: it folds elements into a list of layers in place, two
+  shifts a layer.  The engine folds all of A / d for d = gcd(A) (m = max|a|
+  / d) and scales the values back by d, since h^(d*A) = d * h^A; {0} is
+  read before the DP.  The engine's budget is still on the raw max|a|.  It
+  is the fast path, and the reference the scan's stacked layers are tested
   against.
 * ``fold`` is the scan's transition.  A ``Frame`` stacks the layers
   0..depth of one set in one int, layer j at bits j*W.., W = 2*depth*m + 1,
@@ -118,11 +118,11 @@ def _require_oracle_budget(k: int, h: int, kind: SumsetKind) -> None:
     # The count is at least C(2r, r) >= 2^r vectors for r = min(k - h, h)
     # (restricted) or min(k - 1, h) (the other kinds), and counting it
     # exactly costs about r big multiplications, so a wide input is refused
-    # on r alone.  The budget is the same for the signed oracle's split into
+    # on r alone.  The budget is the same for both signed kinds' split into
     # halves: for one split weight w at a time it holds each half's distinct
     # sums, at most min(vectors, 2w*max|a_i| + 1) of them and at most 107,200
-    # on one side (k=39, h=5), and it streams the end weights, which as lists
-    # would reach 16.8M sums (k=5791, h=2).
+    # on one side (signed, k=39, h=5), and it streams the end weights, which
+    # as lists would reach 16.8M sums (signed, k=5791, h=2).
     r = min(k - h if kind is SumsetKind.RESTRICTED else k - 1, h)
     if r >= MAX_ORACLE_TERMS.bit_length():
         raise KernelOverflow(
@@ -191,13 +191,14 @@ def coefficient_space_size(k: int, h: int, kind: SumsetKind) -> int:
     )
 
 
-def _signed_sums(elements: tuple[int, ...], w: int) -> Iterator[int]:
-    """One sum per signed coefficient vector of weight w >= 1 on ``elements``:
-    a support of s slots, a composition of w into s positive parts (cut
-    1..w-1 at s-1 places) and a sign per slot, each vector summed in C."""
+def _signed_sums(elements: tuple[int, ...], w: int, kind: SumsetKind) -> Iterator[int]:
+    """One sum per vector of weight w >= 1 on ``elements`` in a signed
+    ``kind``: a support of s slots, a composition of w into s positive parts
+    (cut 1..w-1 at s-1 places) and a sign per slot, each vector summed in C;
+    restricted-signed takes s = w only, whose one composition is all ones."""
     return chain.from_iterable(
         map(sum, product(*[(c * a, -c * a) for c, a in zip(parts, support)]))
-        for s in range(1, min(len(elements), w) + 1)
+        for s in range(w if kind.bounded_fold else 1, min(len(elements), w) + 1)
         # combinations holds its whole pool of w - 1 cut points, so s = 1,
         # which cuts nothing, passes none: a one-element half (k = 2 or 3)
         # meets every w up to h - 1, and h runs to 5792 at k = 2
@@ -218,45 +219,44 @@ def _naive_values(elements: tuple[int, ...], h: int, kind: SumsetKind) -> set[in
         return set(map(sum, combinations(elements, h)))
     if kind is SumsetKind.UNRESTRICTED:
         return set(map(sum, combinations_with_replacement(elements, h)))
-    values: set[int] = set()
-    if kind is SumsetKind.RESTRICTED_SIGNED:
-        for support in combinations(elements, h):
-            values.update(map(sum, product(*[(a, -a) for a in support])))
-        return values
-    # signed: a vector is one of weight w on the low half joined with one of
-    # weight h - w on the high half.  w = h and w = 0 stream one half's sums;
-    # each w in 1..h-1 merges each half's equal sums first, then adds every
-    # low-half sum to every high-half sum in C
+    # the signed kinds: a vector is one of weight w on the low half joined
+    # with one of weight h - w on the high half.  w = h and w = 0 stream one
+    # half's sums; each w in 1..h-1 merges each half's equal sums first, then
+    # adds every low-half sum to every high-half sum in C
     low, high = elements[:len(elements) // 2], elements[len(elements) // 2:]
-    values.update(_signed_sums(low, h))
-    values.update(_signed_sums(high, h))
+    values = set(_signed_sums(low, h, kind))
+    values.update(_signed_sums(high, h, kind))
     for w in range(1, h):
-        pairs = product(set(_signed_sums(low, w)), set(_signed_sums(high, h - w)))
+        pairs = product(set(_signed_sums(low, w, kind)), set(_signed_sums(high, h - w, kind)))
         values.update(starmap(add, pairs))
     return values
 
 
 def advance(layers: list[int], elements: Iterable[int], m: int, kind: SumsetKind) -> None:
     """Fold each element into the DP ``layers`` in place; layer j stores
-    value v at bit v + j*m, for a frame m >= max|a| over every element."""
+    value v at bit v + j*m, for a frame m >= max|a| over every element.  An
+    unbounded kind puts c copies of x, all of one sign, on layer j - c: j
+    runs upward with one running int per sign, plus_j = L_j | plus_{j-1} <<
+    (m+x), two shifts a layer, not 2j.  One int that took both shifts would
+    put +x and -x in one vector."""
     signed_fold = kind.symmetric
-    unit_fold = kind.bounded_fold
     for x in elements:
         up, down = m + x, m - x
-        for j in range(len(layers) - 1, 0, -1):  # downward: layers[j - c] is still pre-x
-            acc = layers[j]
-            if unit_fold:
+        if kind.bounded_fold:
+            for j in range(len(layers) - 1, 0, -1):  # downward: layers[j - 1] is still pre-x
+                acc = layers[j]
                 prev = layers[j - 1]
                 acc |= prev << up
                 if signed_fold:
                     acc |= prev << down
-            else:
-                for c in range(1, j + 1):
-                    prev = layers[j - c]
-                    acc |= prev << c * up
-                    if signed_fold:
-                        acc |= prev << c * down
-            layers[j] = acc
+                layers[j] = acc
+        else:
+            plus = minus = layers[0]
+            for j in range(1, len(layers)):  # upward: layers[j] is still pre-x
+                plus = layers[j] | plus << up
+                if signed_fold:
+                    minus = layers[j] | minus << down
+                layers[j] = plus | minus if signed_fold else plus
 
 
 class Frame:
@@ -367,7 +367,11 @@ _SLICE_BYTES = 4096
 
 def _layered_values(elements: tuple[int, ...], h: int, kind: SumsetKind) -> list[int]:
     # h^(d*A) = d * h^A, so the DP runs on A / gcd(A) in that set's frame
-    d = gcd(*elements) or 1  # gcd 0 only for {0}
+    d = gcd(*elements)
+    if d == 0:
+        # {0}: its frame m is 0, so the (h+1)-bit budget lets h run to 2^32
+        # and a list of h + 1 layers would not fit
+        return [0]
     if d > 1:
         elements = tuple(a // d for a in elements)
     m = max(abs(elements[0]), abs(elements[-1]))

@@ -366,6 +366,34 @@ def test_compute_naive_signed_one_element_at_the_largest_fold():
     assert json.loads(proc.stdout)["values"] == [-3 * 2**26, 3 * 2**26]
 
 
+def test_compute_unbounded_kinds_at_large_folds_in_bounded_time_and_memory():
+    # a DP that shifts layer j once per copy count c <= j takes O(k*h^2)
+    # shifts, minutes for {1,2} at h = 20000.  {0} has frame 0, so the
+    # layered budget admits h = 10^8, and a list of its h + 1 layers would
+    # exhaust a 400 MB address space (MemoryError, exit 1).  On timeout
+    # subprocess.run kills the child before it raises
+    child = textwrap.dedent("""
+        import resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, (400 * 2**20, 400 * 2**20))
+        from sumsets.cli import main
+        for raw, h in (("1,2", "20000"), ("0", "100000000")):
+            for kind in ("signed", "unrestricted"):
+                code = main(["compute", "--set", raw, "--h", h, "--kind", kind])
+                if code:
+                    sys.exit(code)
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", child], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    cards = [line for line in proc.stdout.splitlines() if line.startswith("cardinality")]
+    # signed {1,2}: [h, 2h], 3t - h for 0 < t < 2h/3, and their mirrors;
+    # unrestricted {1,2}: [h, 2h]
+    assert cards == ["cardinality 66668", "cardinality 20001", "cardinality 1", "cardinality 1"]
+
+
 def test_scan_walk_layer_copies_budgeted_before_walking():
     # the walk holds a stacked DP int per tree level: at k=1100 one int of
     # (h+1)*(2h*max+1) bits passes the frame budget, but the 1,099 ints of

@@ -165,39 +165,45 @@ def test_naive_matches_literal_definition_at_seven_elements(raw, kind):
         assert set(sumset_naive(a, h, kind).values) == literal
 
 
-@pytest.mark.parametrize(
-    "raw",
-    [
-        [7], [0], [-5],  # one element: read before the split
-        [0, 3], [-4, 9], [-3, 0, 5], [1, 2, 3, 4], [-7, -2, 0, 6, 11],
-        [-9, -4, -1, 0, 2, 8], [1, 3, 9, 27, 81, 243],
-    ],
-)
-def test_signed_oracle_sums_each_vector_once(raw):
-    """The split oracle sums each half's signed vectors of each weight once,
-    and its weights cover every signed vector of A once: a value set cannot
-    see a vector dropped or counted twice, these counts can."""
+SPLIT_SETS = [
+    [7], [0], [-5],  # one element: read before the split
+    [0, 3], [-4, 9], [-3, 0, 5], [1, 2, 3, 4], [-7, -2, 0, 6, 11],
+    [-9, -4, -1, 0, 2, 8], [1, 3, 9, 27, 81, 243],
+]
+
+
+@pytest.mark.parametrize("kind, raw", [
+    pytest.param(kind, raw, id=f"{prefix}raw{i}")
+    for kind, prefix in [(SIGNED, ""), (RS, "restricted-signed-")]
+    for i, raw in enumerate(SPLIT_SETS)
+])
+def test_signed_oracle_sums_each_vector_once(kind, raw):
+    """The split oracle sums each half's vectors of each weight once, in
+    both signed kinds, and its weights cover every vector of A once: a value
+    set cannot see a vector dropped or counted twice, these counts can."""
     a = make_set(raw)
     low, high = a.elements[:a.k // 2], a.elements[a.k // 2:]
-    for h in range(1, a.k + 3):
+    for h in range(1, a.k + (1 if kind.bounded_fold else 3)):
         with mock.patch.object(kernel, "_signed_sums", wraps=kernel._signed_sums) as spy:
-            sumset_naive(a, h, SIGNED)
+            sumset_naive(a, h, kind)
         calls = [call.args for call in spy.call_args_list]
         # the end weights, then the two halves each split weight w joins; one
         # element is read before the split, with no half
-        expected = [(low, h), (high, h)] if low else []
+        expected = [(low, h, kind), (high, h, kind)] if low else []
         for w in range(1, h) if low else ():
-            expected += [(low, w), (high, h - w)]
+            expected += [(low, w, kind), (high, h - w, kind)]
         assert calls == expected
         vectors = {(half, 0): 1 for half in (low, high)}  # the empty vector
         if not low:  # the early return's two vectors, (h) and (-h)
             vectors[high, h] = 2
-        for half, w in calls:
-            sums = Counter(kernel._signed_sums(half, w))
-            assert sums == Counter(literal_sums(make_set(half), w, SIGNED))
+        for half, w, _ in calls:
+            sums = Counter(kernel._signed_sums(half, w, kind))
+            # a restricted-signed weight over the half's size has no vector
+            fits = w <= len(half) or not kind.bounded_fold
+            assert sums == (Counter(literal_sums(make_set(half), w, kind)) if fits else Counter())
             vectors[half, w] = sum(sums.values())
         joined = sum(vectors.get((low, w), 0) * vectors.get((high, h - w), 0) for w in range(h + 1))
-        assert joined == coefficient_space_size(a.k, h, SIGNED)
+        assert joined == coefficient_space_size(a.k, h, kind)
 
 
 @pytest.mark.parametrize("kind, h", [
@@ -225,7 +231,7 @@ def test_signed_sums_of_one_element_list_no_cut_points():
     pool = sys.getsizeof([0] * (10**6 - 1))
     tracemalloc.start()
     try:
-        sums = list(kernel._signed_sums((3,), 10**6))
+        sums = list(kernel._signed_sums((3,), 10**6, SIGNED))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -271,14 +277,18 @@ def test_signed_oracle_joins_distinct_half_sums():
 @settings(max_examples=40)
 def test_layered_matches_the_oracle_on_dilated_sets(raw, d):
     """The layered engine runs d*A / gcd in that set's frame and scales the
-    values back; the oracle sums d*A as given."""
+    values back, and reads {0} without the DP; the oracle sums d*A as
+    given."""
     a = dilate(make_set(raw), d)
     frame = a.max_magnitude // (gcd(*a.elements) or 1)
     for kind in KINDS:
         for h in range(1, a.k + 1):
             with mock.patch.object(kernel, "advance", wraps=kernel.advance) as spy:
                 values = sumset_layered(a, h, kind).values
-            assert spy.call_args.args[2] == frame
+            if frame:
+                assert spy.call_args.args[2] == frame
+            else:
+                spy.assert_not_called()
             assert values == sumset_naive(a, h, kind).values
 
 
