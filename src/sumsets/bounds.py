@@ -21,7 +21,7 @@ from typing import Callable
 
 from .core import FiniteIntSet, SetFamily, SumsetKind, family_of
 from .errors import EngineMismatch, NotApplicable, TheoremViolation
-from .kernel import require_fold, sumset_layered, sumset_naive
+from .kernel import sumset_layered, sumset_naive
 
 
 class BoundStatus(str, Enum):
@@ -199,7 +199,6 @@ def audit(a: FiniteIntSet, h: int) -> BoundReport:
     agree on the cardinality.
     """
     family = family_of(a)
-    require_fold(a.k, h, SumsetKind.RESTRICTED_SIGNED)
     cardinality = sumset_layered(a, h, SumsetKind.RESTRICTED_SIGNED).cardinality
     restricted = sumset_layered(a, h, SumsetKind.RESTRICTED).cardinality
 

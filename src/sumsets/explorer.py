@@ -93,7 +93,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from itertools import combinations, repeat
+from itertools import combinations, islice, repeat
 from math import comb, gcd, inf
 from typing import Iterable, Iterator, Sequence
 
@@ -320,6 +320,12 @@ def resolve_h_values(config: ScanConfig) -> tuple[int, ...]:
     row, formula = _target(config.mode.target)
     if config.h_values is None:
         return (row or formula).folds(config.k)
+    # more folds than 1..k holds: refuse at the first outside it, before
+    # listing any, so a huge range fails fast
+    if any(True for _ in islice(config.h_values, config.k, None)):
+        bad = next((h for h in config.h_values if not 1 <= h <= config.k), None)
+        if bad is not None:
+            raise NotApplicable(f"fold {bad} invalid for {config.mode} at k={config.k}")
     explicit = tuple(sorted(set(config.h_values)))
     if row is not None and row.fold != "interior" and explicit != (fixed := row.folds(config.k)):
         raise NotApplicable(f"{row.id} fixes h = {fixed[0]}, got {tuple(config.h_values)}")

@@ -16,7 +16,7 @@ from math import gcd
 
 from .core import FiniteIntSet, SetFamily, SumsetKind, family_of
 from .errors import DegenerateSet
-from .kernel import require_fold, sumset_layered
+from .kernel import sumset_layered
 from .witness import FAMILY_SHAPES, FamilyName, gen_family
 from .bounds import FORMULAS, bound_value
 
@@ -160,7 +160,6 @@ def classify_extremal(a: FiniteIntSet, h: int) -> ExtremalClassification:
     scan pipeline cannot pair a stale cardinality with the wrong set.
     """
     family = family_of(a)
-    require_fold(a.k, h, SumsetKind.RESTRICTED_SIGNED)
     cardinality = sumset_layered(a, h, SumsetKind.RESTRICTED_SIGNED).cardinality
     theorem = inverse_coverage(family, a.k, h)
     bound = name = params = None

@@ -390,41 +390,9 @@ def is_superincreasing(a: FiniteIntSet) -> bool:
     return True
 
 
-def gen_superincreasing(
-    k: int,
-    base: int = 1,
-    ratio_schedule: int | Sequence[int] | None = None,
-) -> FiniteIntSet:
-    """Build a superincreasing set of size k starting at ``base``.
-
-    ``ratio_schedule`` may be None (tightest growth: each element is one
-    more than the sum so far), a constant integer ratio, or a sequence of
-    k-1 per-step ratios.  A schedule that breaks the superincreasing
-    condition raises InvalidFamily.
-    """
+def gen_superincreasing(k: int) -> FiniteIntSet:
+    """The tightest superincreasing set of size k, 1, 2, 4, ..., 2^(k-1):
+    each element is one more than the sum of those before it."""
     if k < 1:
         raise InvalidFamily(f"need k >= 1, got k={k}")
-    if base < 1:
-        raise InvalidFamily(f"need base > 0, got {base}")
-    elements = [base]
-    if ratio_schedule is None:
-        steps: list[int] | None = None
-    elif isinstance(ratio_schedule, int):
-        steps = [ratio_schedule] * (k - 1)
-    else:
-        steps = list(ratio_schedule)
-        if len(steps) != k - 1:
-            raise InvalidFamily(
-                f"schedule needs {k - 1} steps, got {len(steps)}"
-            )
-    total = base
-    for i in range(1, k):
-        nxt = total + 1 if steps is None else steps[i - 1] * elements[-1]
-        if nxt <= total:
-            raise InvalidFamily(
-                f"schedule is not superincreasing at index {i}: "
-                f"{nxt} <= {total}"
-            )
-        elements.append(nxt)
-        total += nxt
-    return FiniteIntSet(tuple(elements))
+    return FiniteIntSet(tuple(1 << i for i in range(k)))

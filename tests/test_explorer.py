@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from itertools import combinations, groupby, product
 from math import gcd
 from pathlib import Path
@@ -620,6 +621,40 @@ def test_explicit_h_values():
         scan(ScanConfig(5, 11, POS, parse_mode("conj:C2_1"), h_values=(2,)))
     with pytest.raises(NotApplicable):
         scan(ScanConfig(5, 11, POS, parse_mode("verify:T2_2"), h_values=(3,)))
+    direct = parse_mode("verify:T2_1")
+    with pytest.raises(NotApplicable, match=r"^fold\(s\) \[0, 7\] invalid for verify:T2_1 at k=5$"):
+        scan(ScanConfig(5, 10, POS, direct, h_values=[0, 2, 7]))
+    # more than k folds, all in 1..k, are scanned as their distinct folds
+    assert scan(ScanConfig(5, 10, POS, direct, h_values=[3] * 50)).sets_scanned == 251
+
+
+def test_explicit_fold_range_refused_before_listing_it():
+    # ten billion folds, listed as a set, would exhaust a 400 MB address
+    # space (MemoryError, exit 1); on timeout subprocess.run kills the child
+    child = textwrap.dedent("""
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (400 * 2**20, 400 * 2**20))
+        from sumsets.core import SetFamily
+        from sumsets.errors import NotApplicable
+        from sumsets.explorer import ScanConfig, parse_mode, scan
+        for start in (0, 1):
+            config = ScanConfig(5, 10, SetFamily.POSITIVE, parse_mode("verify:T2_1"),
+                                h_values=range(start, 10**10))
+            for run in (scan, ScanConfig.to_json_dict):
+                try:
+                    run(config)
+                except NotApplicable as exc:
+                    print(exc)
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", child], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"fold {h} invalid for verify:T2_1 at k=5" for h in (0, 0, 6, 6)
+    ]
 
 
 def test_explicit_h_values_are_sorted_and_distinct():

@@ -19,7 +19,6 @@ from sumsets.witness import (
     FamilyName,
     combined_census,
     gen_family,
-    gen_superincreasing,
     s_family,
     superincreasing_census,
     t_family,
@@ -263,7 +262,10 @@ def test_certificate_golden():
     for k in range(6, 9):
         for base in (1, 2):
             for ratio in (None, 2, 3):
-                a = gen_superincreasing(k, base, ratio)
+                elements = [base]
+                for _ in range(k - 1):
+                    elements.append(ratio * elements[-1] if ratio else sum(elements) + 1)
+                a = make_set(elements)
                 for h in range(1, k):
                     feed(_certificates(a, h, superincreasing=True))
     # refusals: a flag that does not fit the set, a mixed-sign set, and
