@@ -92,10 +92,10 @@ from __future__ import annotations
 
 import os
 import time
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import combinations, islice, repeat
 from math import comb, gcd, inf
-from typing import Iterable, Iterator, Sequence
 
 from .core import FiniteIntSet, SetFamily, SumsetKind, Table, canonical_json
 from .errors import (
@@ -320,6 +320,12 @@ def resolve_h_values(config: ScanConfig) -> tuple[int, ...]:
     row, formula = _target(config.mode.target)
     if config.h_values is None:
         return (row or formula).folds(config.k)
+    # the folds are read more than once, here and by to_json_dict, so a
+    # one-shot iterator would be spent by the first reading
+    if not isinstance(config.h_values, Sequence):
+        raise NotApplicable(
+            f"explicit folds must be a sequence, got {type(config.h_values).__name__}"
+        )
     # more folds than 1..k holds: refuse at the first outside it, before
     # listing any, so a huge range fails fast
     if any(True for _ in islice(config.h_values, config.k, None)):

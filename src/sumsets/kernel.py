@@ -10,18 +10,21 @@ sums  sum(lambda_i * a_i)  over coefficient vectors lambda with
 
 The two engines are deliberately unrelated in structure:
 
-* ``sumset_naive`` enumerates every coefficient vector once, as a support
-  times a composition of h into positive parts (signed kinds) times an
-  itertools ``product`` of the signs, and sums each vector in C.  In both
-  signed kinds (a restricted-signed vector has unit parts) a vector is one
-  of weight w on the low half of A joined with one of weight h - w on the
-  high half: for each w in 1..h-1 each half's sums go into a set, which
-  merges that half's equal sums, and every low-half value is added to
-  every high-half value in C; the end weights w = h and w = 0 stream one
-  half's sums unlisted.  Otherwise only the final hash set merges equal
-  values.  One early return reads a one-element set (h runs to 2^27): h*a,
-  and -h*a in the signed kinds.  A one-slot vector lists no cut points: a
-  one-element half (k = 2 or 3) meets every w < h.  It is the oracle.
+* ``sumset_naive`` is the oracle.  The unbounded and restricted kinds sum
+  every multiset or subset of h elements in C, and only the final hash set
+  merges equal values.  The signed kinds (a restricted-signed vector has
+  unit parts) sum one vector of each +- pair, whose first slot takes +, as
+  a support times a composition of the weight into positive parts times a
+  sign pattern: per support size the Python loop runs over the fewer of
+  the compositions and the sign patterns, and C runs the other.  A vector
+  of A is one of weight w on the low half joined with one of weight h - w
+  on the high half: for each w in 1..h-1 each half's sums go into a set,
+  which merges equal sums and is mirrored, and each positive sum of the
+  smaller set is added to every sum of the larger in C; the end weights
+  w = h and w = 0 stream one half's sums unlisted, and the value set is
+  mirrored once at the end.  One early return reads a one-element set (h
+  runs to 2^27): h*a, and -h*a in the signed kinds.  A one-slot vector
+  lists no cut points: a one-element half (k = 2 or 3) meets every w < h.
 * ``sumset_layered`` runs a dynamic program over elements with layers
   indexed by consumed weight j = 0..h.  Layer j is a dense bitmask that
   stores value v at bit v + j*m for any frame m >= max|a|, so adding
@@ -68,9 +71,9 @@ them on a reported cardinality: ``audit`` and the explorer's scan check,
 """
 from __future__ import annotations
 
-from itertools import chain, combinations, combinations_with_replacement, product, starmap
+from itertools import chain, combinations, combinations_with_replacement, product, repeat, starmap
 from math import comb, gcd
-from operator import add
+from operator import add, neg
 from typing import Iterable, Iterator, Sequence
 
 from .core import MAX_SAFE_MAGNITUDE, FiniteIntSet, SumsetKind, SumsetResult
@@ -119,10 +122,11 @@ def _require_oracle_budget(k: int, h: int, kind: SumsetKind) -> None:
     # (restricted) or min(k - 1, h) (the other kinds), and counting it
     # exactly costs about r big multiplications, so a wide input is refused
     # on r alone.  The budget is the same for both signed kinds' split into
-    # halves: for one split weight w at a time it holds each half's distinct
-    # sums, at most min(vectors, 2w*max|a_i| + 1) of them and at most 107,200
-    # on one side (signed, k=39, h=5), and it streams the end weights, which
-    # as lists would reach 16.8M sums (signed, k=5791, h=2).
+    # halves, which sum one vector of each +- pair, at most w terms each: for
+    # one split weight w at a time it holds each half's distinct sums,
+    # mirrored, at most min(vectors, 2w*max|a_i| + 1) of them and at most
+    # 107,200 on one side (signed, k=39, h=5), and it streams the end
+    # weights, which as lists would reach 8.4M sums (signed, k=5791, h=2).
     r = min(k - h if kind is SumsetKind.RESTRICTED else k - 1, h)
     if r >= MAX_ORACLE_TERMS.bit_length():
         raise KernelOverflow(
@@ -192,20 +196,36 @@ def coefficient_space_size(k: int, h: int, kind: SumsetKind) -> int:
 
 
 def _signed_sums(elements: tuple[int, ...], w: int, kind: SumsetKind) -> Iterator[int]:
-    """One sum per vector of weight w >= 1 on ``elements`` in a signed
-    ``kind``: a support of s slots, a composition of w into s positive parts
-    (cut 1..w-1 at s-1 places) and a sign per slot, each vector summed in C;
-    restricted-signed takes s = w only, whose one composition is all ones."""
-    return chain.from_iterable(
-        map(sum, product(*[(c * a, -c * a) for c, a in zip(parts, support)]))
-        for s in range(w if kind.bounded_fold else 1, min(len(elements), w) + 1)
-        # combinations holds its whole pool of w - 1 cut points, so s = 1,
-        # which cuts nothing, passes none: a one-element half (k = 2 or 3)
-        # meets every w up to h - 1, and h runs to 5792 at k = 2
-        for cuts in combinations(range(1, w) if s > 1 else (), s - 1)
-        for parts in [[hi - lo for lo, hi in zip((0, *cuts), (*cuts, w))]]
-        for support in combinations(elements, s)
-    )
+    """One sum for each +- pair of vectors of weight w >= 1 on ``elements``
+    in a signed ``kind``; the pair's other vector sums to its negation.  A
+    vector is a support of s slots, a composition of w into s positive parts
+    and a sign for each slot, and the first slot takes + only;
+    restricted-signed takes s = w only, whose one composition is all ones.
+    For each s the Python loop runs over the smaller count, C(w-1, s-1)
+    compositions or 2^(s-1) sign patterns, and C runs the other: a
+    ``product`` of the signs, or the signed support's sum plus each multiset
+    of w - s more units on it."""
+    def pieces() -> Iterator[Iterator[int]]:
+        for s in range(w if kind.bounded_fold else 1, min(len(elements), w) + 1):
+            # s = 1 ties at one of each and takes the compositions: its sign
+            # loop's multiset would hold w - 1 copies of the element
+            if comb(w - 1, s - 1) <= 2 ** (s - 1):
+                # combinations holds its whole pool of w - 1 cut points, so
+                # s = 1, which cuts nothing, passes none: a one-element half
+                # (k = 2 or 3) meets every w up to h - 1, and h runs to 5792
+                # at k = 2
+                for cuts in combinations(range(1, w) if s > 1 else (), s - 1):
+                    first, *parts = [hi - lo for lo, hi in zip((0, *cuts), (*cuts, w))]
+                    for head, *tail in combinations(elements, s):
+                        yield map(sum, product(
+                            (first * head,), *[(c * a, -c * a) for c, a in zip(parts, tail)]))
+            else:
+                # a slot's part is 1 plus its count in the multiset
+                for head, *tail in combinations(elements, s):
+                    for signed in product((head,), *[(a, -a) for a in tail]):
+                        yield map(sum, combinations_with_replacement(signed, w - s),
+                                  repeat(sum(signed)))
+    return chain.from_iterable(pieces())
 
 
 def _naive_values(elements: tuple[int, ...], h: int, kind: SumsetKind) -> set[int]:
@@ -220,15 +240,27 @@ def _naive_values(elements: tuple[int, ...], h: int, kind: SumsetKind) -> set[in
     if kind is SumsetKind.UNRESTRICTED:
         return set(map(sum, combinations_with_replacement(elements, h)))
     # the signed kinds: a vector is one of weight w on the low half joined
-    # with one of weight h - w on the high half.  w = h and w = 0 stream one
-    # half's sums; each w in 1..h-1 merges each half's equal sums first, then
-    # adds every low-half sum to every high-half sum in C
+    # with one of weight h - w on the high half, and -v is a sum wherever v
+    # is, so both halves take one vector of each +- pair and the value set
+    # is mirrored once at the end.  w = h and w = 0 stream one half's sums;
+    # each w in 1..h-1 merges each half's equal sums and mirrors them, then
+    # adds each positive sum of the smaller half to every sum of the larger
+    # in C, and the larger as it is if the smaller holds 0
     low, high = elements[:len(elements) // 2], elements[len(elements) // 2:]
     values = set(_signed_sums(low, h, kind))
     values.update(_signed_sums(high, h, kind))
     for w in range(1, h):
-        pairs = product(set(_signed_sums(low, w, kind)), set(_signed_sums(high, h - w, kind)))
-        values.update(starmap(add, pairs))
+        lows = set(_signed_sums(low, w, kind))
+        highs = set(_signed_sums(high, h - w, kind))
+        if not (lows and highs):  # restricted-signed, w over a half's size
+            continue
+        lows.update(map(neg, tuple(lows)))
+        highs.update(map(neg, tuple(highs)))
+        small, large = (lows, highs) if len(lows) <= len(highs) else (highs, lows)
+        if 0 in small:
+            values.update(large)
+        values.update(starmap(add, product([x for x in small if x > 0], large)))
+    values.update(map(neg, tuple(values)))
     return values
 
 
@@ -398,7 +430,8 @@ def sumset_naive(
     h: int,
     kind: SumsetKind = SumsetKind.RESTRICTED_SIGNED,
 ) -> SumsetResult:
-    """Oracle engine: direct enumeration of every coefficient vector."""
+    """Oracle engine: direct enumeration of the coefficient vectors, one of
+    each +- pair in the signed kinds."""
     require_fold(a.k, h, kind)
     _require_safe_magnitude(a, h)
     _require_oracle_budget(a.k, h, kind)

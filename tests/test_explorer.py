@@ -628,6 +628,19 @@ def test_explicit_h_values():
     assert scan(ScanConfig(5, 10, POS, direct, h_values=[3] * 50)).sets_scanned == 251
 
 
+@pytest.mark.parametrize("folds, name", [
+    (iter([3]), "list_iterator"), ((h for h in [3]), "generator"), ({3}, "set"),
+])
+def test_explicit_h_values_must_be_a_sequence(folds, name):
+    # the folds are read more than once: a one-shot iterator, spent by its
+    # first reading, was refused as the empty fold list "fold(s) ()"
+    config = ScanConfig(5, 11, POS, parse_mode("conj:C2_1"), h_values=folds)
+    for run in (scan, ScanConfig.to_json_dict):
+        with pytest.raises(NotApplicable, match=rf"^explicit folds must be a sequence, got {name}$"):
+            run(config)
+    assert list(folds) == [3]  # refused before it is read
+
+
 def test_explicit_fold_range_refused_before_listing_it():
     # ten billion folds, listed as a set, would exhaust a 400 MB address
     # space (MemoryError, exit 1); on timeout subprocess.run kills the child

@@ -2,7 +2,7 @@ import sys
 import tracemalloc
 from collections import Counter
 from math import gcd
-from operator import mul
+from operator import mul, neg
 from unittest import mock
 
 import pytest
@@ -169,6 +169,9 @@ SPLIT_SETS = [
     [7], [0], [-5],  # one element: read before the split
     [0, 3], [-4, 9], [-3, 0, 5], [1, 2, 3, 4], [-7, -2, 0, 6, 11],
     [-9, -4, -1, 0, 2, 8], [1, 3, 9, 27, 81, 243],
+    # four-slot halves: s = 2, 3 and 4 each by sign patterns at some w and
+    # by compositions at others
+    [-40, -17, -3, 0, 8, 21, 38, 55],
 ]
 
 
@@ -178,9 +181,10 @@ SPLIT_SETS = [
     for i, raw in enumerate(SPLIT_SETS)
 ])
 def test_signed_oracle_sums_each_vector_once(kind, raw):
-    """The split oracle sums each half's vectors of each weight once, in
-    both signed kinds, and its weights cover every vector of A once: a value
-    set cannot see a vector dropped or counted twice, these counts can."""
+    """The split oracle sums one vector of each +- pair of each half's
+    vectors of each weight, in both signed kinds, and its weights cover
+    every +- pair of vectors of A once: a value set cannot see a vector
+    dropped or counted twice, these counts can."""
     a = make_set(raw)
     low, high = a.elements[:a.k // 2], a.elements[a.k // 2:]
     for h in range(1, a.k + (1 if kind.bounded_fold else 3)):
@@ -193,17 +197,41 @@ def test_signed_oracle_sums_each_vector_once(kind, raw):
         for w in range(1, h) if low else ():
             expected += [(low, w, kind), (high, h - w, kind)]
         assert calls == expected
-        vectors = {(half, 0): 1 for half in (low, high)}  # the empty vector
-        if not low:  # the early return's two vectors, (h) and (-h)
-            vectors[high, h] = 2
+        pairs = {} if low else {(high, h): 1}  # the early return's (h) and (-h)
         for half, w, _ in calls:
-            sums = Counter(kernel._signed_sums(half, w, kind))
+            sums = list(kernel._signed_sums(half, w, kind))
             # a restricted-signed weight over the half's size has no vector
             fits = w <= len(half) or not kind.bounded_fold
-            assert sums == (Counter(literal_sums(make_set(half), w, kind)) if fits else Counter())
-            vectors[half, w] = sum(sums.values())
-        joined = sum(vectors.get((low, w), 0) * vectors.get((high, h - w), 0) for w in range(h + 1))
-        assert joined == coefficient_space_size(a.k, h, kind)
+            literal = Counter(literal_sums(make_set(half), w, kind)) if fits else Counter()
+            assert Counter(sums) + Counter(map(neg, sums)) == literal
+            pairs[half, w] = len(sums)
+        # a pair of A's vectors is a pair of high ones of weight h, or a pair
+        # of low ones of weight w >= 1 with every high vector of weight h - w
+        high_vectors = [1] + [2 * pairs.get((high, w), 0) for w in range(1, h)]
+        joined = pairs.get((high, h), 0) + sum(
+            pairs.get((low, w), 0) * high_vectors[h - w] for w in range(1, h + 1)
+        )
+        assert 2 * joined == coefficient_space_size(a.k, h, kind)
+
+
+@pytest.mark.parametrize("elements, w, kind, sign_loops", [
+    ((2, 5), 4, SIGNED, 2),  # s = 2: 3 compositions, 2 sign patterns
+    ((1, 3, 9, 27), 6, SIGNED, 6 * 2 + 4 * 4 + 1 * 8),  # s = 2, 3, 4: by signs
+    ((-4, 0, 7), 3, SIGNED, 0),  # s = 2 ties 2 and 2, s = w has one composition
+    ((-4, 0, 7, 10), 4, RS, 0),  # restricted-signed: s = w only
+    ((3,), 10, SIGNED, 0),  # s = 1 ties 1 and 1
+])
+def test_signed_sums_loop_over_the_smaller_count(elements, w, kind, sign_loops):
+    """For each support size s the Python loop runs over the C(w-1, s-1)
+    compositions or the 2^(s-1) sign patterns, whichever is fewer, and the
+    compositions on a tie; each sign pattern of each support sums its
+    multisets of w - s more units, one ``combinations_with_replacement``."""
+    with mock.patch.object(
+        kernel, "combinations_with_replacement", wraps=kernel.combinations_with_replacement,
+    ) as multisets:
+        sums = list(kernel._signed_sums(elements, w, kind))
+    assert multisets.call_count == sign_loops
+    assert Counter(sums) + Counter(map(neg, sums)) == Counter(literal_sums(make_set(elements), w, kind))
 
 
 @pytest.mark.parametrize("kind, h", [
@@ -235,7 +263,7 @@ def test_signed_sums_of_one_element_list_no_cut_points():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sums == [3 * 10**6, -3 * 10**6]
+    assert sums == [3 * 10**6]  # one vector of the pair (w), (-w)
     assert peak < pool // 4, (peak, pool)
 
 
