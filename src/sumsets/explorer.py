@@ -326,12 +326,15 @@ def resolve_h_values(config: ScanConfig) -> tuple[int, ...]:
         raise NotApplicable(
             f"explicit folds must be a sequence, got {type(config.h_values).__name__}"
         )
-    # more folds than 1..k holds: refuse at the first outside it, before
-    # listing any, so a huge range fails fast
-    if any(True for _ in islice(config.h_values, config.k, None)):
-        bad = next((h for h in config.h_values if not 1 <= h <= config.k), None)
-        if bad is not None:
-            raise NotApplicable(f"fold {bad} invalid for {config.mode} at k={config.k}")
+    # a fold that is not an int is refused before it is compared; more folds
+    # than 1..k holds are refused at the first outside it, before listing
+    # any, so a huge range fails fast
+    many = any(True for _ in islice(config.h_values, config.k, None))
+    for h in config.h_values:
+        if not isinstance(h, int):
+            raise NotApplicable(f"fold {h!r} invalid for {config.mode}: not an int")
+        if many and not 1 <= h <= config.k:
+            raise NotApplicable(f"fold {h} invalid for {config.mode} at k={config.k}")
     explicit = tuple(sorted(set(config.h_values)))
     if row is not None and row.fold != "interior" and explicit != (fixed := row.folds(config.k)):
         raise NotApplicable(f"{row.id} fixes h = {fixed[0]}, got {tuple(config.h_values)}")

@@ -18,13 +18,14 @@ The two engines are deliberately unrelated in structure:
   sign pattern: per support size the Python loop runs over the fewer of
   the compositions and the sign patterns, and C runs the other.  A vector
   of A is one of weight w on the low half joined with one of weight h - w
-  on the high half: for each w in 1..h-1 each half's sums go into a set,
-  which merges equal sums and is mirrored, and each positive sum of the
-  smaller set is added to every sum of the larger in C; the end weights
-  w = h and w = 0 stream one half's sums unlisted, and the value set is
-  mirrored once at the end.  One early return reads a one-element set (h
-  runs to 2^27): h*a, and -h*a in the signed kinds.  A one-slot vector
-  lists no cut points: a one-element half (k = 2 or 3) meets every w < h.
+  on the high half: for each w in 1..h-1 the low half's absolute sums and
+  the high half's sums go into sets, which merge equal sums, the high set
+  is mirrored, and each low sum is added to every high sum in C; the end
+  weights w = h and w = 0 stream one half's sums unlisted, and the value
+  set is mirrored once at the end, which gives the low sums their signs
+  back.  One early return reads a one-element set (h runs to 2^27): h*a,
+  and -h*a in the signed kinds.  A one-slot vector lists no cut points: a
+  one-element half (k = 2 or 3) meets every w < h.
 * ``sumset_layered`` runs a dynamic program over elements with layers
   indexed by consumed weight j = 0..h.  Layer j is a dense bitmask that
   stores value v at bit v + j*m for any frame m >= max|a|, so adding
@@ -123,10 +124,12 @@ def _require_oracle_budget(k: int, h: int, kind: SumsetKind) -> None:
     # exactly costs about r big multiplications, so a wide input is refused
     # on r alone.  The budget is the same for both signed kinds' split into
     # halves, which sum one vector of each +- pair, at most w terms each: for
-    # one split weight w at a time it holds each half's distinct sums,
-    # mirrored, at most min(vectors, 2w*max|a_i| + 1) of them and at most
-    # 107,200 on one side (signed, k=39, h=5), and it streams the end
-    # weights, which as lists would reach 8.4M sums (signed, k=5791, h=2).
+    # one split weight w at a time it holds the low half's distinct absolute
+    # sums, at most min(pairs, w*max|a_i| + 1) of them and at most 49,406
+    # (signed, k=84, h=4), and the high half's distinct sums, mirrored, at
+    # most min(vectors, 2(h-w)*max|a_i| + 1) and at most 107,200 (signed,
+    # k=39, h=5), and it streams the end weights, which as lists would reach
+    # 8.4M sums (signed, k=5791, h=2).
     r = min(k - h if kind is SumsetKind.RESTRICTED else k - 1, h)
     if r >= MAX_ORACLE_TERMS.bit_length():
         raise KernelOverflow(
@@ -242,24 +245,18 @@ def _naive_values(elements: tuple[int, ...], h: int, kind: SumsetKind) -> set[in
     # the signed kinds: a vector is one of weight w on the low half joined
     # with one of weight h - w on the high half, and -v is a sum wherever v
     # is, so both halves take one vector of each +- pair and the value set
-    # is mirrored once at the end.  w = h and w = 0 stream one half's sums;
-    # each w in 1..h-1 merges each half's equal sums and mirrors them, then
-    # adds each positive sum of the smaller half to every sum of the larger
-    # in C, and the larger as it is if the smaller holds 0
+    # is mirrored once at the end.  w = h and w = 0 stream one half's sums.
+    # For each w in 1..h-1 the high half's sums H are mirrored, so H = -H
+    # and x + H = -(-x + H): the join adds each distinct |x| of the low
+    # half to every sum of H in C
     low, high = elements[:len(elements) // 2], elements[len(elements) // 2:]
     values = set(_signed_sums(low, h, kind))
     values.update(_signed_sums(high, h, kind))
     for w in range(1, h):
-        lows = set(_signed_sums(low, w, kind))
+        lows = set(map(abs, _signed_sums(low, w, kind)))
         highs = set(_signed_sums(high, h - w, kind))
-        if not (lows and highs):  # restricted-signed, w over a half's size
-            continue
-        lows.update(map(neg, tuple(lows)))
         highs.update(map(neg, tuple(highs)))
-        small, large = (lows, highs) if len(lows) <= len(highs) else (highs, lows)
-        if 0 in small:
-            values.update(large)
-        values.update(starmap(add, product([x for x in small if x > 0], large)))
+        values.update(starmap(add, product(lows, highs)))
     values.update(map(neg, tuple(values)))
     return values
 

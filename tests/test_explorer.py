@@ -641,6 +641,23 @@ def test_explicit_h_values_must_be_a_sequence(folds, name):
     assert list(folds) == [3]  # refused before it is read
 
 
+@pytest.mark.parametrize("folds, bad", [
+    ("3", "'3'"), ([3.0], "3.0"), ((3.5,), "3.5"), ([None], "None"), ([3, "4"], "'4'"),
+    ([3] * 7 + ["4"], "'4'"),  # more folds than k
+])
+def test_explicit_folds_must_be_ints(folds, bad):
+    # a str is a sequence of strs, and sorting or comparing a non-int fold
+    # raised a raw TypeError
+    config = ScanConfig(6, 14, POS, parse_mode("conj:C2_1"), h_values=folds)
+    for run in (scan, ScanConfig.to_json_dict):
+        with pytest.raises(NotApplicable) as refused:
+            run(config)
+        assert str(refused.value) == f"fold {bad} invalid for conj:C2_1: not an int"
+    # a bool is an int, and is refused as a fold
+    with pytest.raises(NotApplicable, match=r"^fold\(s\) \[True\] invalid for conj:C2_1 at k=6$"):
+        scan(ScanConfig(6, 14, POS, parse_mode("conj:C2_1"), h_values=[True, 3]))
+
+
 def test_explicit_fold_range_refused_before_listing_it():
     # ten billion folds, listed as a set, would exhaust a 400 MB address
     # space (MemoryError, exit 1); on timeout subprocess.run kills the child

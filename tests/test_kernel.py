@@ -175,11 +175,14 @@ SPLIT_SETS = [
 ]
 
 
-@pytest.mark.parametrize("kind, raw", [
+SPLIT_CASES = [
     pytest.param(kind, raw, id=f"{prefix}raw{i}")
     for kind, prefix in [(SIGNED, ""), (RS, "restricted-signed-")]
     for i, raw in enumerate(SPLIT_SETS)
-])
+]
+
+
+@pytest.mark.parametrize("kind, raw", SPLIT_CASES)
 def test_signed_oracle_sums_each_vector_once(kind, raw):
     """The split oracle sums one vector of each +- pair of each half's
     vectors of each weight, in both signed kinds, and its weights cover
@@ -212,6 +215,28 @@ def test_signed_oracle_sums_each_vector_once(kind, raw):
             pairs.get((low, w), 0) * high_vectors[h - w] for w in range(1, h + 1)
         )
         assert 2 * joined == coefficient_space_size(a.k, h, kind)
+
+
+@pytest.mark.parametrize("kind, raw", SPLIT_CASES)
+def test_signed_oracle_joins_absolute_low_sums_with_the_mirrored_high_half(kind, raw):
+    """Each split weight w is one ``product`` of the distinct |x| over the
+    low half's sums of weight w and the high half's sums of weight h - w
+    closed under negation; the final mirror makes up the signs.  A value
+    set cannot see the low half joined with its signs, which doubles the
+    additions, this spy can."""
+    a = make_set(raw)
+    low, high = a.elements[:a.k // 2], a.elements[a.k // 2:]
+    for h in range(1, a.k + (1 if kind.bounded_fold else 3)):
+        with mock.patch.object(kernel, "product", wraps=kernel.product) as spy:
+            sumset_naive(a, h, kind)
+        # _signed_sums passes product tuples only
+        joins = [call.args for call in spy.call_args_list if not isinstance(call.args[0], tuple)]
+        expected = []
+        for w in range(1, h) if low else ():
+            lows = set(map(abs, kernel._signed_sums(low, w, kind)))
+            highs = set(kernel._signed_sums(high, h - w, kind))
+            expected.append((lows, highs | set(map(neg, highs))))
+        assert joins == expected
 
 
 @pytest.mark.parametrize("elements, w, kind, sign_loops", [
