@@ -14,13 +14,7 @@ import sys
 
 from .bounds import audit
 from .core import SetFamily, SumsetKind, canonical_json, parse_set_literal
-from .errors import (
-    EngineMismatch,
-    InvalidSetLiteral,
-    NotApplicable,
-    SumsetError,
-    TheoremViolation,
-)
+from .errors import EngineMismatch, InvalidSetLiteral, SumsetError, TheoremViolation
 from .explorer import CSV_HEADER, ScanConfig, _target, parse_mode, scan
 from .inverse import classify_extremal
 from .kernel import sumset_layered, sumset_naive
@@ -109,10 +103,11 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _parse_h_range(text: str | None, k: int) -> range | None:
-    """A fold or inclusive fold range, checked against 1..k; one that runs
-    backwards is malformed.  The folds are listed by the scan, after the
-    budgets it checks on k and max alone."""
+def _parse_h_range(text: str | None) -> range | None:
+    """A fold or inclusive fold range; one that runs backwards is
+    malformed.  Only the scan decides which folds its target takes, and it
+    refuses a range of more than k folds at its first fold outside 1..k,
+    before listing the range."""
     if text is None:
         return None
     lo, sep, hi = text.partition("-")
@@ -122,8 +117,6 @@ def _parse_h_range(text: str | None, k: int) -> range | None:
         raise InvalidSetLiteral(f"malformed fold range: {text!r}") from None
     if lo > hi:
         raise InvalidSetLiteral(f"malformed fold range: {text!r} runs backwards")
-    if not 1 <= lo <= hi <= k:
-        raise NotApplicable(f"fold range {text!r} is not within 1..{k}")
     return range(lo, hi + 1)
 
 
@@ -244,7 +237,7 @@ def _cmd_scan(args) -> int:
         # TA_Nathanson holds for any set; its scan defaults to positive ones
         family=SetFamily.POSITIVE if family is SetFamily.ANY else family,
         mode=mode,
-        h_values=_parse_h_range(args.h, args.k),
+        h_values=_parse_h_range(args.h),
         jobs=args.jobs,
     )
     try:

@@ -149,6 +149,14 @@ class ScanConfig:
     h_values: Sequence[int] | None = None   # None: derived from the mode
     jobs: int = 1
 
+    def __post_init__(self) -> None:
+        # before any comparison, where a float or a str fails as a raw
+        # TypeError; a bool is an int, and would be written as true
+        for name in ("k", "max_element", "jobs"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise NotApplicable(f"scan {name} must be an int, got {value!r}")
+
     def to_json_dict(self) -> dict:
         return {
             "mode": str(self.mode),
@@ -326,12 +334,12 @@ def resolve_h_values(config: ScanConfig) -> tuple[int, ...]:
         raise NotApplicable(
             f"explicit folds must be a sequence, got {type(config.h_values).__name__}"
         )
-    # a fold that is not an int is refused before it is compared; more folds
-    # than 1..k holds are refused at the first outside it, before listing
-    # any, so a huge range fails fast
+    # a fold that is not an int, or is a bool, is refused before it is
+    # compared; more folds than 1..k holds are refused at the first outside
+    # it, before listing any, so a huge range fails fast
     many = any(True for _ in islice(config.h_values, config.k, None))
     for h in config.h_values:
-        if not isinstance(h, int):
+        if not isinstance(h, int) or isinstance(h, bool):
             raise NotApplicable(f"fold {h!r} invalid for {config.mode}: not an int")
         if many and not 1 <= h <= config.k:
             raise NotApplicable(f"fold {h} invalid for {config.mode} at k={config.k}")
@@ -345,10 +353,6 @@ def resolve_h_values(config: ScanConfig) -> tuple[int, ...]:
 # completeness count holds max_element + 1 entries; max_element is at most
 # the block count plus k.  A space of more blocks is refused before either.
 MAX_SCAN_BLOCKS = 2**18
-# Above this k a scan is over the layered budget even at h = 1, its k - 2 or
-# more stacked ints holding 2 * (2 * max_element + 1) bits each, so it is
-# refused on k and max_element before its folds, up to k of them, are listed.
-MAX_SCAN_K = 2**16
 
 
 @dataclass(frozen=True)
@@ -390,8 +394,10 @@ def _validate(config: ScanConfig) -> tuple[_ScanPlan, list[tuple[int, ...]]]:
     # prefix block, plus one; a block's largest element is top
     plen = min(2, size)
     top, copies = m - (size - plen), size - plen + 1
-    if k > MAX_SCAN_K:
-        _require_layered_budget(1, m, copies)
+    # the budget grows with h, so a scan over it at h = 1, as every scan of
+    # k > 2^16 is, is over it at every fold: it is refused on k and
+    # max_element before its folds, up to k of them, are listed
+    _require_layered_budget(1, m, copies)
     h_values = resolve_h_values(config)
     bad = [h for h in h_values if not formula.validity(k, h)]
     if bad or not h_values:

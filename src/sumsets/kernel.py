@@ -18,14 +18,15 @@ The two engines are deliberately unrelated in structure:
   sign pattern: per support size the Python loop runs over the fewer of
   the compositions and the sign patterns, and C runs the other.  A vector
   of A is one of weight w on the low half joined with one of weight h - w
-  on the high half: for each w in 1..h-1 the low half's absolute sums and
-  the high half's sums go into sets, which merge equal sums, the high set
-  is mirrored, and each low sum is added to every high sum in C; the end
-  weights w = h and w = 0 stream one half's sums unlisted, and the value
-  set is mirrored once at the end, which gives the low sums their signs
-  back.  One early return reads a one-element set (h runs to 2^27): h*a,
-  and -h*a in the signed kinds.  A one-slot vector lists no cut points: a
-  one-element half (k = 2 or 3) meets every w < h.
+  on the high half: for each w in 1..h-1 that both halves fill (a
+  restricted-signed half of n elements fills w <= n) the low half's
+  absolute sums and the high half's sums go into sets, which merge equal
+  sums, the high set is mirrored, and each low sum is added to every high
+  sum in C; the end weights w = h and w = 0 stream one half's sums
+  unlisted, and the value set is mirrored once at the end, which gives the
+  low sums their signs back.  One early return reads a one-element set (h
+  runs to 2^27): h*a, and -h*a in the signed kinds.  A one-slot vector
+  lists no cut points: a one-element half (k = 2 or 3) meets every w < h.
 * ``sumset_layered`` runs a dynamic program over elements with layers
   indexed by consumed weight j = 0..h.  Layer j is a dense bitmask that
   stores value v at bit v + j*m for any frame m >= max|a|, so adding
@@ -248,11 +249,16 @@ def _naive_values(elements: tuple[int, ...], h: int, kind: SumsetKind) -> set[in
     # is mirrored once at the end.  w = h and w = 0 stream one half's sums.
     # For each w in 1..h-1 the high half's sums H are mirrored, so H = -H
     # and x + H = -(-x + H): the join adds each distinct |x| of the low
-    # half to every sum of H in C
+    # half to every sum of H in C.  A restricted-signed half of n elements
+    # has no vector of weight over n, so only the w both halves fill are run
     low, high = elements[:len(elements) // 2], elements[len(elements) // 2:]
     values = set(_signed_sums(low, h, kind))
     values.update(_signed_sums(high, h, kind))
-    for w in range(1, h):
+    if kind.bounded_fold:
+        weights = range(max(1, h - len(high)), min(h, len(low) + 1))
+    else:
+        weights = range(1, h)
+    for w in weights:
         lows = set(map(abs, _signed_sums(low, w, kind)))
         highs = set(_signed_sums(high, h - w, kind))
         highs.update(map(neg, tuple(highs)))

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import bound_one_above, overcounting
-from sumsets import bounds, cli, core, explorer
+from sumsets import bounds, cli, core, errors, explorer
 from sumsets.cli import main
 from sumsets.core import canonical_json
 from sumsets.witness import EQUAL, LESS, WitnessElement, WitnessFamily
@@ -214,22 +214,39 @@ def test_compute_naive_huge_magnitude_exits_65(capsys, json_flag):
     assert code == 65 and "exceeds 2^62" in err
 
 
-def test_scan_fold_range_checked_before_it_is_built(capsys):
-    # a range past k must fail as a domain error, never reach range()
+def test_scan_fold_range_refused_before_it_is_listed(capsys):
+    # a range past k fails as a domain error at its first fold past k
     code, _, err = run(capsys, "scan", "--mode", "verify:T2_1", "--k", "4",
                        "--max", "20", "--h", "1-99999999999999999999")
-    assert code == 65 and "within 1..4" in err
+    assert code == 65 and err == "error: fold 5 invalid for verify:T2_1 at k=4\n"
 
 
 @pytest.mark.parametrize("fold, code, message", [
     # a range that runs backwards is malformed, not out of range
     ("5-3", 64, "usage error: malformed fold range: '5-3' runs backwards"),
-    ("2-9", 65, "error: fold range '2-9' is not within 1..6"),
+    ("2-9", 65, "error: fold 7 invalid for verify:T2_1 at k=6"),
 ])
 def test_scan_fold_range_errors(capsys, fold, code, message):
     result, _, err = run(capsys, "scan", "--mode", "verify:T2_1", "--k", "6",
                          "--max", "20", "--h", fold)
     assert (result, err) == (code, message + "\n")
+
+
+@pytest.mark.parametrize("mode, fold", [
+    ("verify:T2_1", "2-9"), ("verify:T2_4", "2"), ("conj:C2_1", "1-2"),
+    ("verify:TA_Nathanson", "0"),
+])
+def test_scan_folds_are_refused_by_the_library_alone(capsys, mode, fold):
+    # the CLI only parses --h: a fold outside the target's is refused by the
+    # scan, with the text the same ScanConfig gets from the library
+    lo, _, hi = fold.partition("-")
+    config = explorer.ScanConfig(6, 14, core.SetFamily.POSITIVE, explorer.parse_mode(mode),
+                                 h_values=range(int(lo), int(hi or lo) + 1))
+    with pytest.raises(errors.NotApplicable) as refused:
+        explorer.scan(config)
+    code, out, err = run(capsys, "scan", "--mode", mode, "--k", "6", "--max", "14",
+                         "--h", fold)
+    assert (code, out, err) == (65, "", f"error: {refused.value}\n")
 
 
 def test_scan_frame_budget_refused_before_partitioning(capsys):

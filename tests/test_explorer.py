@@ -641,21 +641,35 @@ def test_explicit_h_values_must_be_a_sequence(folds, name):
     assert list(folds) == [3]  # refused before it is read
 
 
-@pytest.mark.parametrize("folds, bad", [
-    ("3", "'3'"), ([3.0], "3.0"), ((3.5,), "3.5"), ([None], "None"), ([3, "4"], "'4'"),
-    ([3] * 7 + ["4"], "'4'"),  # more folds than k
+@pytest.mark.parametrize("mode, folds, bad", [
+    ("conj:C2_1", "3", "'3'"), ("conj:C2_1", [3.0], "3.0"), ("conj:C2_1", (3.5,), "3.5"),
+    ("conj:C2_1", [None], "None"), ("conj:C2_1", [3, "4"], "'4'"),
+    ("conj:C2_1", [3] * 7 + ["4"], "'4'"),  # more folds than k
+    # a bool is an int, and scanned as 1 it wrote "h": [true]
+    ("verify:T2_1", [True], "True"),
 ])
-def test_explicit_folds_must_be_ints(folds, bad):
+def test_explicit_folds_must_be_ints(mode, folds, bad):
     # a str is a sequence of strs, and sorting or comparing a non-int fold
     # raised a raw TypeError
-    config = ScanConfig(6, 14, POS, parse_mode("conj:C2_1"), h_values=folds)
+    config = ScanConfig(6, 14, POS, parse_mode(mode), h_values=folds)
     for run in (scan, ScanConfig.to_json_dict):
         with pytest.raises(NotApplicable) as refused:
             run(config)
-        assert str(refused.value) == f"fold {bad} invalid for conj:C2_1: not an int"
-    # a bool is an int, and is refused as a fold
-    with pytest.raises(NotApplicable, match=r"^fold\(s\) \[True\] invalid for conj:C2_1 at k=6$"):
+        assert str(refused.value) == f"fold {bad} invalid for {mode}: not an int"
+    # a bool is refused as a fold before it is checked against the target's
+    with pytest.raises(NotApplicable, match=r"^fold True invalid for conj:C2_1: not an int$"):
         scan(ScanConfig(6, 14, POS, parse_mode("conj:C2_1"), h_values=[True, 3]))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_element", 5.0), ("k", "5"), ("k", None), ("k", True), ("jobs", True), ("jobs", 2.5),
+])
+def test_scan_config_fields_must_be_ints(field, value):
+    # a float, a str or None met its first comparison as a raw TypeError, and
+    # a bool k or a bool or float jobs scanned and was written to the report
+    fields = {"k": 3, "max_element": 5, "jobs": 1, field: value}
+    with pytest.raises(NotApplicable, match=rf"^scan {field} must be an int, got {value!r}$"):
+        ScanConfig(family=POS, mode=parse_mode("verify:T2_1"), **fields)
 
 
 def test_explicit_fold_range_refused_before_listing_it():

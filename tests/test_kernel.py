@@ -182,6 +182,14 @@ SPLIT_CASES = [
 ]
 
 
+def split_weights(kind, low, high, h):
+    """The split weights in 1..h-1 that both halves have a vector of: a
+    restricted-signed half of n elements has none of weight over n.  One
+    element is read before the split, with no half."""
+    return [w for w in range(1, h) if low and (
+        not kind.bounded_fold or (w <= len(low) and h - w <= len(high)))]
+
+
 @pytest.mark.parametrize("kind, raw", SPLIT_CASES)
 def test_signed_oracle_sums_each_vector_once(kind, raw):
     """The split oracle sums one vector of each +- pair of each half's
@@ -197,7 +205,7 @@ def test_signed_oracle_sums_each_vector_once(kind, raw):
         # the end weights, then the two halves each split weight w joins; one
         # element is read before the split, with no half
         expected = [(low, h, kind), (high, h, kind)] if low else []
-        for w in range(1, h) if low else ():
+        for w in split_weights(kind, low, high, h):
             expected += [(low, w, kind), (high, h - w, kind)]
         assert calls == expected
         pairs = {} if low else {(high, h): 1}  # the early return's (h) and (-h)
@@ -232,7 +240,7 @@ def test_signed_oracle_joins_absolute_low_sums_with_the_mirrored_high_half(kind,
         # _signed_sums passes product tuples only
         joins = [call.args for call in spy.call_args_list if not isinstance(call.args[0], tuple)]
         expected = []
-        for w in range(1, h) if low else ():
+        for w in split_weights(kind, low, high, h):
             lows = set(map(abs, kernel._signed_sums(low, w, kind)))
             highs = set(kernel._signed_sums(high, h - w, kind))
             expected.append((lows, highs | set(map(neg, highs))))
