@@ -11,6 +11,7 @@ import argparse
 import csv
 import os
 import sys
+from itertools import islice
 
 from .bounds import audit
 from .core import SetFamily, SumsetKind, canonical_json, parse_set_literal
@@ -120,10 +121,16 @@ def _parse_h_range(text: str | None) -> range | None:
     return range(lo, hi + 1)
 
 
+# compute's text output joins and writes this many values at a time
+_TEXT_CHUNK = 65536
+
+
 def _cmd_compute(args) -> int:
     a = parse_set_literal(args.set)
     engine = sumset_naive if args.engine == "naive" else sumset_layered
     result = engine(a, args.h, SumsetKind(args.kind))
+    # the layered result lists its values as they are read, not all at once
+    values = result.values if args.engine == "naive" else result
     if args.json:
         sys.stdout.write(
             canonical_json(
@@ -132,13 +139,17 @@ def _cmd_compute(args) -> int:
                     "h": args.h,
                     "kind": result.kind.value,
                     "engine": args.engine,
-                    "values": list(result.values),
+                    "values": list(values),
                     "cardinality": result.cardinality,
                 }
             )
         )
     else:
-        print(",".join(str(v) for v in result.values))
+        texts = map(str, values)
+        sys.stdout.write(",".join(islice(texts, _TEXT_CHUNK)))
+        for chunk in iter(lambda: ",".join(islice(texts, _TEXT_CHUNK)), ""):
+            sys.stdout.write("," + chunk)
+        print()
         print(f"cardinality {result.cardinality}")
     return EXIT_OK
 
@@ -162,7 +173,8 @@ def _cmd_witness(args) -> int:
     a = parse_set_literal(args.set)
     h = args.h
     zero = a.elements[0] == 0
-    membership = sumset_layered(a, h).values
+    # streamed once per family: a set of the whole sumset may not fit
+    membership = sumset_layered(a, h)
     families = [s_family(a, h)]
     t = t_family(a, h, zero_in_a=zero, superincreasing=args.superincreasing)
     families.append(t)

@@ -262,7 +262,8 @@ def verify_family(fam: WitnessFamily, membership: Iterable[int]) -> FamilyCheck:
             broken.append(f"{cur.label} < {nxt.label}")
         elif cur.relation_to_next == EQUAL and cur.value != nxt.value:
             broken.append(f"{cur.label} = {nxt.label}")
-    allowed = set(membership)
+    # one pass over the sumset keeps the core values found, not the sumset
+    allowed = fam.core_values().intersection(membership)
     missing = tuple(e.label for e in fam.elements if e.core and e.value not in allowed)
     return FamilyCheck(
         name=fam.name,

@@ -28,6 +28,14 @@ def test_compute_plain(capsys):
     assert out.splitlines() == ["-8,-6,-4,-2,2,4,6,8", "cardinality 8"]
 
 
+@pytest.mark.parametrize("engine", ["naive", "layered"])
+def test_compute_text_joins_its_chunks(capsys, monkeypatch, engine):
+    monkeypatch.setattr(cli, "_TEXT_CHUNK", 3)
+    code, out, _ = run(capsys, "compute", "--set", "1,3,5", "--h", "2", "--engine", engine)
+    assert code == 0
+    assert out.splitlines() == ["-8,-6,-4,-2,2,4,6,8", "cardinality 8"]
+
+
 def test_compute_singleton(capsys):
     code, out, _ = run(capsys, "compute", "--set", "7", "--h", "1")
     assert code == 0
@@ -257,7 +265,7 @@ def test_scan_frame_budget_refused_before_partitioning(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    # 16 kB of values: the pipe breaks inside print
+    # 16 kB of values: the pipe breaks inside the values' write
     ["compute", "--set", "1,2,4,8,16,32,64,128,256,512,1024", "--h", "5"],
     # two short lines, still buffered when the command returns
     ["compute", "--set", "1,3,5", "--h", "2"],
@@ -343,6 +351,35 @@ def test_compute_wide_sparse_set_reads_its_values_in_bounded_memory():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["values"] == [-10**8, -1, 1, 10**8]
+
+
+def test_layered_commands_on_a_wide_superincreasing_set_fit_in_bounded_memory(tmp_path):
+    # {1, 2, 4, ..., 2^21} at h = 11 has 8,209,414 values: a tuple of them
+    # would exhaust a 400 MB address space (MemoryError, exit 1).  bound and
+    # classify read the mask's bit count, witness streams the values once
+    # per family, and compute's text streams them in chunks
+    child = textwrap.dedent("""
+        import resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, (400 * 2**20, 400 * 2**20))
+        from sumsets.cli import main
+        elements = ",".join(str(2**i) for i in range(22))
+        for command in ("bound", "classify", "witness", "compute"):
+            code = main([command, "--set", elements, "--h", "11"])
+            if code:
+                sys.exit(code)
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = tmp_path / "out.txt"
+    with open(out, "wb") as stdout:
+        proc = subprocess.run(
+            [sys.executable, "-c", child], env=env, stdout=stdout,
+            stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    with open(out, "rb") as text:
+        text.seek(-64, os.SEEK_END)
+        assert text.read().endswith(b",4192256\ncardinality 8209414\n")
 
 
 def test_compute_naive_unrestricted_one_element_at_the_largest_fold():

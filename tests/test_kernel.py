@@ -12,9 +12,12 @@ from hypothesis import strategies as st
 from conftest import unstacked
 from sumsets.core import SumsetKind, dilate, make_set
 from sumsets import kernel
-from sumsets.errors import InvalidFold, KernelOverflow
+from sumsets.bounds import audit
+from sumsets.errors import InvalidFold, InvalidSet, KernelOverflow
+from sumsets.inverse import classify_extremal
 from sumsets.kernel import (
     Frame,
+    LayeredResult,
     advance,
     coefficient_space_size,
     enumerate_coefficients,
@@ -362,6 +365,60 @@ def test_engines_agree_on_masks_wider_than_a_read_slice(raw):
     for kind in KINDS:
         for h in range(1, a.k + 1):
             assert sumset_layered(a, h, kind).values == sumset_naive(a, h, kind).values
+
+
+def test_layered_result_lists_its_mask_as_the_oracle_does(rng):
+    """{0}, narrow sets with negatives (dense masks), wide sets (sparse
+    masks over many slices), dilations d*A (values that step by d), and
+    {1, 2, ..., 2^13} at h = 7 (an empty slice, then two dense ones)."""
+    sets = [make_set([0])]
+    for _ in range(8):
+        sets.append(make_set(rng.sample(range(-12, 13), rng.randint(1, 6))))
+        sets.append(make_set(rng.sample(range(-10**5, 10**5), rng.randint(1, 3))))
+        sets.append(dilate(make_set(rng.sample(range(-12, 13), rng.randint(1, 5))),
+                           rng.randint(2, 50)))
+    cases = [(a, h, kind) for a in sets for kind in KINDS for h in range(1, a.k + 1)]
+    cases.append((make_set([2**i for i in range(14)]), 7, RS))
+    dense = slices = 0
+    for a, h, kind in cases:
+        result = sumset_layered(a, h, kind)
+        with mock.patch.object(kernel, "compress", wraps=kernel.compress) as spy:
+            values = result.values
+        dense += spy.call_count
+        slices += sum(1 for _ in result._slices())
+        assert values == sumset_naive(a, h, kind).values, (a, h, kind)
+        assert tuple(result) == values
+        assert result.cardinality == len(values)
+    assert 0 < dense < slices  # both listing branches ran
+
+
+@given(st.sets(st.integers(-6, 6), max_size=6), st.integers(6, 70), st.integers(1, 3))
+@example({-2, 1, 2}, 6, 1)
+@example({-2, 2, 5}, 12, 3)
+def test_layered_result_symmetry_check_is_closure_under_negation(raw, hm, d):
+    # value d*v at bit v + hm of the 2hm+1-bit frame
+    mask = sum(1 << v + hm for v in raw)
+    closed = all(-v in raw for v in raw)
+    for kind in KINDS:
+        if kind.symmetric and not closed:
+            with pytest.raises(InvalidSet, match=f"{kind.value} sumset must be symmetric"):
+                LayeredResult(mask, -hm * d, d, kind)
+        else:
+            result = LayeredResult(mask, -hm * d, d, kind)
+            assert result.values == tuple(sorted(d * v for v in raw))
+
+
+def test_audit_and_classify_read_the_cardinality_without_listing():
+    def unlisted(self):
+        raise AssertionError("a layered result listed its values")
+
+    a = make_set([1, 3, 5, 7])
+    with mock.patch.object(kernel.LayeredResult, "_slices", unlisted):
+        report = audit(a, 2)
+        classified = classify_extremal(a, 2)
+    card = len(sumset_naive(a, 2, RS).values)
+    assert report.cardinality == classified.cardinality == card
+    assert report.restricted_cardinality == len(sumset_naive(a, 2, SumsetKind.RESTRICTED).values)
 
 
 def listed(elements, m, depth, kind):

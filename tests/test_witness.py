@@ -175,6 +175,18 @@ def test_verify_family_reports_false_claims():
     assert check.distinct == 3 and check.missing_members == ()
 
 
+def test_verify_family_reports_core_values_missing_from_a_streamed_sumset():
+    # h^+-{1, 3, 5} at h = 2 is +-2, +-4, +-6, +-8, which the layered result
+    # streams: 7 is a core value that is no sum, 9 a bracket that is none
+    chain = WitnessFamily("x", 2, (
+        WitnessElement("a", 4, LESS), WitnessElement("b", 7, LESS),
+        WitnessElement("c", 8, LESS), WitnessElement("d", 9, None, core=False),
+    ), expected_distinct=3)
+    check = verify_family(chain, sumset_layered(make_set([1, 3, 5]), 2))
+    assert check.missing_members == ("b",)
+    assert check.chain_ok and not check.ok
+
+
 def test_count_identity_random(rng):
     for _ in range(150):
         k = rng.randint(1, 8)
